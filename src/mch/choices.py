@@ -155,6 +155,7 @@ def multi_strategy_choices(netp: LogicNetwork, critical: set[int],
     stats = cn.stats
     host = netp.tag
     specs: list[_Spec] = []
+    fanouts = netp.fanouts()  # netp is not modified until _install_specs
 
     for n in list(netp.gates()):
         if n in critical:
@@ -171,7 +172,7 @@ def multi_strategy_choices(netp: LogicNetwork, critical: set[int],
                     continue
                 for cand in area_oriented_candidates(lib, cut.tt, host):
                     specs.append(_Spec(n, cut.leaves, cand))
-            cone = netp.mffc(n, K)
+            cone = netp.mffc(n, K, fanouts)
             leaves = netp.mffc_leaves(cone)
             gates_in_cone = sum(1 for m in cone if netp.is_gate(m))
             if 2 <= len(leaves) <= MAX_VARS and gates_in_cone >= 2:

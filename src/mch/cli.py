@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=4, help="cut size (default 4)")
     p.add_argument("-l", type=int, default=8, help="cuts kept per node")
     p.add_argument("-K", type=int, default=8,
-                   help="candidates tried per cut")
+                   help="MFFC leaf bound (default 8)")
     p.add_argument("-r", type=float, default=None,
                    help="critical-path level ratio")
     p.add_argument("--mix", choices=sorted(nw.ALLOWED_KINDS))

@@ -15,8 +15,9 @@ def random_network(n_pis: int, n_gates: int, seed: int,
     net = LogicNetwork(tag)
     sigs = [net.add_pi() for _ in range(n_pis)]
     kinds = sorted(nw.ALLOWED_KINDS[tag])
+    first_gate = len(net)  # every node added after the PIs is a gate
     tries = 0
-    while net.num_gates() < n_gates and tries < n_gates * 50:
+    while len(net) - first_gate < n_gates and tries < n_gates * 50:
         tries += 1
         kind = rng.choice(kinds)
         arity = 3 if kind == nw.MAJ3 else 2

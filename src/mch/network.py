@@ -7,6 +7,7 @@ gate kinds may appear, so the same arena type hosts all four graph flavors.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, NamedTuple, Optional
 
 CONST0 = "const0"
@@ -243,42 +244,60 @@ class LogicNetwork:
     def reachable(self) -> set[int]:
         return self.tfi(s.node for s in self.outputs)
 
-    def mffc(self, n: int, max_leaves: Optional[int] = None) -> set[int]:
+    def fanouts(self) -> list[list[int]]:
+        """Fanout node ids per node; each PO reference adds a -1 entry."""
+        outs: list[list[int]] = [[] for _ in self._nodes]
+        for n, node in enumerate(self._nodes):
+            for f in node.fanins:
+                outs[f.node].append(n)
+        for s in self.outputs:
+            outs[s.node].append(-1)
+        return outs
+
+    def mffc(self, n: int, max_leaves: Optional[int] = None,
+             fanouts: Optional[list[list[int]]] = None) -> set[int]:
         """Maximum fanout-free cone of n, leaf support bounded by max_leaves.
 
         Returns {n} for PI/CONST roots (degenerate cone with no gates).
         Every non-root member has all of its fanouts inside the set.
+
+        The rule is reverse-topological, first-fit and leaf-bounded: gates
+        of the TFI of n are decided in descending id order, and each joins
+        the cone when none of its fanouts is a PO or outside the cone and
+        the cone's leaf support stays within max_leaves.  Only gate fanins
+        of members can pass, so the walk pops them from a max-heap frontier
+        and updates the leaf set per member; every fanout has a higher id
+        than its fanin, so it is decided before the fanin is popped.
+
+        Cost: linear in the cone plus its frontier (times the heap's log
+        factor), given `fanouts`: the map from fanouts(), built once for a
+        network that is not modified in between.  Without it the map is
+        built here, which is linear in the network.
         """
         if not self.is_gate(n):
             return {n}
-        refs = self.fanout_counts()
+        if fanouts is None:
+            fanouts = self.fanouts()
+        nodes = self._nodes
         cone = {n}
-        # candidate members in reverse topological order of the TFI of n
-        cand = sorted((m for m in self.tfi([n]) if self.is_gate(m) and m != n),
-                      reverse=True)
-        fanout_map: dict[int, list[int]] = {}
-        for g in self.gates():
-            for f in self._nodes[g].fanins:
-                fanout_map.setdefault(f.node, []).append(g)
-        for s in self.outputs:
-            fanout_map.setdefault(s.node, []).append(-1)  # PO pseudo-fanout
-
-        def support(members: set[int]) -> set[int]:
-            leaves = set()
-            for m in members:
-                for f in self._nodes[m].fanins:
-                    if f.node not in members:
-                        leaves.add(f.node)
-            return leaves
-
-        for m in cand:
-            outs = fanout_map.get(m, [])
-            if any(o == -1 or o not in cone for o in outs):
+        leaves = {f.node for f in nodes[n].fanins}
+        heap = [-m for m in leaves if nodes[m].kind in GATE_KINDS]
+        heapq.heapify(heap)
+        while heap:
+            m = -heapq.heappop(heap)
+            if any(o == -1 or o not in cone for o in fanouts[m]):
                 continue
-            trial = cone | {m}
-            if max_leaves is not None and len(support(trial)) > max_leaves:
+            # fanins of m are below every member, so none is in the cone
+            new = {f.node for f in nodes[m].fanins} - leaves
+            if (max_leaves is not None
+                    and len(leaves) - 1 + len(new) > max_leaves):
                 continue
-            cone = trial
+            cone.add(m)
+            leaves.discard(m)
+            leaves |= new
+            for g in new:
+                if nodes[g].kind in GATE_KINDS:
+                    heapq.heappush(heap, -g)
         return cone
 
     def mffc_leaves(self, cone: set[int]) -> list[int]:

@@ -341,30 +341,27 @@ def cut_truth(net, root: int, leaves: list[int]) -> TruthTable:
         leaf: TruthTable.var(i, v) for i, leaf in enumerate(leaves)}
     memo[0] = TruthTable.const(False, v)
 
-    def value(n: int) -> TruthTable:
-        got = memo.get(n)
-        if got is not None:
-            return got
+    # iterative post-order: a node is evaluated once all its fanins are
+    stack = [root]
+    while stack:
+        n = stack[-1]
+        if n in memo:
+            stack.pop()
+            continue
         if not net.is_gate(n):
             raise InvalidCut(f"leaf set does not cut off node {n}")
-        ins = []
-        for f in net.fanins(n):
-            t = value(f.node)
-            ins.append(~t if f.neg else t)
+        fanins = net.fanins(n)
+        pending = [f.node for f in fanins if f.node not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        ins = [~memo[f.node] if f.neg else memo[f.node] for f in fanins]
         kind = net.kind(n)
         if kind == "and2":
-            r = ins[0] & ins[1]
+            memo[n] = ins[0] & ins[1]
         elif kind == "xor2":
-            r = ins[0] ^ ins[1]
+            memo[n] = ins[0] ^ ins[1]
         else:
-            r = maj_tt(ins[0], ins[1], ins[2])
-        memo[n] = r
-        return r
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 10000))
-    try:
-        return value(root)
-    finally:
-        sys.setrecursionlimit(old)
+            memo[n] = maj_tt(ins[0], ins[1], ins[2])
+    return memo[root]

@@ -96,3 +96,10 @@ def test_bench_subcommand(p8, tmp_path, capsys):
 def test_missing_file_is_error(capsys):
     assert cli_run(["stats", "/nonexistent/x.aag"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_mch_help_names_K_as_the_mffc_leaf_bound(capsys):
+    assert cli_run(["mch", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "-K K MFFC leaf bound (default 8)" in out
+    assert "candidates tried per cut" not in out

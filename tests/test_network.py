@@ -124,3 +124,125 @@ def test_xor_helper_builds_parity():
     a, b = net.add_pi(), net.add_pi()
     net.add_po(aig_xor(net, a, b))
     assert net.exhaustive_outputs() == [0b0110]
+
+
+# -- mffc ------------------------------------------------------------------
+
+
+def _reference_mffc(net, n, max_leaves=None):
+    """The quadratic descending-scan MFFC that the heap walk replaced."""
+    if not net.is_gate(n):
+        return {n}
+    refs = net.fanout_counts()
+    cone = {n}
+    # candidate members in reverse topological order of the TFI of n
+    cand = sorted((m for m in net.tfi([n]) if net.is_gate(m) and m != n),
+                  reverse=True)
+    fanout_map: dict[int, list[int]] = {}
+    for g in net.gates():
+        for f in net._nodes[g].fanins:
+            fanout_map.setdefault(f.node, []).append(g)
+    for s in net.outputs:
+        fanout_map.setdefault(s.node, []).append(-1)  # PO pseudo-fanout
+
+    def support(members: set[int]) -> set[int]:
+        leaves = set()
+        for m in members:
+            for f in net._nodes[m].fanins:
+                if f.node not in members:
+                    leaves.add(f.node)
+        return leaves
+
+    for m in cand:
+        outs = fanout_map.get(m, [])
+        if any(o == -1 or o not in cone for o in outs):
+            continue
+        trial = cone | {m}
+        if max_leaves is not None and len(support(trial)) > max_leaves:
+            continue
+        cone = trial
+    return cone
+
+
+MFFC_BOUNDS = (None, 2, 3, 4, 6, 8)
+
+
+def _mffc_nets():
+    from mch.gen import random_network
+    for i in range(50):
+        tag = nw.AIG if i % 2 else nw.XMG
+        net = random_network(6 + i % 5, 20 + i, seed=100 + i, tag=tag)
+        for g in list(net.gates())[i % 7::7]:  # POs on internal gates too
+            net.add_po(Signal(g, g % 2 == 0))
+        yield net
+
+
+def test_mffc_matches_reference_descending_scan():
+    for net in _mffc_nets():
+        fanouts = net.fanouts()
+        for n in net.gates():
+            for k in MFFC_BOUNDS:
+                want = _reference_mffc(net, n, k)
+                assert net.mffc(n, k, fanouts) == want, (net.tag, n, k)
+                assert net.mffc(n, k) == want
+
+
+def test_mffc_members_are_fanout_free_and_leaf_bounded():
+    for net in _mffc_nets():
+        fanouts = net.fanouts()
+        po_drivers = {s.node for s in net.outputs}
+        for n in net.gates():
+            for k in MFFC_BOUNDS:
+                cone = net.mffc(n, k, fanouts)
+                assert n in cone
+                for m in cone - {n}:
+                    assert net.is_gate(m)
+                    assert m not in po_drivers
+                    assert all(o in cone for o in fanouts[m])
+                # the bound limits growth: the root alone may exceed it
+                if k is not None and len(cone) > 1:
+                    assert len(net.mffc_leaves(cone)) <= k
+
+
+def test_mffc_of_pi_or_constant_is_itself():
+    net = LogicNetwork(nw.AIG)
+    a, b = net.add_pi(), net.add_pi()
+    net.add_po(net.add_and(a, b))
+    assert net.mffc(a.node) == {a.node}
+    assert net.mffc(0, 4) == {0}
+
+
+def test_fanouts_mark_po_references():
+    net = LogicNetwork(nw.AIG)
+    a, b = net.add_pi(), net.add_pi()
+    g = net.add_and(a, b)
+    net.add_po(g)
+    net.add_po(~g)
+    outs = net.fanouts()
+    assert outs[a.node] == [g.node] and outs[b.node] == [g.node]
+    assert outs[g.node] == [-1, -1]
+    assert outs[0] == []
+
+
+def test_choice_generation_builds_one_fanout_map(monkeypatch):
+    from mch.choices import MchParams, multi_strategy_choices
+    from mch.cuts import enumerate_cuts
+    from mch.gen import random_network
+    from mch.strategies import default_library
+
+    net = random_network(8, 120, seed=7, tag=nw.XMG)
+    params = MchParams()
+    critical = net.critical_path_nodes(params.r)
+    cutsets = enumerate_cuts(net, params.k, params.l)
+    calls = []
+    real = LogicNetwork.fanouts
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LogicNetwork, "fanouts", counted)
+    cn = multi_strategy_choices(net, critical, cutsets, params.K,
+                                default_library(), params)
+    assert cn.stats.other_nodes > 1
+    assert calls == [net]

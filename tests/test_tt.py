@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from mch import network as nw
@@ -111,3 +113,16 @@ def test_cut_truth_rejects_non_cut():
     g = net.add_and(net.add_and(a, b), c)
     with pytest.raises(InvalidCut):
         cut_truth(net, g.node, [a.node, b.node])  # c unreachable
+
+
+def test_cut_truth_deep_chain_keeps_recursion_limit():
+    net = LogicNetwork(nw.AIG)
+    a, b = net.add_pi(), net.add_pi()
+    acc = net.add_and(a, b)
+    for i in range(12000):
+        acc = net.add_and(acc, a if i % 2 else b)
+    limit = sys.getrecursionlimit()
+    t = cut_truth(net, acc.node, [a.node, b.node])
+    assert sys.getrecursionlimit() == limit
+    va, vb = TruthTable.var(0, 2), TruthTable.var(1, 2)
+    assert t == va & vb

@@ -196,7 +196,8 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
             continue
         stats.generated += 1
         before = len(net)
-        root = _replay(net, cand, leaves)
+        root = _replay(net, cand,
+                       [Signal(leaf, False) for leaf in leaves])
         if root.node < before:
             stats.deduped += 1
             continue
@@ -209,13 +210,12 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
         cn.add_choice(node, member, phase)
 
 
-def _replay(net: LogicNetwork, cand: Candidate, leaves: tuple) -> Signal:
-    """Re-create a scratch candidate inside the arena over actual leaves."""
+def _replay(net: LogicNetwork, cand: Candidate, leaves) -> Signal:
+    """Re-create a scratch candidate inside net over signal-valued leaves."""
     scratch = cand.net
     xlat: dict[int, Signal] = {0: net.const0}
     for j, pi in enumerate(scratch.pis):
-        leaf = leaves[cand.support[j]]
-        xlat[pi] = Signal(leaf, False)
+        xlat[pi] = leaves[cand.support[j]]
     for g in scratch.gates():
         fins = tuple(xlat[f.node].with_neg(f.neg) for f in scratch.fanins(g))
         xlat[g] = net.add(scratch.kind(g), fins)

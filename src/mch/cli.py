@@ -7,7 +7,7 @@ from pathlib import Path
 
 from . import network as nw
 from .aiger import AigerError, read_aiger, write_aiger
-from .bench import CSV_HEADER, run_suite, write_csv
+from .bench import CSV_HEADER, PRESETS, run_suite, write_csv
 from .blif import write_blif, write_verilog_structural
 from .choices import ChoiceNetwork, MchParams, build_mch
 from .graphmap import optimize_iterate
@@ -18,13 +18,6 @@ from .mchfile import MchFileError, read_mch, write_mch, write_net
 from .strategies import default_library
 from .verify import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, \
     InterfaceMismatch, cec
-
-# preset -> (mix tag, level-ratio r, mapping mode)
-PRESETS = {
-    "balanced": (nw.XMG, 0.8, BALANCED),
-    "delay": (nw.XAG, 0.5, DELAY),
-    "area": (nw.XMG, 0.8, AREA),
-}
 
 MODES = {"delay": DELAY, "area": AREA, "balanced": BALANCED}
 

@@ -54,50 +54,3 @@ def and_tree(net: LogicNetwork, sigs, balanced: bool = True) -> Signal:
     for s in sigs[1:]:
         acc = net.add_and(acc, s)
     return acc
-
-
-def xor_tree_aig(net: LogicNetwork, sigs, balanced: bool = True) -> Signal:
-    """Parity over sigs using AND gates only."""
-    def x2(a, b):
-        return net.add_or(net.add_and(a, ~b), net.add_and(~a, b))
-
-    sigs = list(sigs)
-    if balanced:
-        while len(sigs) > 1:
-            nxt = [x2(sigs[i], sigs[i + 1])
-                   for i in range(0, len(sigs) - 1, 2)]
-            if len(sigs) % 2:
-                nxt.append(sigs[-1])
-            sigs = nxt
-        return sigs[0]
-    acc = sigs[0]
-    for s in sigs[1:]:
-        acc = x2(acc, s)
-    return acc
-
-
-def chain_network(depth: int, tag: str = nw.AIG) -> LogicNetwork:
-    """Single AND chain of the given depth with one PO."""
-    net = LogicNetwork(tag)
-    a = net.add_pi()
-    acc = a
-    for _ in range(depth):
-        b = net.add_pi()
-        acc = net.add_and(acc, b)
-    net.add_po(acc)
-    return net
-
-
-def two_cone_network(deep: int, shallow: int) -> LogicNetwork:
-    """Two independent AND-chain cones with separate POs."""
-    net = LogicNetwork(nw.AIG)
-
-    def cone(depth):
-        acc = net.add_pi()
-        for _ in range(depth):
-            acc = net.add_and(acc, net.add_pi())
-        return acc
-
-    net.add_po(cone(deep))
-    net.add_po(cone(shallow))
-    return net

@@ -12,7 +12,7 @@ from typing import Optional
 
 from . import network as nw
 from .network import LogicNetwork, Signal
-from .choices import ChoiceNetwork, MchParams, build_mch
+from .choices import ChoiceNetwork, MchParams, _replay, build_mch
 from .mapper import MapParams, MapError, map_lut, DELAY, AREA, LUT
 from .strategies import (StrategyLibrary, default_library,
                          level_oriented_candidates)
@@ -56,18 +56,6 @@ class GraphTargetLibrary:
         return min(cands, key=lambda c: (c.size, c.depth))
 
 
-def _instantiate(net: LogicNetwork, cand, leaves: list) -> Signal:
-    """Replay a scratch candidate over signal-valued leaves."""
-    xlat: dict[int, Signal] = {0: net.const0}
-    for j, pi in enumerate(cand.net.pis):
-        xlat[pi] = leaves[cand.support[j]]
-    for g in cand.net.gates():
-        fins = tuple(xlat[f.node].with_neg(f.neg)
-                     for f in cand.net.fanins(g))
-        xlat[g] = net.add(cand.net.kind(g), fins)
-    return xlat[cand.root.node].with_neg(cand.root.neg)
-
-
 def graph_map(cn: ChoiceNetwork, tl: GraphTargetLibrary,
               params: MapParams = MapParams()) -> LogicNetwork:
     """Cover the choice network with 4-cuts and rebuild in tl.target."""
@@ -87,7 +75,7 @@ def graph_map(cn: ChoiceNetwork, tl: GraphTargetLibrary,
             s = leaf if small.value_at(1) else ~leaf
         else:
             cand = tl.best(inst.tt, p.mode)
-            s = _instantiate(out, cand, [sigs[i] for i in inst.ins])
+            s = _replay(out, cand, [sigs[i] for i in inst.ins])
         sigs[inst.out] = s
     for oid, negd in m.outputs:
         out.add_po(sigs[oid].with_neg(negd))

@@ -1,11 +1,15 @@
 """Choice-aware cut-based technology mapping for LUT and cell targets.
 
 The mapper covers a choice network with K-input LUTs or library cells.
-Cut sets are propagated so that a representative node sees its own cuts
-plus every class member's cuts with the phase folded into the truth
-table; the dynamic program then picks whichever structure maps cheapest.
-A delay round establishes optimal arrivals, and area-flow plus exact-area
-rounds recover area under required times.
+Cut pools, member-cut pooling with the phase folded into the table, and
+truth-table composition all belong to `cuts.CutEngine`, so a
+representative sees its own cuts plus every class member's cuts and the
+dynamic program picks whichever structure maps cheapest.  This module
+holds one round driver (`_Rounds`): a delay round establishes optimal
+arrivals, then area-flow and exact-area rounds recover area under
+required times, each kept only if the cover does not get worse.  LUT and
+cell mapping are two cost models over it (`_LutCover`, `_CellCover`);
+each scores and truncates the engine's pools its own way.
 """
 
 from __future__ import annotations
@@ -15,11 +19,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .choices import ChoiceNetwork
-from .cuts import (Cut, _filter_dominated, leaf_sig, merge_leaf_sets,
-                   sig_of)
-from .network import AND2, MAJ3, XOR2
+from .cuts import Cut, CutEngine, sig_of
 from .npn import apply_npn, compose, npn_canonize
-from .tt import FULL, TruthTable, maj_tt
+from .tt import TruthTable
 
 DELAY = "delay"
 AREA = "area"
@@ -45,174 +47,6 @@ class MapError(Exception):
 
 class LibraryError(MapError):
     pass
-
-
-# -- choice-cut propagation -------------------------------------------
-
-
-def _combos(fanin_cuts: list):
-    if len(fanin_cuts) == 2:
-        for a in fanin_cuts[0]:
-            for b in fanin_cuts[1]:
-                yield (a, b)
-    else:
-        for a in fanin_cuts[0]:
-            for b in fanin_cuts[1]:
-                for c in fanin_cuts[2]:
-                    yield (a, b, c)
-
-
-_SPREAD: dict[tuple, list] = {}
-
-
-def _spread_masks(pos: tuple, v: int) -> list:
-    """masks[m] = set of v-var minterms projecting to sub-minterm m."""
-    key = (pos, v)
-    masks = _SPREAD.get(key)
-    if masks is None:
-        masks = [0] * (1 << len(pos))
-        for m in range(1 << v):
-            inner = 0
-            for i, pi in enumerate(pos):
-                inner |= ((m >> pi) & 1) << i
-            masks[inner] |= 1 << m
-        _SPREAD[key] = masks
-    return masks
-
-
-_EXPAND: dict[tuple, TruthTable] = {}
-
-
-def _expand(tt: TruthTable, sub: tuple, leaves: tuple) -> TruthTable:
-    """Re-express a cut tt over `sub` as a tt over the superset `leaves`."""
-    key = (tt.bits, sub, leaves)
-    hit = _EXPAND.get(key)
-    if hit is not None:
-        return hit
-    pos = tuple(leaves.index(x) for x in sub)
-    v = len(leaves)
-    masks = _spread_masks(pos, v)
-    bits = 0
-    tb = tt.bits
-    for m in range(len(masks)):
-        if (tb >> m) & 1:
-            bits |= masks[m]
-    out = TruthTable.create(bits, v)
-    if len(_EXPAND) < 1_000_000:
-        _EXPAND[key] = out
-    return out
-
-
-def _combine(kind: str, fanins: tuple, combo: tuple,
-             leaves: tuple) -> TruthTable:
-    """Truth table of a merged cut from its fanin cut tables."""
-    ins = []
-    for f, c in zip(fanins, combo):
-        t = _expand(c.tt, c.leaves, leaves)
-        ins.append(~t if f.neg else t)
-    if kind == AND2:
-        return ins[0] & ins[1]
-    if kind == XOR2:
-        return ins[0] ^ ins[1]
-    if kind == MAJ3:
-        return maj_tt(ins[0], ins[1], ins[2])
-    raise MapError(f"cannot combine cut tables for kind {kind}")
-
-
-def _propagate(cn: ChoiceNetwork, k: int, l: Optional[int]):
-    """Per-node cut sets over the choice network plus a dependency order.
-
-    A representative's set is the union of its own cuts and all member
-    cuts (member tt complemented when the member is the inverse phase),
-    dominance-filtered, structurally sorted and truncated to l.  The
-    returned order lists every gate so that all cut leaves of a node,
-    including leaves inside member cones, appear before the node itself.
-    """
-    net = cn.base
-    cutsets: dict[int, list[Cut]] = {
-        0: [Cut((), 0, TruthTable.const(False))]}
-    for n in net.pis:
-        cutsets[n] = [Cut((n,), leaf_sig(n), TruthTable.var(0, 1))]
-    state: dict[int, int] = {}
-    order: list[int] = []
-
-    def finish(n: int) -> None:
-        fanins = net.fanins(n)
-        fanin_cuts = [cutsets[f.node] for f in fanins]
-        pool: list[tuple] = []
-        combo_of: dict[tuple, tuple] = {}
-        for combo in _combos(fanin_cuts):
-            sig = 0
-            for c in combo:
-                sig |= c.sig
-            if sig.bit_count() > k:
-                continue
-            leaves = merge_leaf_sets([c.leaves for c in combo], k)
-            if leaves is None:
-                continue
-            pool.append((leaves, sig_of(leaves)))
-            combo_of.setdefault(leaves, combo)
-        choice_tts: dict[tuple, TruthTable] = {}
-        for m in cn.members(n) if n in cn.first_choice else ():
-            fold = FULL if cn.phase[m] else 0
-            for c in cutsets[m]:
-                if c.leaves == (m,) or c.leaves in combo_of \
-                        or c.leaves in choice_tts:
-                    continue
-                pool.append((c.leaves, c.sig))
-                choice_tts[c.leaves] = TruthTable(c.tt.bits ^ fold,
-                                                  c.tt.var_count)
-        kept = _filter_dominated(pool)
-        kept.sort(key=lambda p: (len(p[0]), p[1], p[0]))
-        if l is not None and len(kept) > l:
-            # split the budget so member cuts never crowd out the node's
-            # own structural cuts entirely
-            own = [p for p in kept if p[0] in combo_of]
-            mem = [p for p in kept if p[0] not in combo_of]
-            own_take = min(len(own), l - min(len(mem), l // 2))
-            kept = own[:own_take] + mem[:l - own_take]
-            kept.sort(key=lambda p: (len(p[0]), p[1], p[0]))
-        cuts = []
-        for leaves, sig in kept:
-            tt = choice_tts.get(leaves)
-            if tt is None:
-                tt = _combine(net.kind(n), fanins, combo_of[leaves],
-                              leaves)
-            cuts.append(Cut(leaves, sig, tt))
-        cuts.append(Cut((n,), leaf_sig(n), TruthTable.var(0, 1)))
-        cutsets[n] = cuts
-        order.append(n)
-        state[n] = 2
-
-    for start in net.gates():
-        if state.get(start) == 2:
-            continue
-        stack = [start]
-        while stack:
-            n = stack[-1]
-            if state.get(n) == 2 or not net.is_gate(n):
-                stack.pop()
-                continue
-            deps = [f.node for f in net.fanins(n)]
-            if n in cn.first_choice:
-                deps.extend(cn.members(n))
-            pend = [d for d in deps
-                    if net.is_gate(d) and state.get(d) != 2]
-            if pend:
-                if state.get(n) == 1 and any(state.get(d) == 1
-                                             for d in pend):
-                    raise MapError("cyclic choice dependencies")
-                state.setdefault(n, 1)
-                stack.extend(pend)
-                continue
-            stack.pop()
-            finish(n)
-    return cutsets, order
-
-
-def propagate_choice_cuts(cn: ChoiceNetwork, k: int = 4,
-                          l: Optional[int] = 8) -> dict[int, list[Cut]]:
-    return _propagate(cn, k, l)[0]
 
 
 # -- mapped netlist ----------------------------------------------------
@@ -298,7 +132,7 @@ def cover_check(m: MappedNetlist, src, budget: int = 4096) -> bool:
     return got == want
 
 
-# -- LUT mapping -------------------------------------------------------
+# -- round driver ------------------------------------------------------
 
 
 def _dep_order(cn: ChoiceNetwork):
@@ -334,208 +168,236 @@ def _dep_order(cn: ChoiceNetwork):
     return order
 
 
+class _Rounds:
+    """Delay, area-flow and exact-area rounds with rollback, over a cost
+    model supplied by a subclass.
+
+    The model works on integer keys: a node for LUT mapping, a node phase
+    for cell mapping.  It fills one slot per key in `chosen`, `arr`, `flow`,
+    `est` and `base_est` (the fanout estimate of a key outside the cover),
+    lists the PO keys in `roots` and the decision keys in dependency order
+    in `keys`, and supplies enum_round (re-enumerate cuts and pick per
+    key), plus, per choice: own_area, children (keys it references),
+    edges ((child, delay) pairs), arrival, tie, and cands (the alternatives
+    of a key).
+    """
+
+    def __init__(self, cn: ChoiceNetwork, p: MapParams, width: int):
+        net = cn.base
+        self.net, self.p = net, p
+        self.order = _dep_order(cn)
+        self.engine = CutEngine(net, p.k, {
+            r: [(m, cn.phase[m]) for m in cn.members(r)]
+            for r in cn.first_choice})
+        self.req = [INF] * (width * len(net))
+        # fanout estimates from the structural cone only, so member gates
+        # do not inflate the sharing estimate of original nodes
+        fouts = [0] * len(net)
+        for n in net.tfi([s.node for s in net.outputs], gates_only=True):
+            for f in net.fanins(n):
+                fouts[f.node] += 1
+        for s in net.outputs:
+            fouts[s.node] += 1
+        self.fouts = fouts
+
+    def tie(self, m) -> int:
+        return 0
+
+    def run(self) -> tuple:
+        """All rounds of p; returns the accepted cover's (area, delay)."""
+        p = self.p
+        self.enum_round(True, False)
+        refs, area0, delay0 = self.cover()
+        snapshot = (self.chosen[:], self.arr[:], self.flow[:])
+        delay_pri = p.mode == DELAY
+        limit = INF if p.mode == AREA else delay0
+        for rnd in range(1, p.rounds):
+            self.required(limit)
+            self.est[:] = [max(1.0, float(r or b))
+                           for r, b in zip(refs, self.base_est)]
+            if rnd == p.rounds - 1 and p.rounds >= 3:
+                self.exact_round(refs, delay_pri)
+            else:
+                self.enum_round(delay_pri, True)
+            refs, area1, delay1 = self.cover()
+            if p.mode == DELAY:
+                ok = delay1 <= delay0 + _EPS and area1 <= area0 + _EPS
+            else:
+                ok = area1 <= area0 + _EPS and (p.mode == AREA
+                                                or delay1 <= limit + _EPS)
+            if ok:
+                snapshot = (self.chosen[:], self.arr[:], self.flow[:])
+                area0, delay0 = area1, delay1
+            else:
+                self.chosen[:], self.arr[:], self.flow[:] = snapshot
+                refs, area0, delay0 = self.cover()
+        return area0, delay0
+
+    def cover(self) -> tuple:
+        """(reference count per key, area, delay) of the chosen cover."""
+        refs = [0] * len(self.chosen)
+        stack = []
+        for key in self.roots:
+            refs[key] += 1
+            if refs[key] == 1:
+                stack.append(key)
+        seen = set()
+        area = 0
+        while stack:
+            key = stack.pop()
+            if key in seen:
+                continue
+            seen.add(key)
+            m = self.chosen[key]
+            area += self.own_area(m)
+            for ck in self.children(m):
+                refs[ck] += 1
+                stack.append(ck)
+        delay = max((self.arr[key] for key in self.roots), default=0.0)
+        return refs, area, delay
+
+    def required(self, limit: float) -> None:
+        """Required times over the current cover, POs at limit."""
+        req = self.req
+        req[:] = [INF] * len(req)
+        for key in self.roots:
+            req[key] = limit
+        post = []
+        marks = set()
+        stack = [(key, False) for key in self.roots]
+        while stack:
+            key, expanded = stack.pop()
+            if expanded:
+                post.append(key)
+            elif key not in marks:
+                marks.add(key)
+                stack.append((key, True))
+                stack.extend((ck, False)
+                             for ck in self.children(self.chosen[key]))
+        for key in reversed(post):
+            r = req[key]
+            if math.isinf(r):
+                continue
+            for ck, d in self.edges(self.chosen[key]):
+                req[ck] = min(req[ck], r - d)
+
+    def exact_round(self, refs: list, delay_pri: bool) -> None:
+        """Re-pick each referenced key by the area its choice adds to the
+        cover (reference and dereference its exclusive cone)."""
+        chosen = self.chosen
+
+        def ref(key):
+            m = chosen[key]
+            a = self.own_area(m)
+            for ck in self.children(m):
+                refs[ck] += 1
+                if refs[ck] == 1:
+                    a += ref(ck)
+            return a
+
+        def deref(key):
+            m = chosen[key]
+            a = self.own_area(m)
+            for ck in self.children(m):
+                refs[ck] -= 1
+                if refs[ck] == 0:
+                    a += deref(ck)
+            return a
+
+        for key in self.keys:
+            if refs[key] <= 0:
+                continue
+            old = chosen[key]
+            deref(key)
+            bk = bm = None
+            for m in self.cands(key):
+                a = self.arrival(m)
+                if a > self.req[key] + _EPS and m is not old:
+                    continue
+                chosen[key] = m
+                ea = ref(key)
+                deref(key)
+                k2 = ((a, ea) if delay_pri else (ea, a)) + (self.tie(m),)
+                if bk is None or k2 < bk:
+                    bk, bm = k2, m
+            chosen[key] = old if bm is None else bm
+            ref(key)
+            self.arr[key] = self.arrival(chosen[key])
+
+
+# -- LUT mapping -------------------------------------------------------
+
+
+class _LutCover(_Rounds):
+    """K-LUT cost model: key = node, choice = cut, unit area and delay."""
+
+    def __init__(self, cn: ChoiceNetwork, p: MapParams):
+        super().__init__(cn, p, 1)
+        net = self.net
+        size = len(net)
+        self.keys = self.order
+        self.roots = [s.node for s in net.outputs if net.is_gate(s.node)]
+        self.chosen: list = [None] * size
+        self.arr = [0.0] * size
+        self.flow = [0.0] * size
+        self.base_est = self.fouts
+        self.est = [max(1.0, f) for f in self.fouts]
+
+    def own_area(self, c: Cut) -> int:
+        return 1
+
+    def children(self, c: Cut) -> list:
+        return [x for x in c.leaves if self.net.is_gate(x)]
+
+    def edges(self, c: Cut) -> list:
+        return [(x, 1.0) for x in self.children(c)]
+
+    def arrival(self, c: Cut) -> float:
+        return 1.0 + max((self.arr[x] for x in c.leaves), default=-1.0)
+
+    def tie(self, c: Cut) -> int:
+        return len(c.leaves)
+
+    def cands(self, n: int) -> list:
+        return self.engine.cutsets[n][:-1]     # all but the trivial cut
+
+    def enum_round(self, delay_pri: bool, constrained: bool) -> None:
+        """Re-enumerate priority cuts with this round's cost key and pick
+        each node's best feasible cut as we go."""
+        eng, arr, flow, est = self.engine, self.arr, self.flow, self.est
+        for n in self.order:
+            scored = []
+            for leaves, sig in eng.pool(n):
+                a = 1.0 + max((arr[x] for x in leaves), default=-1.0)
+                fl = 1.0 + sum(flow[x] / est[x] for x in leaves)
+                key = ((a, fl, len(leaves)) if delay_pri
+                       else (fl, a, len(leaves)))
+                scored.append((key, a, fl, leaves, sig))
+            scored.sort(key=lambda s: s[0])
+            if self.p.l is not None:
+                scored = scored[:self.p.l]
+            cuts = []
+            pick = None
+            for _, a, fl, leaves, sig in scored:
+                c = Cut(leaves, sig, eng.table(n, leaves))
+                cuts.append(c)
+                if pick is None and (not constrained
+                                     or a <= self.req[n] + _EPS):
+                    pick = (c, a, fl)
+            if pick is None:
+                pick = (cuts[0], scored[0][1], scored[0][2])
+            eng.set_cuts(n, cuts)
+            self.chosen[n], arr[n], flow[n] = pick
+
+
 def map_lut(cn: ChoiceNetwork, p: MapParams = MapParams()) -> MappedNetlist:
     if p.target != LUT:
         raise MapError("map_lut needs target=lut")
     if not 2 <= p.k <= 6:
         raise MapError("LUT size must be in [2, 6]")
-    net = cn.base
-    order = _dep_order(cn)
-    size = len(net)
-    arrival = [0.0] * size
-    flow = [0.0] * size
-    best: list = [None] * size
-    req = [INF] * size
-    po_gates = [s.node for s in net.outputs if net.is_gate(s.node)]
-    # fanout estimates from the structural cone only, so member gates do
-    # not inflate the sharing estimate of original nodes
-    fouts = [0] * size
-    for n in net.tfi(po_gates, gates_only=True):
-        for f in net.fanins(n):
-            fouts[f.node] += 1
-    for s in net.outputs:
-        fouts[s.node] += 1
-    est = [max(1.0, f) for f in fouts]
-    cutsets: dict[int, list[Cut]] = {
-        0: [Cut((), 0, TruthTable.const(False))]}
-    for pi in net.pis:
-        cutsets[pi] = [Cut((pi,), leaf_sig(pi), TruthTable.var(0, 1))]
-    # cut functions depend only on (node, leaf set); reuse across rounds
-    tt_cache: dict[tuple, TruthTable] = {}
-
-    def cut_arrival(c: Cut) -> float:
-        return 1.0 + max((arrival[x] for x in c.leaves), default=-1.0)
-
-    def cut_flow(c: Cut) -> float:
-        return 1.0 + sum(flow[x] / est[x] for x in c.leaves)
-
-    def enum_round(delay_pri: bool, constrained: bool) -> None:
-        """Re-enumerate priority cuts with this round's cost key and pick
-        each node's best feasible cut as we go."""
-        for n in order:
-            fanins = net.fanins(n)
-            fanin_cuts = [cutsets[f.node] for f in fanins]
-            pool: list[tuple] = []
-            combo_of: dict[tuple, tuple] = {}
-            for combo in _combos(fanin_cuts):
-                sig = 0
-                for c in combo:
-                    sig |= c.sig
-                if sig.bit_count() > p.k:
-                    continue
-                leaves = merge_leaf_sets([c.leaves for c in combo], p.k)
-                if leaves is None:
-                    continue
-                if leaves not in combo_of:
-                    pool.append((leaves, sig_of(leaves), None))
-                    combo_of[leaves] = combo
-            if n in cn.first_choice:
-                seen = set(combo_of)
-                for m in cn.members(n):
-                    fold = FULL if cn.phase[m] else 0
-                    for c in cutsets[m]:
-                        if c.leaves == (m,) or c.leaves in seen:
-                            continue
-                        seen.add(c.leaves)
-                        pool.append((c.leaves, c.sig,
-                                     TruthTable(c.tt.bits ^ fold,
-                                                c.tt.var_count)))
-            tt_of = {leaves: tt for leaves, _, tt in pool}
-            kept = _filter_dominated([(lv, sg) for lv, sg, _ in pool])
-            scored = []
-            for leaves, sig in kept:
-                a = 1.0 + max((arrival[x] for x in leaves), default=-1.0)
-                fl = 1.0 + sum(flow[x] / est[x] for x in leaves)
-                key = ((a, fl, len(leaves)) if delay_pri
-                       else (fl, a, len(leaves)))
-                scored.append((key, a, leaves, sig))
-            scored.sort(key=lambda s: s[0])
-            if p.l is not None:
-                scored = scored[:p.l]
-            cuts = []
-            chosen = None
-            for key, a, leaves, sig in scored:
-                tt = tt_cache.get((n, leaves))
-                if tt is None:
-                    tt = tt_of[leaves]
-                    if tt is None:
-                        tt = _combine(net.kind(n), fanins, combo_of[leaves],
-                                      leaves)
-                    tt_cache[(n, leaves)] = tt
-                c = Cut(leaves, sig, tt)
-                cuts.append(c)
-                if chosen is None and (not constrained
-                                       or a <= req[n] + _EPS):
-                    chosen = c
-            if chosen is None:
-                chosen = cuts[0]
-            cuts.append(Cut((n,), leaf_sig(n), TruthTable.var(0, 1)))
-            cutsets[n] = cuts
-            best[n] = chosen
-            arrival[n] = cut_arrival(chosen)
-            flow[n] = cut_flow(chosen)
-
-    enum_round(True, False)
-    depth = max((arrival[n] for n in po_gates), default=0.0)
-
-    def cover():
-        refs = [0] * size
-        seen: set[int] = set()
-        stack = list(po_gates)
-        for s in net.outputs:
-            refs[s.node] += 1
-        area = edges = 0
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            area += 1
-            edges += len(best[n].leaves)
-            for x in best[n].leaves:
-                refs[x] += 1
-                if net.is_gate(x):
-                    stack.append(x)
-        delay = max((arrival[n] for n in po_gates), default=0.0)
-        return seen, refs, area, delay, edges
-
-    def recompute_required(seen, limit: float) -> None:
-        for n in range(size):
-            req[n] = INF
-        for n in po_gates:
-            req[n] = min(req[n], limit)
-        for n in reversed(order):
-            if n not in seen or math.isinf(req[n]):
-                continue
-            for x in best[n].leaves:
-                req[x] = min(req[x], req[n] - 1.0)
-
-    def exact_round(seen, refs, delay_pri: bool) -> None:
-        def ref_cut(c: Cut) -> int:
-            a = 1
-            for x in c.leaves:
-                if net.is_gate(x):
-                    refs[x] += 1
-                    if refs[x] == 1:
-                        a += ref_cut(best[x])
-            return a
-
-        def deref_cut(c: Cut) -> int:
-            a = 1
-            for x in c.leaves:
-                if net.is_gate(x):
-                    refs[x] -= 1
-                    if refs[x] == 0:
-                        a += deref_cut(best[x])
-            return a
-
-        for n in order:
-            if refs[n] == 0 or n not in seen:
-                continue
-            old = best[n]
-            deref_cut(old)
-            bk = bc = None
-            for c in cutsets[n]:
-                if c.leaves == (n,):
-                    continue
-                a = cut_arrival(c)
-                if a > req[n] + _EPS and c is not old:
-                    continue
-                ea = ref_cut(c)
-                deref_cut(c)
-                key = ((a, ea, len(c.leaves)) if delay_pri
-                       else (ea, a, len(c.leaves)))
-                if bk is None or key < bk:
-                    bk, bc = key, c
-            if bc is None:
-                bc = old
-            ref_cut(bc)
-            best[n] = bc
-            arrival[n] = cut_arrival(bc)
-
-    seen, refs, area0, delay0, _ = cover()
-    snapshot = (best[:], arrival[:], flow[:])
-    delay_pri = p.mode == DELAY
-    limit = INF if p.mode == AREA else depth
-    for rnd in range(1, p.rounds):
-        recompute_required(seen, limit)
-        for n in range(size):
-            est[n] = max(1.0, float(refs[n] if n in seen else fouts[n]))
-        if rnd == p.rounds - 1 and p.rounds >= 3:
-            exact_round(seen, refs, delay_pri)
-        else:
-            enum_round(delay_pri, True)
-        seen, refs, area1, delay1, _ = cover()
-        ok = area1 <= area0 and (delay1 <= limit + _EPS or p.mode == AREA)
-        if p.mode == DELAY:
-            ok = delay1 <= delay0 + _EPS and area1 <= area0
-        if ok:
-            snapshot = (best[:], arrival[:], flow[:])
-            area0, delay0 = area1, delay1
-        else:
-            best[:], arrival[:], flow[:] = (list(x) for x in snapshot)
-            seen, refs, area0, delay0, _ = cover()
-    return _extract_lut(net, best, arrival, po_gates)
+    m = _LutCover(cn, p)
+    m.run()
+    return _extract_lut(m.net, m.chosen, m.arr, m.roots)
 
 
 def _extract_lut(net, best, arrival, po_gates) -> MappedNetlist:
@@ -708,8 +570,161 @@ def default_cell_library() -> CellLibrary:
 
 class _CMatch(NamedTuple):
     kind: str                # "cell" | "inv" | "wire" | "pi" | "const"
-    cell: Optional[Cell]
-    pins: tuple              # (node, phase) pairs in cell pin order
+    cell: Optional[Cell]     # None for "wire" and "pi"
+    pins: tuple              # keys 2 * node + phase, in cell pin order
+
+
+class _CellCover(_Rounds):
+    """Cell cost model: key = 2 * node + phase, choice = library match."""
+
+    def __init__(self, cn: ChoiceNetwork, cl: CellLibrary, p: MapParams):
+        super().__init__(cn, p, 2)
+        net = self.net
+        size = 2 * len(net)
+        self.cl = cl
+        self.keys = [2 * n + ph for n in self.order for ph in (0, 1)]
+        self.roots = [2 * s.node + s.neg for s in net.outputs]
+        self.chosen: list = [None] * size
+        self.arr = [INF] * size
+        self.flow = [INF] * size
+        self.est = [1.0] * size
+        self.base_est = [e for fo in self.fouts for e in (fo, 1)]
+        self.alts: list = [()] * size
+        # a cut's match list depends only on (node, leaf set)
+        self.match_cache: dict[tuple, tuple] = {}
+        self.shrink_cache: dict[tuple, tuple] = {}
+        self.chosen[0] = _CMatch("const", cl.const0, ())
+        self.chosen[1] = _CMatch("const", cl.const1, ())
+        self.arr[0] = self.arr[1] = 0.0
+        self.flow[0], self.flow[1] = cl.const0.area, cl.const1.area
+        invd = max(cl.inv.pin_delays)
+        for pi in net.pis:
+            self.chosen[2 * pi] = _CMatch("pi", None, ())
+            self.chosen[2 * pi + 1] = _CMatch("inv", cl.inv, (2 * pi,))
+            self.arr[2 * pi], self.arr[2 * pi + 1] = 0.0, invd
+            self.flow[2 * pi], self.flow[2 * pi + 1] = 0.0, cl.inv.area
+            self.est[2 * pi] = max(1.0, float(self.fouts[pi]))
+
+    def own_area(self, m: _CMatch) -> float:
+        return m.cell.area if m.cell is not None else 0.0
+
+    def children(self, m: _CMatch) -> tuple:
+        return m.pins
+
+    def edges(self, m: _CMatch):
+        if m.cell is None:
+            return ((k, 0.0) for k in m.pins)
+        return zip(m.pins, m.cell.pin_delays)
+
+    def arrival(self, m: _CMatch) -> float:
+        return max((self.arr[k] + d for k, d in self.edges(m)), default=0.0)
+
+    def flow_of(self, m: _CMatch) -> float:
+        return self.own_area(m) + sum(self.flow[k] / self.est[k]
+                                      for k in m.pins)
+
+    def cands(self, key: int) -> list:
+        # never pick an inverter when the other phase already is one
+        other = self.chosen[key ^ 1]
+        two_invs = other is not None and other.kind == "inv"
+        return [m for m in self.alts[key]
+                if not (two_invs and m.kind == "inv")]
+
+    def matches_for_cut(self, c: Cut):
+        """Candidate matches per phase for one cut of a node."""
+        out: list = [[], []]
+        skey = (c.tt.bits, c.tt.var_count)
+        hit = self.shrink_cache.get(skey)
+        if hit is None:
+            hit = c.tt.shrink_to_support()
+            self.shrink_cache[skey] = hit
+        tt_s, sup = hit
+        v = len(sup)
+        if v == 0:
+            one = 1 if tt_s.is_const1() else 0
+            out[0].append(_CMatch("wire", None, (one,)))
+            out[1].append(_CMatch("wire", None, (1 - one,)))
+            return out
+        sub = [c.leaves[i] for i in sup]
+        if v == 1:
+            flip = 1 if tt_s == ~TruthTable.var(0, 1) else 0
+            for phase in (0, 1):
+                out[phase].append(
+                    _CMatch("wire", None, (2 * sub[0] + (phase ^ flip),)))
+            return out
+        for cell, t, neg in self.cl.matches(tt_s):
+            pins = tuple(2 * sub[t.perm[i]] + ((t.neg >> i) & 1)
+                         for i in range(v))
+            out[1 if neg else 0].append(_CMatch("cell", cell, pins))
+        return out
+
+    def enum_round(self, delay_pri: bool, constrained: bool) -> None:
+        eng, arr, flow = self.engine, self.arr, self.flow
+        inv = self.cl.inv
+        for n in self.order:
+            scored = []
+            for leaves, sig in eng.pool(n):
+                a = max((min(arr[2 * x], arr[2 * x + 1]) for x in leaves),
+                        default=0.0)
+                f = sum(min(flow[2 * x], flow[2 * x + 1]) for x in leaves)
+                key = (a, f, len(leaves)) if delay_pri else (f, a,
+                                                             len(leaves))
+                scored.append((key, leaves, sig))
+            scored.sort(key=lambda s: s[0])
+            if self.p.l is not None:
+                scored = scored[:self.p.l]
+            # keep the elementary fanin cut so a host primitive is always
+            # matchable; without it a budgeted list can end up with only
+            # functions the library cannot realize
+            elem = tuple(sorted({f.node for f in self.net.fanins(n)}))
+            if eng.merged(n, elem) and all(lv != elem for _, lv, _ in scored):
+                scored.append(((), elem, sig_of(elem)))
+            cuts = []
+            per_phase: list = [[], []]
+            for _, leaves, sig in scored:
+                c = Cut(leaves, sig, eng.table(n, leaves))
+                cuts.append(c)
+                pm = self.match_cache.get((n, leaves))
+                if pm is None:
+                    pm = self.match_cache[(n, leaves)] = \
+                        self.matches_for_cut(c)
+                per_phase[0].extend(pm[0])
+                per_phase[1].extend(pm[1])
+            eng.set_cuts(n, cuts)
+
+            # per phase: the best match meeting the required time, else
+            # the best match
+            picked = [None, None]
+            for phase in (0, 1):
+                opts = [(self.arrival(m), self.flow_of(m), m)
+                        for m in per_phase[phase]]
+                feasible = [o for o in opts if not constrained
+                            or o[0] <= self.req[2 * n + phase] + _EPS]
+                if feasible or opts:
+                    picked[phase] = min(
+                        feasible or opts,
+                        key=lambda o: (o[:2] if delay_pri else (o[1], o[0])))
+            if picked[0] is None and picked[1] is None:
+                raise LibraryError(
+                    f"no cell matches any cut function of node {n}")
+            # realize a missing or expensive phase through an inverter
+            invs = [None, None]
+            for phase in (0, 1):
+                other = picked[1 - phase]
+                if other is None:
+                    continue
+                m = _CMatch("inv", inv, (2 * n + 1 - phase,))
+                a, f = other[0] + max(inv.pin_delays), inv.area + other[1]
+                cur = picked[phase]
+                if cur is None or ((a, f) < cur[:2] if delay_pri
+                                   else (f, a) < (cur[1], cur[0])):
+                    invs[phase] = (a, f, m)
+            for phase in (0, 1):
+                key = 2 * n + phase
+                arr[key], flow[key], self.chosen[key] = (
+                    invs[phase] or picked[phase])
+                self.alts[key] = tuple(per_phase[phase]) + (
+                    _CMatch("inv", inv, (key ^ 1,)),)
 
 
 def map_cells(cn: ChoiceNetwork, cl: CellLibrary,
@@ -718,402 +733,26 @@ def map_cells(cn: ChoiceNetwork, cl: CellLibrary,
         raise MapError("map_cells needs target=cell")
     if not 2 <= p.k <= 6:
         raise MapError("cut size must be in [2, 6]")
-    net = cn.base
-    order = _dep_order(cn)
-    size = len(net)
-    invd = max(cl.inv.pin_delays)
-    inv_area = cl.inv.area
-    arr = [[INF, INF] for _ in range(size)]
-    fl = [[INF, INF] for _ in range(size)]
-    chosen: list = [[None, None] for _ in range(size)]
-    cands: list = [[(), ()] for _ in range(size)]
-    req = [[INF, INF] for _ in range(size)]
-    est = [[1.0, 1.0] for _ in range(size)]
-    po_keys = [(s.node, s.neg) for s in net.outputs]
-    fouts = [0] * size
-    for n in net.tfi([s.node for s in net.outputs], gates_only=True):
-        for f in net.fanins(n):
-            fouts[f.node] += 1
-    for s in net.outputs:
-        fouts[s.node] += 1
-
-    chosen[0][0] = _CMatch("const", cl.const0, ())
-    chosen[0][1] = _CMatch("const", cl.const1, ())
-    arr[0] = [0.0, 0.0]
-    fl[0] = [cl.const0.area, cl.const1.area]
-    for pi in net.pis:
-        chosen[pi][0] = _CMatch("pi", None, ())
-        chosen[pi][1] = _CMatch("inv", cl.inv, ((pi, 0),))
-        arr[pi] = [0.0, invd]
-        fl[pi] = [0.0, inv_area]
-        est[pi][0] = max(1.0, float(fouts[pi]))
-
-    def arr_of(m: _CMatch) -> float:
-        if m.kind == "cell":
-            return max(arr[x][ph] + m.cell.pin_delays[i]
-                       for i, (x, ph) in enumerate(m.pins))
-        if m.kind == "inv":
-            x, ph = m.pins[0]
-            return arr[x][ph] + invd
-        if m.kind == "wire":
-            x, ph = m.pins[0]
-            return arr[x][ph]
-        return 0.0
-
-    def flow_of(m: _CMatch) -> float:
-        if m.kind == "cell":
-            return m.cell.area + sum(fl[x][ph] / est[x][ph]
-                                     for x, ph in m.pins)
-        if m.kind == "inv":
-            x, ph = m.pins[0]
-            return inv_area + fl[x][ph] / est[x][ph]
-        if m.kind == "wire":
-            x, ph = m.pins[0]
-            return fl[x][ph] / est[x][ph]
-        if m.kind == "const":
-            return m.cell.area
-        return 0.0
-
-    def children(m: _CMatch):
-        if m.kind in ("pi", "const"):
-            return ()
-        return m.pins
-
-    def own_area(m: _CMatch) -> float:
-        if m.kind == "cell" or m.kind == "const":
-            return m.cell.area
-        if m.kind == "inv":
-            return inv_area
-        return 0.0
-
-    cutsets: dict[int, list[Cut]] = {
-        0: [Cut((), 0, TruthTable.const(False))]}
-    for pi in net.pis:
-        cutsets[pi] = [Cut((pi,), leaf_sig(pi), TruthTable.var(0, 1))]
-    var0 = TruthTable.var(0, 1)
-    # a cut's function and match list depend only on (node, leaf set);
-    # reuse them across rounds instead of recomputing per enumeration
-    cut_cache: dict[tuple, tuple] = {}
-
-    shrink_cache: dict[tuple, tuple] = {}
-
-    def matches_for_cut(c: Cut):
-        """Candidate matches per phase for one cut of a node."""
-        out: list = [[], []]
-        skey = (c.tt.bits, c.tt.var_count)
-        hit = shrink_cache.get(skey)
-        if hit is None:
-            hit = c.tt.shrink_to_support()
-            shrink_cache[skey] = hit
-        tt_s, sup = hit
-        v = len(sup)
-        if v == 0:
-            one = 1 if tt_s.is_const1() else 0
-            out[0].append(_CMatch("wire", None, ((0, one),)))
-            out[1].append(_CMatch("wire", None, ((0, 1 - one),)))
-            return out
-        sub = [c.leaves[i] for i in sup]
-        if v == 1:
-            flip = 1 if tt_s == ~var0 else 0
-            for phase in (0, 1):
-                out[phase].append(
-                    _CMatch("wire", None, ((sub[0], phase ^ flip),)))
-            return out
-        for cell, t, neg in cl.matches(tt_s):
-            pins = tuple((sub[t.perm[i]], (t.neg >> i) & 1)
-                         for i in range(v))
-            out[1 if neg else 0].append(_CMatch("cell", cell, pins))
-        return out
-
-    # merged cut pools are re-derivable from the fanin cut lists alone,
-    # so later rounds can skip the merge when those lists are unchanged
-    pool_cache: dict[int, tuple] = {}
-
-    def enum_round(delay_pri: bool, constrained: bool) -> None:
-        for n in order:
-            fanins = net.fanins(n)
-            fanin_cuts = [cutsets[f.node] for f in fanins]
-            ckey = tuple(tuple(c.leaves for c in fc) for fc in fanin_cuts)
-            if n in cn.first_choice:
-                ckey += tuple(tuple(c.leaves for c in cutsets[m])
-                              for m in cn.members(n))
-            hit = pool_cache.get(n)
-            if hit is not None and hit[0] == ckey:
-                _, kept, tt_of, combo_of = hit
-            else:
-                pool: list[tuple] = []
-                combo_of = {}
-                for combo in _combos(fanin_cuts):
-                    sig = 0
-                    for c in combo:
-                        sig |= c.sig
-                    if sig.bit_count() > p.k:
-                        continue
-                    leaves = merge_leaf_sets([c.leaves for c in combo], p.k)
-                    if leaves is None:
-                        continue
-                    if leaves not in combo_of:
-                        pool.append((leaves, sig_of(leaves), None))
-                        combo_of[leaves] = combo
-                if n in cn.first_choice:
-                    seen = set(combo_of)
-                    for m in cn.members(n):
-                        fold = FULL if cn.phase[m] else 0
-                        for c in cutsets[m]:
-                            if c.leaves == (m,) or c.leaves in seen:
-                                continue
-                            seen.add(c.leaves)
-                            pool.append((c.leaves, c.sig,
-                                         TruthTable(c.tt.bits ^ fold,
-                                                    c.tt.var_count)))
-                tt_of = {leaves: tt for leaves, _, tt in pool}
-                kept = _filter_dominated([(lv, sg) for lv, sg, _ in pool])
-                pool_cache[n] = (ckey, kept, tt_of, combo_of)
-            scored = []
-            for leaves, sig in kept:
-                a = max((min(arr[x]) for x in leaves), default=0.0)
-                f = sum(min(fl[x]) for x in leaves)
-                key = (a, f, len(leaves)) if delay_pri else (f, a,
-                                                             len(leaves))
-                scored.append((key, leaves, sig))
-            scored.sort(key=lambda s: s[0])
-            if p.l is not None:
-                scored = scored[:p.l]
-            # keep the elementary fanin cut so a host primitive is always
-            # matchable; without it a budgeted list can end up with only
-            # functions the library cannot realize
-            elem = tuple(sorted({f.node for f in fanins}))
-            if elem in combo_of and all(lv != elem for _, lv, _ in scored):
-                scored.append(((), elem, sig_of(elem)))
-            cuts = []
-            per_phase: list = [[], []]
-            for _, leaves, sig in scored:
-                cached = cut_cache.get((n, leaves))
-                if cached is None:
-                    tt = tt_of[leaves]
-                    if tt is None:
-                        tt = _combine(net.kind(n), fanins, combo_of[leaves],
-                                      leaves)
-                    c = Cut(leaves, sig, tt)
-                    cached = (c, matches_for_cut(c))
-                    cut_cache[(n, leaves)] = cached
-                c, pm = cached
-                cuts.append(c)
-                per_phase[0].extend(pm[0])
-                per_phase[1].extend(pm[1])
-            cuts.append(Cut((n,), leaf_sig(n), TruthTable.var(0, 1)))
-            cutsets[n] = cuts
-
-            picked = [None, None]
-            stats = [None, None]
-            for phase in (0, 1):
-                bk = None
-                for m in per_phase[phase]:
-                    a, f = arr_of(m), flow_of(m)
-                    if constrained and a > req[n][phase] + _EPS:
-                        continue
-                    key = (a, f) if delay_pri else (f, a)
-                    if bk is None or key < bk:
-                        bk, picked[phase], stats[phase] = key, m, (a, f)
-                if picked[phase] is None:
-                    for m in per_phase[phase]:
-                        a, f = arr_of(m), flow_of(m)
-                        key = (a, f) if delay_pri else (f, a)
-                        if bk is None or key < bk:
-                            bk, picked[phase], stats[phase] = key, m, (a, f)
-            if picked[0] is None and picked[1] is None:
-                raise LibraryError(
-                    f"no cell matches any cut function of node {n}")
-            # realize a missing or expensive phase through an inverter
-            invs = [None, None]
-            for phase in (0, 1):
-                if picked[1 - phase] is None:
-                    continue
-                m = _CMatch("inv", cl.inv, ((n, 1 - phase),))
-                a = stats[1 - phase][0] + invd
-                f = inv_area + stats[1 - phase][1]
-                if picked[phase] is None:
-                    invs[phase] = (m, (a, f))
-                    continue
-                key = (a, f) if delay_pri else (f, a)
-                cur = (stats[phase] if delay_pri
-                       else (stats[phase][1], stats[phase][0]))
-                if key < cur:
-                    invs[phase] = (m, (a, f))
-            for phase in (0, 1):
-                if invs[phase] is not None:
-                    picked[phase], stats[phase] = invs[phase]
-                chosen[n][phase] = picked[phase]
-                arr[n][phase], fl[n][phase] = stats[phase]
-                cands[n][phase] = tuple(per_phase[phase]) + (
-                    _CMatch("inv", cl.inv, ((n, 1 - phase),)),)
-
-    enum_round(True, False)
-    depth = max((arr[x][1 if ph else 0] for x, ph in po_keys), default=0.0)
-
-    def cover():
-        refs: dict = {}
-        area = 0.0
-        edges = 0
-        stack = []
-        for x, ph in po_keys:
-            key = (x, 1 if ph else 0)
-            refs[key] = refs.get(key, 0) + 1
-            if refs[key] == 1:
-                stack.append(key)
-        seen = set()
-        while stack:
-            key = stack.pop()
-            if key in seen:
-                continue
-            seen.add(key)
-            m = chosen[key[0]][key[1]]
-            area += own_area(m)
-            edges += len(children(m))
-            for ck in children(m):
-                refs[ck] = refs.get(ck, 0) + 1
-                stack.append(ck)
-        delay = max((arr[x][1 if ph else 0] for x, ph in po_keys),
-                    default=0.0)
-        return seen, refs, area, delay, edges
-
-    def recompute_required(seen, limit: float) -> None:
-        for n in range(size):
-            req[n] = [INF, INF]
-        for x, ph in po_keys:
-            i = 1 if ph else 0
-            req[x][i] = min(req[x][i], limit)
-        post = []
-        marks = set()
-
-        def visit(key):
-            stack = [(key, False)]
-            while stack:
-                k, expanded = stack.pop()
-                if expanded:
-                    post.append(k)
-                    continue
-                if k in marks:
-                    continue
-                marks.add(k)
-                stack.append((k, True))
-                for ck in children(chosen[k[0]][k[1]]):
-                    stack.append((ck, False))
-
-        for x, ph in po_keys:
-            visit((x, 1 if ph else 0))
-        for k in reversed(post):
-            n, phase = k
-            m = chosen[n][phase]
-            r = req[n][phase]
-            if math.isinf(r):
-                continue
-            if m.kind == "cell":
-                for i, (x, ph) in enumerate(m.pins):
-                    req[x][ph] = min(req[x][ph], r - m.cell.pin_delays[i])
-            elif m.kind == "inv":
-                x, ph = m.pins[0]
-                req[x][ph] = min(req[x][ph], r - invd)
-            elif m.kind == "wire":
-                x, ph = m.pins[0]
-                req[x][ph] = min(req[x][ph], r)
-
-    def exact_round(refs, delay_pri: bool) -> None:
-        def ref_key(key) -> float:
-            m = chosen[key[0]][key[1]]
-            a = own_area(m)
-            for ck in children(m):
-                refs[ck] = refs.get(ck, 0) + 1
-                if refs[ck] == 1:
-                    a += ref_key(ck)
-            return a
-
-        def deref_key(key) -> float:
-            m = chosen[key[0]][key[1]]
-            a = own_area(m)
-            for ck in children(m):
-                refs[ck] = refs.get(ck, 0) - 1
-                if refs[ck] == 0:
-                    a += deref_key(ck)
-            return a
-
-        for n in order:
-            for phase in (0, 1):
-                key = (n, phase)
-                if refs.get(key, 0) <= 0:
-                    continue
-                old = chosen[n][phase]
-                deref_key(key)
-                bk = bm = None
-                for m in cands[n][phase]:
-                    if m.kind == "inv" and chosen[n][1 - phase] is not None \
-                            and chosen[n][1 - phase].kind == "inv":
-                        continue
-                    a = arr_of(m)
-                    if a > req[n][phase] + _EPS and m is not old:
-                        continue
-                    chosen[n][phase] = m
-                    ea = ref_key(key)
-                    deref_key(key)
-                    k2 = (a, ea) if delay_pri else (ea, a)
-                    if bk is None or k2 < bk:
-                        bk, bm = k2, m
-                if bm is None:
-                    bm = old
-                chosen[n][phase] = bm
-                ref_key(key)
-                arr[n][phase] = arr_of(bm)
-
-    seen, refs, area0, delay0, _ = cover()
-    snapshot = ([list(r) for r in arr], [list(r) for r in fl],
-                [list(r) for r in chosen])
-    delay_pri = p.mode == DELAY
-    limit = INF if p.mode == AREA else depth
-    for rnd in range(1, p.rounds):
-        recompute_required(seen, limit)
-        for n in range(size):
-            for phase in (0, 1):
-                r = refs.get((n, phase), 0)
-                base_est = fouts[n] if phase == 0 else 1
-                est[n][phase] = max(1.0, float(r if r else base_est))
-        if rnd == p.rounds - 1 and p.rounds >= 3:
-            exact_round(dict(refs), delay_pri)
-        else:
-            enum_round(delay_pri, True)
-        seen, refs, area1, delay1, _ = cover()
-        ok = area1 <= area0 + _EPS and (p.mode == AREA
-                                        or delay1 <= limit + _EPS)
-        if p.mode == DELAY:
-            ok = delay1 <= delay0 + _EPS and area1 <= area0 + _EPS
-        if ok:
-            snapshot = ([list(r) for r in arr], [list(r) for r in fl],
-                        [list(r) for r in chosen])
-            area0, delay0 = area1, delay1
-        else:
-            arr[:] = [list(r) for r in snapshot[0]]
-            fl[:] = [list(r) for r in snapshot[1]]
-            chosen[:] = [list(r) for r in snapshot[2]]
-            seen, refs, area0, delay0, _ = cover()
-    return _extract_cells(net, cl, chosen, po_keys, area0, delay0)
+    m = _CellCover(cn, cl, p)
+    _, delay = m.run()
+    return _extract_cells(m.net, m.chosen, m.roots, delay)
 
 
-def _extract_cells(net, cl, chosen, po_keys, area, delay) -> MappedNetlist:
+def _extract_cells(net, chosen, roots, delay) -> MappedNetlist:
     n_pis = len(net.pis)
     out = MappedNetlist(CELL, n_pis)
-    id_of: dict = {(pi, 0): i for i, pi in enumerate(net.pis)}
+    id_of: dict = {2 * pi: i for i, pi in enumerate(net.pis)}
     counter = [n_pis]
 
     def realize(key) -> int:
-        if key in id_of:
-            return id_of[key]
         stack = [key]
         while stack:
             k = stack[-1]
             if k in id_of:
                 stack.pop()
                 continue
-            m = chosen[k[0]][k[1]]
-            pend = [ck for ck in children(m) if ck not in id_of]
+            m = chosen[k]
+            pend = [ck for ck in m.pins if ck not in id_of]
             if pend:
                 stack.extend(pend)
                 continue
@@ -1121,24 +760,15 @@ def _extract_cells(net, cl, chosen, po_keys, area, delay) -> MappedNetlist:
             if m.kind == "wire":
                 id_of[k] = id_of[m.pins[0]]
                 continue
-            if m.kind == "pi":
-                id_of[k] = k[0]  # unreachable: seeded above
-                continue
             ins = tuple(id_of[ck] for ck in m.pins)
-            inst = Instance(counter[0], m.cell.name, m.cell.area,
-                            m.cell.tt, ins)
-            out.instances.append(inst)
+            out.instances.append(Instance(counter[0], m.cell.name,
+                                          m.cell.area, m.cell.tt, ins))
             id_of[k] = counter[0]
             counter[0] += 1
         return id_of[key]
 
-    def children(m: _CMatch):
-        if m.kind in ("pi", "const"):
-            return ()
-        return m.pins
-
-    for x, ph in po_keys:
-        out.outputs.append((realize((x, 1 if ph else 0)), False))
+    for key in roots:
+        out.outputs.append((realize(key), False))
     out.stats = {
         "area": sum(i.area for i in out.instances),
         "delay": delay,

@@ -16,10 +16,6 @@ class MchFileError(Exception):
     pass
 
 
-def _lit(s: Signal) -> int:
-    return s.node * 2 + (1 if s.neg else 0)
-
-
 def write_mch(cn: ChoiceNetwork, path) -> None:
     net = cn.base
     lines = [f"{HEADER} {net.tag}", f"pis {len(net.pis)}"]

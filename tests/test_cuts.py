@@ -2,7 +2,7 @@ import random
 
 from mch import network as nw
 from mch.network import LogicNetwork
-from mch.cuts import is_cut, enumerate_cuts, all_cuts_bruteforce
+from mch.cuts import is_cut, enumerate_cuts, all_cuts_bruteforce, sig_of
 from mch.gen import random_network
 
 
@@ -86,3 +86,98 @@ def test_cut_tts_match_simulation():
     for g in net.gates():
         for c in cutsets[g]:
             assert c.tt.bits == cut_truth(net, g, list(c.leaves)).bits
+
+
+# -- reference: the per-network enumeration before the shared engine ----
+
+
+def _ref_merge_fanin_cuts(fanin_cuts, k):
+    """Cross product of fanin cut sets, k-bounded, duplicates and
+    dominated sets dropped, first occurrences kept in product order."""
+    import itertools
+
+    cands = []
+    for combo in itertools.product(*fanin_cuts):
+        sig = 0
+        for c in combo:
+            sig |= c.sig
+        if sig.bit_count() > k:
+            continue
+        merged = set()
+        for c in combo:
+            merged |= set(c.leaves)
+        if len(merged) <= k:
+            cands.append((tuple(sorted(merged)), sig_of(merged)))
+    uniq = list(dict.fromkeys(cands))
+    sets = [set(leaves) for leaves, _ in uniq]
+    return [p for p, s in zip(uniq, sets)
+            if not any(o < s for o in sets)]
+
+
+def _ref_enumerate_cuts(net, k, l):
+    from mch.cuts import Cut, leaf_sig
+    from mch.tt import TruthTable, cut_truth
+
+    cutsets = {0: [Cut((), 0, TruthTable.const(False))]}
+    for n in net.pis:
+        cutsets[n] = [Cut((n,), leaf_sig(n), TruthTable.var(0, 1))]
+    for n in net.gates():
+        kept = _ref_merge_fanin_cuts(
+            [cutsets[f.node] for f in net.fanins(n)], k)
+        cuts = sorted((Cut(lv, sg) for lv, sg in kept),
+                      key=lambda c: (len(c.leaves), c.sig, c.leaves))
+        if l is not None:
+            cuts = cuts[:l]
+        cuts.append(Cut((n,), leaf_sig(n)))
+        cutsets[n] = [Cut(c.leaves, c.sig, cut_truth(net, n, list(c.leaves)))
+                      for c in cuts]
+    return cutsets
+
+
+def test_engine_matches_reference_enumeration():
+    from mch.tt import cut_truth
+
+    rng = random.Random(2024)
+    for i in range(30):
+        tag = nw.AIG if i % 2 == 0 else nw.XMG
+        net = random_network(rng.randint(4, 8), rng.randint(10, 40),
+                             rng.randint(0, 10**9), tag=tag,
+                             n_pos=rng.randint(1, 3))
+        for k in (3, 4, 6):
+            for l in (None, 8):
+                got = enumerate_cuts(net, k, l)
+                want = _ref_enumerate_cuts(net, k, l)
+                assert got.keys() == want.keys()
+                for n in net.gates():
+                    assert [(c.leaves, c.sig) for c in got[n]] == \
+                        [(c.leaves, c.sig) for c in want[n]]
+                    for c in got[n]:
+                        assert c.tt == cut_truth(net, n, list(c.leaves))
+
+
+def test_engine_reuses_a_pool_until_a_fanin_or_member_changes():
+    from mch.cuts import Cut, CutEngine
+
+    net = LogicNetwork(nw.AIG)
+    a, b, c = net.add_pi(), net.add_pi(), net.add_pi()
+    ab = net.add_and(a, b)
+    rep = net.add_and(ab, c)
+    bc = net.add_and(b, c)
+    member = net.add_and(a, bc)
+    net.add_po(rep)
+    eng = CutEngine(net, 4, {rep.node: [(member.node, False)]})
+
+    def settle(n):
+        eng.set_cuts(n, [Cut(lv, sg, eng.table(n, lv))
+                         for lv, sg in eng.pool(n)])
+
+    for g in (ab, bc, member, rep):
+        settle(g.node)
+    pool = eng.pool(rep.node)
+    assert eng.pool(rep.node) is pool
+    from_member = tuple(sorted((a.node, bc.node)))
+    assert from_member in [lv for lv, _ in pool]
+    settle(member.node)                 # same leaves: still reused
+    assert eng.pool(rep.node) is pool
+    eng.set_cuts(member.node, [])       # member keeps only its trivial cut
+    assert from_member not in [lv for lv, _ in eng.pool(rep.node)]

@@ -145,3 +145,52 @@ def test_mapped_netlist_simulate(cl):
     pi_words = [pats[p] for p in net.pis]
     got = m.simulate(pi_words, width)
     assert got == net.exhaustive_outputs()
+
+
+# (area, delay) recorded before LUT and cell mapping shared one cut engine
+# and one round driver: build_mch at r=0.8 into XMG, LUTs at k=6, cells at
+# the default k=4 with four rounds
+PINNED_QOR = {
+    "int2float": {
+        "lut": {AREA: (13.0, 2.0), BALANCED: (14.0, 2.0), DELAY: (14.0, 2.0)},
+        "cell": {AREA: (118.0, 9.0), BALANCED: (132.0, 6.800000000000001),
+                 DELAY: (148.0, 6.800000000000001)},
+    },
+    "priority": {
+        "lut": {AREA: (15.0, 4.0), BALANCED: (16.0, 3.0), DELAY: (16.0, 3.0)},
+        "cell": {AREA: (108.0, 15.000000000000002),
+                 BALANCED: (129.0, 8.799999999999999),
+                 DELAY: (129.0, 8.799999999999999)},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_QOR))
+def test_pinned_qor_on_bundled_circuits(name, cl):
+    import os
+
+    from mch.aiger import read_aiger
+
+    path = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                        f"{name}.aag")
+    net = read_aiger(path)
+    cn = build_mch(net, default_library(), MchParams(r=0.8),
+                   mix_target=nw.XMG)
+    for mode in (AREA, BALANCED, DELAY):
+        m = map_lut(cn, MapParams(k=6, mode=mode))
+        assert (m.stats["area"], m.stats["delay"]) == \
+            PINNED_QOR[name]["lut"][mode]
+        m = map_cells(cn, cl, MapParams(k=4, mode=mode, target=CELL))
+        assert (m.stats["area"], m.stats["delay"]) == \
+            PINNED_QOR[name]["cell"][mode]
+
+
+def test_expand_cache_stays_smaller_than_the_network():
+    # tables are expanded by leaf position, so the cache does not grow
+    # with the number of nodes mapped
+    from mch import cuts
+
+    net = random_network(16, 1000, 1)
+    cuts._EXPAND.clear()
+    map_lut(wrap(net), MapParams(k=4))
+    assert len(cuts._EXPAND) < net.num_gates()

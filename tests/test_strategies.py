@@ -20,7 +20,7 @@ def eval_candidate(cand, tt):
     from mch.network import LogicNetwork
     from mch.choices import _replay
     net = LogicNetwork(cand.net.tag)
-    leaves = tuple(net.add_pi().node for _ in range(tt.var_count))
+    leaves = tuple(net.add_pi() for _ in range(tt.var_count))
     net.add_po(_replay(net, cand, leaves))
     got = TruthTable.create(net.exhaustive_outputs()[0], tt.var_count)
     return got.bits == tt.bits and \

@@ -20,11 +20,11 @@ from typing import NamedTuple, Optional
 from . import network as nw
 from .choices import ChoiceNetwork, MchParams, build_mch
 from .graphmap import GraphTargetLibrary, graph_map, network_metrics
-from .mapper import (AREA, BALANCED, CELL, DELAY, LUT, CellLibrary,
-                     MapParams, cover_check, default_cell_library, map_cells,
-                     map_lut)
+from .mapper import (AREA, BALANCED, CELL, DELAY, CellLibrary, MapParams,
+                     cover_check, default_cell_library, map_cells, map_lut)
 from .strategies import default_library
-from .verify import EQUIVALENT, UNKNOWN, cec
+from .verify import (EQUIVALENT, EXHAUSTIVE_PI_LIMIT, NOT_EQUIVALENT,
+                     UNKNOWN, cec)
 
 CSV_HEADER = "benchmark,flow,area,delay,time_s,verified"
 
@@ -59,11 +59,12 @@ def parse_flow(flow: str):
     return kind, preset
 
 
-def _verify(m, src):
-    ok = cover_check(m, src)
-    if not ok:
-        return "not-equivalent"
-    return EQUIVALENT if len(src.pis) <= 16 else UNKNOWN
+def cover_verdict(m, src) -> str:
+    """Verdict of cover_check: a pass is a proof only when it simulated
+    exhaustively."""
+    if not cover_check(m, src):
+        return NOT_EQUIVALENT
+    return EQUIVALENT if len(src.pis) <= EXHAUSTIVE_PI_LIMIT else UNKNOWN
 
 
 def cell_baseline_portfolio(net, cl, k: int = 6) -> list:
@@ -94,13 +95,13 @@ def run_flow(net, flow: str, cell_lib: Optional[CellLibrary] = None,
 
     if kind == "lut":
         m = map_lut(cn, MapParams(k=k, mode=mode))
-        return m.stats["area"], m.stats["delay"], _verify(m, cn.base)
+        return m.stats["area"], m.stats["delay"], cover_verdict(m, cn.base)
     if kind == "cell":
         cl = cell_lib if cell_lib is not None else default_cell_library()
         m = map_cells(cn, cl, MapParams(k=k, mode=mode, target=CELL,
                                         rounds=3))
         if preset == "base":
-            return m.stats["area"], m.stats["delay"], _verify(m, cn.base)
+            return m.stats["area"], m.stats["delay"], cover_verdict(m, cn.base)
         if baseline is None:
             baseline = cell_baseline_portfolio(net, cl, k)
         # round so accumulated float noise cannot flip a tie
@@ -111,7 +112,8 @@ def run_flow(net, flow: str, cell_lib: Optional[CellLibrary] = None,
         for b in baseline:
             if objective(b.stats) < objective(pick.stats):
                 pick, src = b, net
-        return pick.stats["area"], pick.stats["delay"], _verify(pick, src)
+        return (pick.stats["area"], pick.stats["delay"],
+                cover_verdict(pick, src))
     # graph-mapping flows report node count as area and depth as delay
     target = kind[3:]
     out = graph_map(cn, GraphTargetLibrary(target, slib),

@@ -1,7 +1,7 @@
 """BLIF writer for LUT netlists, a small reader for round-trip checks,
 and a structural gate-level writer for cell netlists."""
 
-from .tt import TruthTable, isop, evaluate_cubes
+from .tt import TruthTable, isop
 from .mapper import MappedNetlist, LUT, CELL
 
 

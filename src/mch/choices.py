@@ -3,7 +3,11 @@
 Builds a choice network from a single input network: candidates generated
 per node by level-oriented (critical path) or area-oriented (everything
 else) synthesis strategies are installed alongside the original structure
-and marked as choices of their representative node.
+and marked as choices of their representative node.  A candidate is a
+small network over its cut or MFFC leaves; installing it is one
+`LogicNetwork.insert` into the arena, whose strash dedupes any gate the
+arena already has.  External choices (`add_external_choices`) are
+inserted the same way, over the arena's PIs.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .strategies import (Candidate, StrategyLibrary,
                          area_oriented_candidates,
                          level_oriented_candidates)
 from .tt import MAX_VARS, cut_truth
-from .verify import EQUIVALENT, cec
+from .verify import cec
 
 EXACT_PI_LIMIT = 12
 SIM_WIDTH = 256
@@ -43,13 +47,6 @@ class ChoiceStats:
     failed: int = 0
     classes: int = 0
     members: int = 0
-
-    def histogram(self, cn: "ChoiceNetwork") -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for r in cn.class_reprs():
-            size = 1 + len(cn.members(r))
-            hist[size] = hist.get(size, 0) + 1
-        return hist
 
 
 class ChoiceError(Exception):
@@ -196,8 +193,8 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
             continue
         stats.generated += 1
         before = len(net)
-        root = _replay(net, cand,
-                       [Signal(leaf, False) for leaf in leaves])
+        root = net.insert(cand.net,
+                          [Signal(leaves[j]) for j in cand.support])[0]
         if root.node < before:
             stats.deduped += 1
             continue
@@ -208,18 +205,6 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
             continue
         stats.verified += 1
         cn.add_choice(node, member, phase)
-
-
-def _replay(net: LogicNetwork, cand: Candidate, leaves) -> Signal:
-    """Re-create a scratch candidate inside net over signal-valued leaves."""
-    scratch = cand.net
-    xlat: dict[int, Signal] = {0: net.const0}
-    for j, pi in enumerate(scratch.pis):
-        xlat[pi] = leaves[cand.support[j]]
-    for g in scratch.gates():
-        fins = tuple(xlat[f.node].with_neg(f.neg) for f in scratch.fanins(g))
-        xlat[g] = net.add(scratch.kind(g), fins)
-    return xlat[cand.root.node].with_neg(cand.root.neg)
 
 
 class _IncrementalSim:
@@ -307,16 +292,9 @@ def add_external_choices(cn: ChoiceNetwork,
     if verdict.status == "not-equivalent":
         raise ChoiceError(f"networks differ on input {verdict.counterexample}")
 
-    xlat: dict[int, Signal] = {0: base.const0}
-    for bp, op in zip(base.pis, other.pis):
-        xlat[op] = Signal(bp, False)
-    for g in other.gates():
-        fins = tuple(xlat[f.node].with_neg(f.neg) for f in other.fanins(g))
-        xlat[g] = base.add(other.kind(g), fins)
-
+    outs = base.insert(other, [Signal(bp) for bp in base.pis])
     sim = _IncrementalSim(base)
-    for i, (sb, so) in enumerate(zip(base.outputs, other.outputs)):
-        snew = xlat[so.node].with_neg(so.neg)
+    for sb, snew in zip(base.outputs, outs):
         if snew.node == sb.node:
             continue
         rep, member = sb.node, snew.node

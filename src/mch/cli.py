@@ -7,17 +7,15 @@ from pathlib import Path
 
 from . import network as nw
 from .aiger import AigerError, read_aiger, write_aiger
-from .bench import CSV_HEADER, PRESETS, run_suite, write_csv
+from .bench import CSV_HEADER, PRESETS, cover_verdict, run_suite, write_csv
 from .blif import write_blif, write_verilog_structural
 from .choices import ChoiceNetwork, MchParams, build_mch
 from .graphmap import optimize_iterate
-from .mapper import (AREA, BALANCED, CELL, DELAY, LUT, CellLibrary,
-                     MapError, MapParams, cover_check,
-                     default_cell_library, map_cells, map_lut)
+from .mapper import (AREA, BALANCED, CELL, DELAY, CellLibrary, MapError,
+                     MapParams, default_cell_library, map_cells, map_lut)
 from .mchfile import MchFileError, read_mch, write_mch, write_net
 from .strategies import default_library
-from .verify import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, \
-    InterfaceMismatch, cec
+from .verify import EQUIVALENT, NOT_EQUIVALENT, InterfaceMismatch, cec
 
 MODES = {"delay": DELAY, "area": AREA, "balanced": BALANCED}
 
@@ -44,11 +42,10 @@ def _write_network(net, path: str) -> None:
 
 
 def _verify_or_die(m, base, label: str) -> str:
-    if not cover_check(m, base):
+    verdict = cover_verdict(m, base)
+    if verdict == NOT_EQUIVALENT:
         raise CliError(f"{label}: mapped netlist failed verification")
-    if len(base.pis) <= 16:
-        return EQUIVALENT
-    return UNKNOWN
+    return verdict
 
 
 def cmd_stats(args) -> int:

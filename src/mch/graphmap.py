@@ -12,8 +12,8 @@ from typing import Optional
 
 from . import network as nw
 from .network import LogicNetwork, Signal
-from .choices import ChoiceNetwork, MchParams, _replay, build_mch
-from .mapper import MapParams, MapError, map_lut, DELAY, AREA, LUT
+from .choices import ChoiceNetwork, MchParams, build_mch
+from .mapper import MapParams, MapError, map_lut, DELAY, LUT
 from .strategies import (StrategyLibrary, default_library,
                          level_oriented_candidates)
 from .verify import cec, NOT_EQUIVALENT
@@ -26,13 +26,6 @@ DEFAULT_MIX = {nw.AIG: nw.AIG, nw.XAG: nw.XAG,
                nw.MIG: nw.MIG, nw.XMG: nw.XMG}
 
 
-def _restrict(lib: StrategyLibrary, tags) -> StrategyLibrary:
-    sub = StrategyLibrary(tags)
-    for t in tags:
-        sub.npn4[t] = lib.npn4.get(t, {})
-    return sub
-
-
 class GraphTargetLibrary:
     """Structure templates usable when rebuilding into one representation."""
 
@@ -40,13 +33,11 @@ class GraphTargetLibrary:
         if target not in nw.ALLOWED_KINDS:
             raise MapError(f"unknown representation tag {target!r}")
         self.target = target
-        base = lib if lib is not None else default_library()
-        tags = [t for t in base.enabled
-                if nw.ALLOWED_KINDS[t] <= nw.ALLOWED_KINDS[target]]
-        self.lib = _restrict(base, tags)
+        self.lib = lib if lib is not None else default_library()
 
     def best(self, tt, mode: str):
-        """Pick the template candidate for tt under the given mode."""
+        """Pick the template candidate for tt under the given mode; the
+        query keeps the templates whose kinds the target allows."""
         cands = level_oriented_candidates(self.lib, tt, host_tag=self.target)
         if not cands:
             raise MapError(
@@ -75,7 +66,8 @@ def graph_map(cn: ChoiceNetwork, tl: GraphTargetLibrary,
             s = leaf if small.value_at(1) else ~leaf
         else:
             cand = tl.best(inst.tt, p.mode)
-            s = _replay(out, cand, [sigs[i] for i in inst.ins])
+            s = out.insert(cand.net,
+                           [sigs[inst.ins[j]] for j in cand.support])[0]
         sigs[inst.out] = s
     for oid, negd in m.outputs:
         out.add_po(sigs[oid].with_neg(negd))

@@ -22,6 +22,7 @@ from .choices import ChoiceNetwork
 from .cuts import Cut, CutEngine, sig_of
 from .npn import apply_npn, compose, npn_canonize
 from .tt import TruthTable
+from .verify import EXHAUSTIVE_PI_LIMIT
 
 DELAY = "delay"
 AREA = "area"
@@ -103,9 +104,9 @@ def _check_structure(m: MappedNetlist) -> bool:
 def cover_check(m: MappedNetlist, src, budget: int = 4096) -> bool:
     """Legal-cover plus functional-equivalence check against the source.
 
-    Exhaustive for up to 16 inputs; random patterns plus all-0/all-1
-    corners above that, so a pass on wide networks is evidence, not
-    proof.
+    Exhaustive up to EXHAUSTIVE_PI_LIMIT inputs; random patterns plus
+    all-0/all-1 corners above that, so a pass on wide networks is
+    evidence, not proof.
     """
     import random
 
@@ -116,7 +117,7 @@ def cover_check(m: MappedNetlist, src, budget: int = 4096) -> bool:
     if m.n_pis != len(src.pis) or len(m.outputs) != len(src.outputs):
         return False
     npi = len(src.pis)
-    if npi <= 16:
+    if npi <= EXHAUSTIVE_PI_LIMIT:
         width = 1 << max(npi, 1)
         pats = exhaustive_patterns(src.pis)
         words = [pats[p] for p in src.pis]
@@ -281,48 +282,64 @@ class _Rounds:
             for ck, d in self.edges(self.chosen[key]):
                 req[ck] = min(req[ck], r - d)
 
+    def cone_area(self, refs: list, key: int, step: int) -> float:
+        """Reference (step 1) or dereference (step -1) the cone of key's
+        choice: its area plus that of every child whose count becomes 1
+        (or 0), recursively.  An explicit stack of (area, children) frames
+        keeps a deep cover off the Python stack; each child's area is added
+        to its parent's when its frame closes, as a recursive walk would."""
+        chosen = self.chosen
+        last = 1 if step > 0 else 0
+        m = chosen[key]
+        stack = [[self.own_area(m), iter(self.children(m))]]
+        while True:
+            top = stack[-1]
+            for ck in top[1]:
+                refs[ck] += step
+                if refs[ck] == last:
+                    m = chosen[ck]
+                    stack.append([self.own_area(m), iter(self.children(m))])
+                    break
+            else:
+                stack.pop()
+                if not stack:
+                    return top[0]
+                stack[-1][0] += top[0]
+
     def exact_round(self, refs: list, delay_pri: bool) -> None:
         """Re-pick each referenced key by the area its choice adds to the
         cover (reference and dereference its exclusive cone)."""
         chosen = self.chosen
-
-        def ref(key):
-            m = chosen[key]
-            a = self.own_area(m)
-            for ck in self.children(m):
-                refs[ck] += 1
-                if refs[ck] == 1:
-                    a += ref(ck)
-            return a
-
-        def deref(key):
-            m = chosen[key]
-            a = self.own_area(m)
-            for ck in self.children(m):
-                refs[ck] -= 1
-                if refs[ck] == 0:
-                    a += deref(ck)
-            return a
-
         for key in self.keys:
             if refs[key] <= 0:
                 continue
             old = chosen[key]
-            deref(key)
+            self.cone_area(refs, key, -1)
             bk = bm = None
             for m in self.cands(key):
                 a = self.arrival(m)
                 if a > self.req[key] + _EPS and m is not old:
                     continue
                 chosen[key] = m
-                ea = ref(key)
-                deref(key)
+                ea = self.cone_area(refs, key, 1)
+                self.cone_area(refs, key, -1)
                 k2 = ((a, ea) if delay_pri else (ea, a)) + (self.tie(m),)
                 if bk is None or k2 < bk:
                     bk, bm = k2, m
             chosen[key] = old if bm is None else bm
-            ref(key)
+            self.cone_area(refs, key, 1)
             self.arr[key] = self.arrival(chosen[key])
+
+    def pool(self, n: int) -> list:
+        """The engine's cut pool of n; empty only when k is below n's
+        arity and no smaller cut exists."""
+        got = self.engine.pool(n)
+        if not got:
+            fanins = self.net.fanins(n)
+            raise MapError(
+                f"node {n}: k={self.p.k} is below the arity {len(fanins)} "
+                f"of its {self.net.kind(n)} gate and it has no smaller cut")
+        return got
 
 
 # -- LUT mapping -------------------------------------------------------
@@ -367,7 +384,7 @@ class _LutCover(_Rounds):
         eng, arr, flow, est = self.engine, self.arr, self.flow, self.est
         for n in self.order:
             scored = []
-            for leaves, sig in eng.pool(n):
+            for leaves, sig in self.pool(n):
                 a = 1.0 + max((arr[x] for x in leaves), default=-1.0)
                 fl = 1.0 + sum(flow[x] / est[x] for x in leaves)
                 key = ((a, fl, len(leaves)) if delay_pri
@@ -663,7 +680,7 @@ class _CellCover(_Rounds):
         inv = self.cl.inv
         for n in self.order:
             scored = []
-            for leaves, sig in eng.pool(n):
+            for leaves, sig in self.pool(n):
                 a = max((min(arr[2 * x], arr[2 * x + 1]) for x in leaves),
                         default=0.0)
                 f = sum(min(flow[2 * x], flow[2 * x + 1]) for x in leaves)

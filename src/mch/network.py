@@ -321,6 +321,29 @@ class LogicNetwork:
 
     # -- structure-preserving embedding -----------------------------------
 
+    def insert(self, src: "LogicNetwork", leaves: Iterable[Signal],
+               gates: Optional[Iterable[int]] = None) -> list[Signal]:
+        """Rebuild src's gates here through strash, reading src's i-th PI
+        as leaves[i]; returns the images of src's outputs.
+
+        Gates are rebuilt in ascending id order: all of them, or only
+        `gates` (ascending src ids covering the cone of every output).
+        """
+        leaves = list(leaves)
+        if len(leaves) != len(src.pis):
+            raise NetworkError(f"{len(leaves)} leaves for "
+                               f"{len(src.pis)} inputs")
+        xlat: list = [None] * len(src._nodes)
+        xlat[0] = self.const0
+        for pi, s in zip(src.pis, leaves):
+            xlat[pi] = s
+        nodes = src._nodes
+        for g in src.gates() if gates is None else gates:
+            kind, fanins = nodes[g]
+            xlat[g] = self.add(kind, tuple(xlat[f.node].with_neg(f.neg)
+                                           for f in fanins))
+        return [xlat[s.node].with_neg(s.neg) for s in src.outputs]
+
     def one_to_one_map(self, target: str) -> "LogicNetwork":
         """Node-for-node copy into a (weakly more expressive) representation."""
         if target not in ALLOWED_KINDS:
@@ -330,31 +353,17 @@ class LogicNetwork:
             raise UnsupportedConversion(
                 f"cannot embed {self.tag} gates {sorted(used)} into {target}")
         out = LogicNetwork(target)
-        xlat: dict[int, Signal] = {0: out.const0}
-        for n in self.pis:
-            xlat[n] = out.add_pi()
-        for n in self.gates():
-            fs = tuple(xlat[f.node].with_neg(f.neg)
-                       for f in self._nodes[n].fanins)
-            xlat[n] = out.add(self._nodes[n].kind, fs)
-        for s in self.outputs:
-            out.add_po(xlat[s.node].with_neg(s.neg))
+        for s in out.insert(self, [out.add_pi() for _ in self.pis]):
+            out.add_po(s)
         return out
 
     def compact(self) -> "LogicNetwork":
-        """Copy keeping only nodes reachable from the outputs."""
-        live = self.reachable()
+        """Copy keeping only nodes reachable from the outputs (and all PIs,
+        to preserve the interface)."""
+        live = sorted(n for n in self.reachable() if self.is_gate(n))
         out = LogicNetwork(self.tag)
-        xlat: dict[int, Signal] = {0: out.const0}
-        for n in self.pis:  # all PIs kept to preserve the interface
-            xlat[n] = out.add_pi()
-        for n in sorted(live):
-            if self.is_gate(n):
-                fs = tuple(xlat[f.node].with_neg(f.neg)
-                           for f in self._nodes[n].fanins)
-                xlat[n] = out.add(self._nodes[n].kind, fs)
-        for s in self.outputs:
-            out.add_po(xlat[s.node].with_neg(s.neg))
+        for s in out.insert(self, [out.add_pi() for _ in self.pis], live):
+            out.add_po(s)
         return out
 
     # -- simulation -------------------------------------------------------

@@ -1,23 +1,30 @@
 """Synthesis-strategy library: NPN4 structure database plus area-oriented
 procedural resynthesis (ISOP factoring and DSD lowering).
 
+Every structure is a LogicNetwork whose PIs are its inputs and whose one
+PO is its output.  An NPN4 template has four PIs and realizes its class
+representative; a Candidate's network has one PI per support variable of
+the function it was generated for.  `LogicNetwork.insert` places either
+into a host network.
+
 The database is built by bounded exhaustive enumeration of primitive trees
 (up to 7 gates) over each enabled representation's gate set; classes the
 enumeration cannot reach within the bound are filled by ISOP factoring.
+A database file is parsed lazily: a class's lines become template networks
+on its first query, each checked against its class representative and its
+recorded depth and gate count.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import network as nw
 from .network import LogicNetwork, Signal
-from .npn import NpnTransform, npn_canonize, npn_classify_all4
-from .tt import (Cube, DsdNode, TruthTable, cut_truth, dsd_decompose, isop,
-                 maj_tt)
+from .npn import npn_canonize, npn_classify_all4
+from .tt import Cube, DsdNode, TruthTable, dsd_decompose, isop
 
 MAX_TEMPLATE_GATES = 7
 
@@ -196,226 +203,154 @@ def reconstruct(f: int, ops, minsize, frontiers):
     return solve(f)
 
 
-def tree_eval(node) -> int:
-    if node[0] == "const":
-        return 0xFFFF if node[1] else 0
-    if node[0] == "in":
-        v = VAR16[node[1]]
-        return (v ^ 0xFFFF) if node[2] else v
-    kind, children, neg = node
-    vals = [tree_eval(c) for c in children]
-    if kind == "and2":
-        r = vals[0] & vals[1]
-    elif kind == "xor2":
-        r = vals[0] ^ vals[1]
-    else:
-        r = _maj16(*vals)
-    return (r ^ 0xFFFF) if neg else r
-
-
-def tree_size(node) -> int:
-    if node[0] in ("const", "in"):
-        return 0
-    return 1 + sum(tree_size(c) for c in node[1])
-
-
-def tree_depth(node) -> int:
-    if node[0] in ("const", "in"):
-        return 0
-    return 1 + max(tree_depth(c) for c in node[1])
-
-
 # -- structure templates ---------------------------------------------------
 
 
-class StructureTemplate:
-    """Gate list over inputs t0..t3 and earlier gates g0.., with complement
-    markers; realizes the NPN-class representative it is filed under."""
+def _new_template(tag: str):
+    net = LogicNetwork(tag)
+    return net, [net.add_pi() for _ in range(4)]
 
-    def __init__(self, tag: str, gates: list, out_ref: int, out_neg: bool):
-        self.tag = tag
-        self.gates = gates            # (kind, tuple of (ref, neg))
-        self.out_ref = out_ref        # 0..3 inputs, 4+ gate index, -1 const
-        self.out_neg = out_neg
-        self.size = len(gates)
-        self.depth = self._depth()
 
-    def _depth(self) -> int:
-        d = [0, 0, 0, 0]
-        for kind, fins in self.gates:
-            d.append(1 + max((d[r] for r, _ in fins), default=0))
-        if self.out_ref < 0:
-            return 0
-        return d[self.out_ref]
+def _tree_template(tag: str, tree) -> LogicNetwork:
+    net, pis = _new_template(tag)
 
-    def evaluate16(self) -> int:
-        vals = list(VAR16)
-        for kind, fins in self.gates:
-            ins = [vals[r] ^ (0xFFFF if neg else 0) for r, neg in fins]
-            if kind == "and2":
-                vals.append(ins[0] & ins[1])
-            elif kind == "xor2":
-                vals.append(ins[0] ^ ins[1])
-            else:
-                vals.append(_maj16(*ins))
-        if self.out_ref < 0:
-            out = 0
-        else:
-            out = vals[self.out_ref]
-        return (out ^ 0xFFFF) if self.out_neg else out
+    def emit(nd) -> Signal:
+        if nd[0] == "const":
+            return Signal(0, nd[1])
+        if nd[0] == "in":
+            return pis[nd[1]].with_neg(nd[2])
+        kind, children, neg = nd
+        return net.add(kind, [emit(c) for c in children]).with_neg(neg)
 
-    def instantiate(self, net: LogicNetwork, inputs: list[Signal]) -> Signal:
-        """Build the template in `net`; inputs has 4 entries (t0..t3)."""
-        vals = list(inputs)
-        for kind, fins in self.gates:
-            ins = tuple(vals[r].with_neg(neg) for r, neg in fins)
-            vals.append(net.add(kind, ins))
-        if self.out_ref < 0:
-            out = net.const0
-        else:
-            out = vals[self.out_ref]
-        return ~out if self.out_neg else out
+    net.add_po(emit(tree))
+    return net
 
-    @staticmethod
-    def from_tree(tag: str, node) -> "StructureTemplate":
-        gates: list = []
 
-        def emit(nd) -> tuple:
-            if nd[0] == "const":
-                return (-1, nd[1])
-            if nd[0] == "in":
-                return (nd[1], nd[2])
-            kind, children, neg = nd
-            fins = []
-            for c in children:
-                r, cneg = emit(c)
-                if r == -1:
-                    raise ValueError("constant fanin inside template")
-                fins.append((r, cneg))
-            gates.append((kind, tuple(fins)))
-            return (4 + len(gates) - 1, neg)
+def _isop_template(tag: str, rep: int) -> LogicNetwork:
+    """Fallback template for classes outside the enumeration bound."""
+    net, pis = _new_template(tag)
+    net.add_po(_factor(net, isop(TruthTable.create(rep, 4)), pis))
+    return net
 
-        ref, neg = emit(node)
-        return StructureTemplate(tag, gates, ref, neg)
 
-    # text form: kind(a,b) tokens over t0..t3 / g0.., '!' = complement;
-    # a '!' prefix on the last gate token complements the template output.
+# Database text of a template: kind(a,b) tokens over t0..t3 / g0.., '!' =
+# complement; a '!' prefix on the last gate token complements the output.
+# A gate-free template is "const0" or "buf(tI)", optionally complemented.
 
-    def to_text(self) -> str:
-        def ref_name(r):
-            return f"t{r}" if r < 4 else f"g{r - 4}"
 
-        toks = []
-        for i, (kind, fins) in enumerate(self.gates):
-            args = ",".join(("!" if neg else "") + ref_name(r)
-                            for r, neg in fins)
-            tok = f"{kind}({args})"
-            if i == len(self.gates) - 1 and self.out_neg:
-                tok = "!" + tok
-            toks.append(tok)
-        if not self.gates:
-            neg = "!" if self.out_neg else ""
-            if self.out_ref < 0:
-                return f"{neg}const0"
-            return f"{neg}buf(t{self.out_ref})"
-        return ",".join(toks)
+def _template_text(tpl: LogicNetwork) -> str:
+    """Text of a compacted template, whose output is its last gate if it
+    has any."""
+    names = {pi: f"t{i}" for i, pi in enumerate(tpl.pis)}
+    toks = []
+    for g in tpl.gates():
+        names[g] = f"g{len(toks)}"
+        args = ",".join(("!" if f.neg else "") + names[f.node]
+                        for f in tpl.fanins(g))
+        toks.append(f"{tpl.kind(g)}({args})")
+    out = tpl.outputs[0]
+    neg = "!" if out.neg else ""
+    if out.node == 0:
+        return f"{neg}const0"
+    if not toks:
+        return f"{neg}buf({names[out.node]})"
+    toks[-1] = neg + toks[-1]
+    return ",".join(toks)
 
-    @staticmethod
-    def from_text(tag: str, text: str) -> "StructureTemplate":
-        def parse_ref(tok: str):
-            neg = tok.startswith("!")
-            tok = tok.lstrip("!")
-            if tok.startswith("t"):
-                return int(tok[1:]), neg
-            return 4 + int(tok[1:]), neg
 
-        if text.lstrip("!").startswith("const0"):
-            return StructureTemplate(tag, [], -1, text.startswith("!"))
-        if text.lstrip("!").startswith("buf("):
-            neg = text.startswith("!")
-            ref, rneg = parse_ref(text.lstrip("!")[4:-1])
-            return StructureTemplate(tag, [], ref, neg ^ rneg)
-        gates = []
-        out_neg = False
-        toks = text.split("),")
-        for i, tok in enumerate(toks):
+def _parse_template(tag: str, rep: int, where: str, depth: str, size: str,
+                    text: str) -> LogicNetwork:
+    """Build one database line's template and check it against the line."""
+    net, vals = _new_template(tag)
+
+    def ref(tok: str) -> Signal:
+        neg = tok.startswith("!")
+        tok = tok.lstrip("!")
+        i = int(tok[1:])
+        return vals[i if tok.startswith("t") else 4 + i].with_neg(neg)
+
+    body = text.lstrip("!")
+    out_neg = text.startswith("!")
+    tokens = 0
+    if body.startswith("const0"):
+        out = net.const0
+    elif body.startswith("buf("):
+        out = ref(body[4:-1])
+    else:
+        for tok in text.split("),"):
             if not tok.endswith(")"):
                 tok += ")"
             if tok.startswith("!"):
                 out_neg = True
                 tok = tok[1:]
-            kind, rest = tok.split("(", 1)
-            args = rest[:-1].split(",")
-            gates.append((kind, tuple(parse_ref(a) for a in args)))
-        return StructureTemplate(tag, gates, 4 + len(gates) - 1, out_neg)
+            kind, args = tok.split("(", 1)
+            vals.append(net.add(kind, [ref(a) for a in args[:-1].split(",")]))
+            tokens += 1
+        out = vals[-1]
+    net.add_po(out.with_neg(out_neg))
+    if int(size) != tokens:
+        raise ValueError(f"{where}: size {size} but {tokens} gates")
+    if int(depth) != net.compute_levels().network_level:
+        raise ValueError(f"{where}: depth {depth} does not match its gates")
+    if net.exhaustive_outputs()[0] != rep:
+        raise ValueError(f"{where}: structure does not realize 0x{rep:04x}")
+    return net
 
 
 # -- strategy library ------------------------------------------------------
 
 
 class StrategyLibrary:
+    """NPN4 templates per representation and class representative.
+
+    A library read by load_db holds each class's database lines in
+    `lines`; templates_for builds and checks a class's templates on its
+    first query and caches them in `npn4`.
+    """
+
     def __init__(self, enabled):
         self.enabled = tuple(enabled)
-        self.npn4: dict[str, dict[int, list[StructureTemplate]]] = {
+        self.npn4: dict[str, dict[int, list[LogicNetwork]]] = {
             tag: {} for tag in self.enabled}
-        self.stats: dict[str, int] = {}
+        self.lines: dict[str, dict[int, list[tuple]]] = {
+            tag: {} for tag in self.enabled}
+        self.query_cache: dict[tuple, list] = {}
 
-    def templates_for(self, tag: str, canon_bits16: int):
-        return self.npn4.get(tag, {}).get(canon_bits16 & 0xFFFF, [])
+    def classes(self, tag: str) -> list[int]:
+        return sorted(self.npn4[tag].keys() | self.lines[tag].keys())
+
+    def templates_for(self, tag: str, canon_bits16: int) -> list:
+        db = self.npn4.get(tag)
+        if db is None:
+            return []
+        rep = canon_bits16 & 0xFFFF
+        tpls = db.get(rep)
+        if tpls is None:
+            tpls = db[rep] = [_parse_template(tag, rep, *line)
+                              for line in self.lines[tag].get(rep, ())]
+        return tpls
 
 
-def build_npn4_db(enabled=(nw.AIG, nw.XAG, nw.MIG, nw.XMG),
-                  verify: bool = True) -> StrategyLibrary:
+def build_npn4_db(enabled=(nw.AIG, nw.XAG, nw.MIG, nw.XMG)
+                  ) -> StrategyLibrary:
     """Enumerate templates for all 222 NPN classes per representation."""
     lib = StrategyLibrary(enabled)
-    canon = npn_classify_all4()
-    reps = np.unique(canon)
+    reps = np.unique(npn_classify_all4())
     for tag in enabled:
         ops = _OPS_BY_TAG[tag]
         minsize, frontiers = tree_reachability(ops)
-        db: dict[int, list[StructureTemplate]] = {}
-        enum_filled = 0
         for rep in reps:
             rep = int(rep)
             if minsize[rep] != 255:
-                tree = reconstruct(rep, ops, minsize, frontiers)
-                tpl = StructureTemplate.from_tree(tag, tree)
-                enum_filled += 1
+                tpl = _tree_template(
+                    tag, reconstruct(rep, ops, minsize, frontiers))
             else:
                 tpl = _isop_template(tag, rep)
-            if verify and tpl.evaluate16() != rep:
+            if tpl.exhaustive_outputs()[0] != rep:
                 raise AssertionError(
                     f"template for class 0x{rep:04x} ({tag}) is wrong")
-            db[rep] = [tpl]
-        lib.npn4[tag] = db
-        lib.stats[tag] = enum_filled
+            lib.npn4[tag][rep] = [tpl]
     return lib
-
-
-def _isop_template(tag: str, rep: int) -> StructureTemplate:
-    """Fallback template for classes outside the enumeration bound."""
-    scratch = LogicNetwork(tag)
-    pis = [scratch.add_pi() for _ in range(4)]
-    tt = TruthTable.create(rep, 4)
-    root = _build_factored(scratch, tt, pis)
-    return _template_from_scratch(tag, scratch, pis, root)
-
-
-def _template_from_scratch(tag, scratch, pis, root) -> StructureTemplate:
-    idx = {p.node: (i, False) for i, p in enumerate(pis)}
-    gates = []
-    order = [n for n in scratch.gates() if n in scratch.tfi([root.node])]
-    for n in sorted(order):
-        fins = []
-        for f in scratch.fanins(n):
-            r, base_neg = idx[f.node]
-            fins.append((r, f.neg ^ base_neg))
-        gates.append((scratch.kind(n), tuple(fins)))
-        idx[n] = (4 + len(gates) - 1, False)
-    if root.node == 0:
-        return StructureTemplate(tag, [], -1, root.neg)
-    r, base_neg = idx[root.node]
-    return StructureTemplate(tag, gates, r, root.neg ^ base_neg)
 
 
 # -- db persistence --------------------------------------------------------
@@ -427,36 +362,35 @@ def save_db(lib: StrategyLibrary, path) -> None:
     with open(path, "w") as fh:
         fh.write(DB_HEADER + "\n")
         for tag in lib.enabled:
-            for rep in sorted(lib.npn4[tag]):
-                for tpl in lib.npn4[tag][rep]:
-                    fh.write(f"0x{rep:04x} {tag} {tpl.depth} {tpl.size} "
-                             f"{tpl.to_text()}\n")
+            for rep in lib.classes(tag):
+                for tpl in lib.templates_for(tag, rep):
+                    tpl = tpl.compact()
+                    fh.write(f"0x{rep:04x} {tag} "
+                             f"{tpl.compute_levels().network_level} "
+                             f"{tpl.num_gates()} {_template_text(tpl)}\n")
 
 
-def load_db(path, verify: bool = True) -> StrategyLibrary:
+def load_db(path) -> StrategyLibrary:
+    """Read a database file.  Lines are only split here; each class is
+    built and checked on its first query."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != DB_HEADER:
             raise ValueError(f"bad database header {header!r}")
         entries = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            hexrep, tag, depth, size, text = line.split(" ", 4)
-            entries.append((int(hexrep, 16), tag, int(depth), int(size), text))
-    tags = []
-    for _, tag, _, _, _ in entries:
-        if tag not in tags:
-            tags.append(tag)
-    lib = StrategyLibrary(tags)
-    for rep, tag, depth, size, text in entries:
-        tpl = StructureTemplate.from_text(tag, text)
-        if tpl.depth != depth or tpl.size != size:
-            raise ValueError(f"template metadata mismatch for 0x{rep:04x}")
-        if verify and tpl.evaluate16() != rep:
-            raise ValueError(f"stored template for 0x{rep:04x} is wrong")
-        lib.npn4[tag].setdefault(rep, []).append(tpl)
+            parts = line.split(" ", 4)
+            if len(parts) != 5:
+                raise ValueError(f"{path}:{lineno}: expected "
+                                 f"'class tag depth size structure'")
+            entries.append((int(parts[0], 16), parts[1],
+                            f"{path}:{lineno}", *parts[2:]))
+    lib = StrategyLibrary(dict.fromkeys(e[1] for e in entries))
+    for rep, tag, *line in entries:
+        lib.lines[tag].setdefault(rep, []).append(line)
     return lib
 
 
@@ -471,7 +405,7 @@ def default_library() -> StrategyLibrary:
 
         path = Path(__file__).parent / "data" / "npn4.db"
         if path.exists():
-            _default_lib = load_db(path, verify=False)
+            _default_lib = load_db(path)
         else:
             _default_lib = build_npn4_db()
             try:
@@ -485,32 +419,44 @@ def default_library() -> StrategyLibrary:
 
 
 class Candidate(NamedTuple):
-    net: LogicNetwork      # scratch network; PIs are the support leaves
-    root: Signal
+    net: LogicNetwork      # PIs are the support leaves; one PO
     strategy: str
     size: int
     depth: int
-    support: tuple         # original variable indices, in scratch PI order
+    support: tuple         # original variable indices, in PI order
 
-    def function(self, var_count: int) -> TruthTable:
-        """Candidate output as a table over the original variable space."""
-        v = len(self.net.pis)
-        if self.root.node == 0:
-            base = TruthTable.const(False, v)
-        else:
-            base = cut_truth(self.net, self.root.node, sorted(self.net.pis))
-        if self.root.neg:
-            base = ~base
-        # expand over original variables
-        bits = 0
-        for m in range(1 << var_count):
-            sub = 0
-            for j, ov in enumerate(self.support):
-                if (m >> ov) & 1:
-                    sub |= 1 << j
-            if base.value_at(sub):
-                bits |= 1 << m
-        return TruthTable.create(bits, var_count)
+
+def _candidate(host_tag: str, sup, strategy: str, build) -> Candidate:
+    """A candidate network over len(sup) PIs whose PO build(net, pis)
+    emits."""
+    net = LogicNetwork(host_tag)
+    net.add_po(build(net, [net.add_pi() for _ in sup]))
+    return Candidate(net, strategy, net.num_gates(),
+                     net.compute_levels().network_level, tuple(sup))
+
+
+class _NpnBinding(NamedTuple):
+    """How a function of at most 4 inputs reads its NPN4 class template:
+    template input j is function input ins[j][0] (None: constant 0),
+    complemented when ins[j][1]; the template output is complemented when
+    out_neg."""
+    rep: int           # NPN class representative
+    ins: tuple
+    out_neg: bool
+
+    def place(self, net: LogicNetwork, tpl: LogicNetwork,
+              inputs: list[Signal]) -> Signal:
+        leaves = [Signal(0, neg) if i is None else inputs[i].with_neg(neg)
+                  for i, neg in self.ins]
+        return net.insert(tpl, leaves)[0].with_neg(self.out_neg)
+
+
+def _npn_binding(table: TruthTable, n_inputs: int) -> _NpnBinding:
+    canon, tr, _ = npn_canonize(TruthTable.create(table.bits, 4))
+    inv = tr.inverse()
+    ins = tuple((inv.perm[j] if inv.perm[j] < n_inputs else None,
+                 bool((inv.neg >> j) & 1)) for j in range(4))
+    return _NpnBinding(canon.bits, ins, bool(inv.out_neg))
 
 
 def level_oriented_candidates(lib: StrategyLibrary, tt: TruthTable,
@@ -519,91 +465,61 @@ def level_oriented_candidates(lib: StrategyLibrary, tt: TruthTable,
 
     Functions whose support exceeds 4 variables yield no candidates.
     """
-    cache = lib.__dict__.setdefault("_query_cache", {})
     ckey = ("lvl", tt.bits, tt.var_count, host_tag)
-    hit = cache.get(ckey)
+    hit = lib.query_cache.get(ckey)
     if hit is not None:
         return list(hit)
     small, sup = tt.shrink_to_support()
-    if len(sup) > 4:
-        cache[ckey] = []
-        return []
-    padded = TruthTable.create(small.bits, 4)
-    canon, tr, _ = npn_canonize(padded)
-    inv = tr.inverse()
     out = []
-    for tag in lib.enabled:
-        if not nw.ALLOWED_KINDS[tag] <= nw.ALLOWED_KINDS[host_tag]:
-            continue
-        for tpl in lib.templates_for(tag, canon.bits):
-            scratch = LogicNetwork(host_tag)
-            pis = [scratch.add_pi() for _ in range(len(sup))]
-            ins = []
-            for j in range(4):
-                src = inv.perm[j]
-                neg = bool((inv.neg >> j) & 1)
-                if src < len(sup):
-                    ins.append(pis[src].with_neg(neg))
-                else:
-                    ins.append(scratch.const1 if neg else scratch.const0)
-            root = tpl.instantiate(scratch, ins)
-            if inv.out_neg:
-                root = ~root
-            lm = scratch.compute_levels()
-            out.append(Candidate(scratch, root, f"npn4-{tag}",
-                                 scratch.num_gates(), lm.level[root.node],
-                                 tuple(sup)))
-    out.sort(key=lambda c: (c.depth, c.size, c.strategy))
-    cache[ckey] = out
+    if len(sup) <= 4:
+        b = _npn_binding(small, len(sup))
+        for tag in lib.enabled:
+            if not nw.ALLOWED_KINDS[tag] <= nw.ALLOWED_KINDS[host_tag]:
+                continue
+            for tpl in lib.templates_for(tag, b.rep):
+                out.append(_candidate(
+                    host_tag, sup, f"npn4-{tag}",
+                    lambda net, pis: b.place(net, tpl, pis)))
+        out.sort(key=lambda c: (c.depth, c.size, c.strategy))
+    lib.query_cache[ckey] = out
     return list(out)
 
 
 def area_oriented_candidates(lib: StrategyLibrary, tt: TruthTable,
                              host_tag: str = nw.XMG) -> list[Candidate]:
     """ISOP-factoring and DSD-lowering candidates, ordered by (size, depth)."""
-    cache = lib.__dict__.setdefault("_query_cache", {})
     ckey = ("area", tt.bits, tt.var_count, host_tag)
-    hit = cache.get(ckey)
+    hit = lib.query_cache.get(ckey)
     if hit is not None:
         return list(hit)
     small, sup = tt.shrink_to_support()
-    out = []
-
-    scratch = LogicNetwork(host_tag)
-    pis = [scratch.add_pi() for _ in range(len(sup))]
-    root = _build_factored(scratch, small, pis)
-    lm = scratch.compute_levels()
-    out.append(Candidate(scratch, root, "isop-factor", scratch.num_gates(),
-                         lm.level[root.node], tuple(sup)))
-
+    out = [_candidate(host_tag, sup, "isop-factor",
+                      lambda net, pis: _factor(net, isop(small), pis))]
     dsd = dsd_decompose(small)
     if isinstance(dsd, DsdNode):
-        scratch = LogicNetwork(host_tag)
-        pis = [scratch.add_pi() for _ in range(len(sup))]
-        root = _build_dsd(scratch, dsd, pis, lib, host_tag)
-        lm = scratch.compute_levels()
-        out.append(Candidate(scratch, root, "dsd", scratch.num_gates(),
-                             lm.level[root.node], tuple(sup)))
-
+        out.append(_candidate(host_tag, sup, "dsd",
+                              lambda net, pis: _build_dsd(net, dsd, pis, lib)))
     out.sort(key=lambda c: (c.size, c.depth, c.strategy))
-    cache[ckey] = out
+    lib.query_cache[ckey] = out
     return list(out)
 
 
 # -- lowering helpers ------------------------------------------------------
 
 
-def _factor(cubes: list[Cube], nvars: int):
-    """Literal-based quick factoring of an SOP into an AND/OR tree."""
+def _factor(net: LogicNetwork, cubes: list[Cube], pis: list[Signal]) -> Signal:
+    """Literal-based quick factoring of an SOP over pis, emitted into net
+    as balanced AND/OR trees."""
     if not cubes:
-        return ("const", False)
+        return net.const0
     if any(c.num_literals() == 0 for c in cubes):
-        return ("const", True)
+        return net.const1
+    nvars = len(pis)
     if len(cubes) == 1:
         c = cubes[0]
-        lits = [("lit", i, False) for i in range(nvars) if (c.pos >> i) & 1]
-        lits += [("lit", i, True) for i in range(nvars) if (c.neg >> i) & 1]
-        return lits[0] if len(lits) == 1 else ("op-and", lits)
+        lits = [pis[i] for i in range(nvars) if (c.pos >> i) & 1]
+        lits += [~pis[i] for i in range(nvars) if (c.neg >> i) & 1]
+        return _reduce_balanced(net, lits, "and")
     best, best_count = None, 1
     for i in range(nvars):
         for neg in (False, True):
@@ -612,8 +528,8 @@ def _factor(cubes: list[Cube], nvars: int):
             if cnt > best_count:
                 best, best_count = (i, neg), cnt
     if best is None:
-        terms = [_factor([c], nvars) for c in cubes]
-        return ("op-or", terms)
+        return _reduce_balanced(net, [_factor(net, [c], pis) for c in cubes],
+                                "or")
     i, neg = best
     bit = 1 << i
     inside, rest = [], []
@@ -622,23 +538,10 @@ def _factor(cubes: list[Cube], nvars: int):
             inside.append(Cube(c.pos & ~bit, c.neg & ~bit))
         else:
             rest.append(c)
-    sub = _factor(inside, nvars)
-    lit = ("lit", i, neg)
-    branch = ("op-and", [lit, sub]) if sub != ("const", True) else lit
+    branch = net.add_and(pis[i].with_neg(neg), _factor(net, inside, pis))
     if not rest:
         return branch
-    return ("op-or", [branch, _factor(rest, nvars)])
-
-
-def _lower_expr(net: LogicNetwork, expr, pis: list[Signal]) -> Signal:
-    op = expr[0]
-    if op == "const":
-        return net.const1 if expr[1] else net.const0
-    if op == "lit":
-        s = pis[expr[1]]
-        return ~s if expr[2] else s
-    kids = [_lower_expr(net, e, pis) for e in expr[1]]
-    return _reduce_balanced(net, kids, "or" if op == "op-or" else "and")
+    return net.add_or(branch, _factor(net, rest, pis))
 
 
 def _reduce_balanced(net: LogicNetwork, sigs: list[Signal],
@@ -673,59 +576,36 @@ def _emit_maj(net: LogicNetwork, a: Signal, b: Signal, c: Signal) -> Signal:
                       net.add_and(c, net.add_or(a, b)))
 
 
-def _build_factored(net: LogicNetwork, tt: TruthTable,
-                    pis: list[Signal]) -> Signal:
-    cubes = isop(tt)
-    expr = _factor(cubes, tt.var_count)
-    return _lower_expr(net, expr, pis)
-
-
 def _build_dsd(net: LogicNetwork, node: DsdNode, pis: list[Signal],
-               lib: Optional[StrategyLibrary], host_tag: str) -> Signal:
+               lib: Optional[StrategyLibrary]) -> Signal:
     if node.op == "LIT":
         s = pis[node.var]
         return ~s if node.neg else s
+    kids = [_build_dsd(net, c, pis, lib) for c in node.children]
     if node.op in ("AND", "OR", "XOR"):
-        kids = [_build_dsd(net, c, pis, lib, host_tag) for c in node.children]
-        opname = {"AND": "and", "OR": "or", "XOR": "xor"}[node.op]
-        out = _reduce_balanced(net, kids, opname)
-        return ~out if node.neg else out
-    if node.op == "MAJ":
-        kids = [_build_dsd(net, c, pis, lib, host_tag) for c in node.children]
+        out = _reduce_balanced(net, kids, node.op.lower())
+    elif node.op == "MAJ":
         out = _emit_maj(net, *kids)
-        return ~out if node.neg else out
-    # PRIME: children are literals in this decomposition
-    table = node.table
-    kid_sigs = [_build_dsd(net, c, pis, lib, host_tag) for c in node.children]
-    if table is None or table.var_count == 0:
+    elif node.table is None or node.table.var_count == 0:
+        # PRIME: children are literals in this decomposition
+        table = node.table
         out = net.const1 if (table and table.value_at(0)) else net.const0
-        return ~out if node.neg else out
-    out = _resynthesize_prime(net, table, kid_sigs, lib, host_tag)
+    else:
+        out = _resynthesize_prime(net, node.table, kids, lib)
     return ~out if node.neg else out
 
 
 def _resynthesize_prime(net: LogicNetwork, table: TruthTable,
-                        inputs: list[Signal], lib: Optional[StrategyLibrary],
-                        host_tag: str) -> Signal:
+                        inputs: list[Signal],
+                        lib: Optional[StrategyLibrary]) -> Signal:
+    """The first template of the first enabled representation the host
+    allows, else ISOP factoring."""
     if lib is not None and table.var_count <= 4:
-        padded = TruthTable.create(table.bits, 4)
-        canon, tr, _ = npn_canonize(padded)
-        inv = tr.inverse()
+        b = _npn_binding(table, len(inputs))
         for tag in lib.enabled:
             if not nw.ALLOWED_KINDS[tag] <= nw.ALLOWED_KINDS[net.tag]:
                 continue
-            tpls = lib.templates_for(tag, canon.bits)
+            tpls = lib.templates_for(tag, b.rep)
             if tpls:
-                ins = []
-                for j in range(4):
-                    src = inv.perm[j]
-                    neg = bool((inv.neg >> j) & 1)
-                    if src < len(inputs):
-                        ins.append(inputs[src].with_neg(neg))
-                    else:
-                        ins.append(net.const1 if neg else net.const0)
-                root = tpls[0].instantiate(net, ins)
-                return ~root if inv.out_neg else root
-    cubes = isop(table)
-    expr = _factor(cubes, table.var_count)
-    return _lower_expr(net, expr, inputs)
+                return b.place(net, tpls[0], inputs)
+    return _factor(net, isop(table), inputs)

@@ -103,3 +103,22 @@ def test_mch_help_names_K_as_the_mffc_leaf_bound(capsys):
     out = " ".join(capsys.readouterr().out.split())
     assert "-K K MFFC leaf bound (default 8)" in out
     assert "candidates tried per cut" not in out
+
+
+@pytest.mark.parametrize("extra, verdict", [(0, "equivalent"),
+                                            (1, "unknown")])
+def test_map_lut_verdict_follows_the_exhaustive_pi_limit(
+        tmp_path, capsys, extra, verdict):
+    from mch import network as nw
+    from mch.gen import and_tree
+    from mch.network import LogicNetwork
+    from mch.verify import EXHAUSTIVE_PI_LIMIT
+
+    net = LogicNetwork(nw.AIG)
+    net.add_po(and_tree(net, [net.add_pi() for _ in
+                              range(EXHAUSTIVE_PI_LIMIT + extra)]))
+    path = tmp_path / "wide.aag"
+    write_aiger(net, path)
+    for cmd in ("map-lut", "map-cell"):
+        assert cli_run([cmd, str(path)]) == 0
+        assert f"verified {verdict}" in capsys.readouterr().out

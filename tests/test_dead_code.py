@@ -2,8 +2,10 @@
 
 A name counts as used when it is referenced outside its own definition
 in any Python file under src/, tests/, demos/, perfbench/ or benchmarks/:
-as a name, an attribute, an imported name, or a "module:name" string
-(the form the benchmark tracer uses to wrap call sites).
+as a name, an attribute, a string listed in a module's `__all__`, or a
+"module:name" string (the form the benchmark tracer uses to wrap call
+sites).  Importing a name is not a use by itself: the importing file must
+also reference it.
 """
 
 import ast
@@ -36,9 +38,12 @@ def _references(path: Path):
                 yield node.id, owner
             elif isinstance(node, ast.Attribute):
                 yield node.attr, owner
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    yield alias.name, owner
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                for elt in getattr(node.value, "elts", ()):
+                    if isinstance(elt, ast.Constant):
+                        yield elt.value, owner
             elif isinstance(node, ast.Constant) and \
                     isinstance(node.value, str) and ":" in node.value:
                 yield node.value.rsplit(":", 1)[1].split(".")[0], owner

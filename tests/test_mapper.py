@@ -6,8 +6,8 @@ from mch import network as nw
 from mch.network import LogicNetwork
 from mch.choices import ChoiceNetwork, MchParams, build_mch
 from mch.mapper import MapParams, map_lut, map_cells, cover_check, \
-    CellLibrary, LibraryError, default_cell_library, DELAY, AREA, BALANCED, \
-    CELL
+    CellLibrary, LibraryError, MapError, default_cell_library, DELAY, AREA, \
+    BALANCED, CELL
 from mch.strategies import default_library
 from mch.gen import random_network
 
@@ -194,3 +194,40 @@ def test_expand_cache_stays_smaller_than_the_network():
     cuts._EXPAND.clear()
     map_lut(wrap(net), MapParams(k=4))
     assert len(cuts._EXPAND) < net.num_gates()
+
+
+def _and_chain(n_ands: int) -> LogicNetwork:
+    # four PIs in turn, so at k=2 every cut above a level has three leaves
+    # and each LUT or cell covers one AND
+    net = LogicNetwork(nw.AIG)
+    xs = [net.add_pi() for _ in range(4)]
+    s = net.add_and(xs[0], xs[1])
+    for i in range(n_ands - 1):
+        s = net.add_and(s, xs[(i + 2) % 4].with_neg(i % 3 == 0))
+    net.add_po(s)
+    return net
+
+
+def test_exact_area_round_maps_a_cover_deeper_than_the_recursion_limit(cl):
+    import sys
+
+    net = _and_chain(1100)
+    assert net.num_gates() > sys.getrecursionlimit()
+    m = map_lut(wrap(net), MapParams(k=2, rounds=4))
+    assert (m.stats["area"], m.stats["delay"]) == (1100.0, 1100.0)
+    assert cover_check(m, net)
+    m = map_cells(wrap(net), cl, MapParams(k=2, rounds=3, target=CELL))
+    assert cover_check(m, net)
+
+
+@pytest.mark.parametrize("target", ["lut", CELL])
+def test_k_below_maj3_arity_names_the_node(target, cl):
+    net = random_network(5, 20, 3, tag=nw.MIG)
+    cn = ChoiceNetwork(net)
+    with pytest.raises(MapError, match=r"node \d+: k=2 is below the "
+                                       r"arity 3 of its maj3 gate") as exc:
+        if target == CELL:
+            map_cells(cn, cl, MapParams(k=2, target=CELL))
+        else:
+            map_lut(cn, MapParams(k=2))
+    assert not isinstance(exc.value, LibraryError)

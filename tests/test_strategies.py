@@ -1,13 +1,15 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from mch import network as nw
 from mch.tt import TruthTable
-from mch.npn import npn_canonize
 from mch.strategies import default_library, save_db, load_db, \
-    level_oriented_candidates, area_oriented_candidates, tree_eval, \
-    tree_size, tree_depth
+    level_oriented_candidates, area_oriented_candidates
+
+DB_PATH = Path(__file__).resolve().parents[1] / "src" / "mch" / "data" / \
+    "npn4.db"
 
 
 @pytest.fixture(scope="module")
@@ -16,15 +18,13 @@ def lib():
 
 
 def eval_candidate(cand, tt):
-    """Replay a candidate over fresh PIs and compare against the query."""
+    """Insert a candidate over fresh PIs and compare against the query."""
     from mch.network import LogicNetwork
-    from mch.choices import _replay
     net = LogicNetwork(cand.net.tag)
     leaves = tuple(net.add_pi() for _ in range(tt.var_count))
-    net.add_po(_replay(net, cand, leaves))
+    net.add_po(net.insert(cand.net, [leaves[j] for j in cand.support])[0])
     got = TruthTable.create(net.exhaustive_outputs()[0], tt.var_count)
-    return got.bits == tt.bits and \
-        cand.function(tt.var_count).bits == tt.bits
+    return got.bits == tt.bits
 
 
 def test_db_covers_all_classes(lib):
@@ -106,13 +106,53 @@ def test_host_tag_restricts_kinds(lib):
         assert kinds <= nw.ALLOWED_KINDS[nw.AIG]
 
 
+def _fingerprint(cands):
+    return [(c.strategy, c.size, c.depth, c.support, c.net.outputs,
+             [(c.net.kind(n), c.net.fanins(n)) for n in range(len(c.net))])
+            for c in cands]
+
+
 def test_db_save_load_round_trip(lib, tmp_path):
+    # a saved database loads to the same level candidates, structure
+    # included, for every class and host
     path = tmp_path / "npn4.db"
     save_db(lib, path)
     lib2 = load_db(path)
-    t = TruthTable.create(0x1BE4, 4)
-    a = [(c.strategy, c.size, c.depth)
-         for c in level_oriented_candidates(lib, t, nw.XMG)]
-    b = [(c.strategy, c.size, c.depth)
-         for c in level_oriented_candidates(lib2, t, nw.XMG)]
-    assert a == b
+    for rep in lib.classes(nw.XMG):
+        t = TruthTable.create(rep, 4)
+        for host in (nw.AIG, nw.XAG, nw.MIG, nw.XMG):
+            assert _fingerprint(level_oriented_candidates(lib, t, host)) == \
+                _fingerprint(level_oriented_candidates(lib2, t, host))
+
+
+def test_every_db_line_is_a_checked_template_network():
+    lines = DB_PATH.read_text().splitlines()[1:]
+    lib = load_db(DB_PATH)
+    seen = {}
+    for line in lines:
+        hexrep, tag, depth, size, text = line.split(" ", 4)
+        rep = int(hexrep, 16)
+        i = seen[tag, rep] = seen.get((tag, rep), -1) + 1
+        tpl = lib.templates_for(tag, rep)[i]
+        assert len(tpl.pis) == 4 and len(tpl.outputs) == 1
+        assert tpl.exhaustive_outputs()[0] == rep
+        assert tpl.compute_levels().network_level == int(depth)
+        gate_tokens = text.count("(") - text.count("buf(")
+        assert gate_tokens == int(size)
+        # strash may merge a repeated gate, never add one
+        assert tpl.num_gates() <= gate_tokens
+    assert len(lines) == 888
+    assert sum(len(lib.templates_for(t, r)) for t, r in seen) == 888
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (2, "3", "depth"), (3, "4", "size"),
+    (4, "and2(t3,t2),and2(t1,t0),and2(g0,g1)", "realize")])
+def test_bad_db_line_fails_on_first_query(tmp_path, field, value, message):
+    parts = "0x0001 aig 2 3 and2(!t3,!t2),and2(!t1,!t0),and2(g0,g1)".split()
+    parts[field] = value
+    path = tmp_path / "bad.db"
+    path.write_text("npn4-db v1\n" + " ".join(parts) + "\n")
+    lib = load_db(path)     # lines are only split on load
+    with pytest.raises(ValueError, match=f"bad.db:2.*{message}"):
+        lib.templates_for(nw.AIG, 0x0001)

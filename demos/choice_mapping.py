@@ -11,7 +11,7 @@ Run:  python3 demos/choice_mapping.py
 import sys
 import os
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from mch import network as nw
 from mch.network import LogicNetwork, Signal

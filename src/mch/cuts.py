@@ -3,13 +3,17 @@
 `CutEngine` owns everything about building a node's cut pool and the
 truth tables of its cuts:
 
-- the k-bounded merge of the fanin cut sets (signature prefilter, then
-  `merge_leaf_sets`);
+- the k-bounded merge of the fanin cut sets.  While a pool is built, each
+  distinct leaf of its fanin and member cuts gets one bit of a pool-local
+  index, so a leaf set is an `int` mask: union is `|`, size is
+  `bit_count()`, duplicates are equal ints and `m2 & m == m2` is
+  containment.  Only the cuts that survive dominance are decoded back to
+  sorted leaf tuples;
 - for a choice-class representative, pooling every member's cuts with the
   member's phase folded into the table;
 - dominance filtering;
-- truth-table composition from the fanin cut tables (`_combine`), with one
-  table per (node, leaf set);
+- truth-table composition from the fanin cut tables (`_combine`) on raw
+  `int` bits, with one `TruthTable` per (node, leaf set);
 - reusing a node's pool across rounds while the cut leaves of its fanins
   and members are unchanged.
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .network import AND2, MAJ3, XOR2
-from .tt import FULL, TruthTable, maj_tt
+from .tt import FULL, TruthTable, pad
 
 _SIG_MULT = 0x9E3779B97F4A7C15
 _VAR0 = TruthTable.var(0, 1)
@@ -46,40 +50,40 @@ class Cut(NamedTuple):
     tt: Optional[TruthTable] = None
 
 
-def _filter_dominated(cands: list[tuple]) -> list[tuple]:
-    """cands: list of (leaves, sig); drop duplicates and dominated sets."""
-    seen = set()
-    uniq = []
-    bit_of: dict[int, int] = {}
-    for leaves, sig in cands:
-        if leaves in seen:
-            continue
-        seen.add(leaves)
-        mask = 0
-        for x in leaves:
-            b = bit_of.get(x)
-            if b is None:
-                b = 1 << len(bit_of)
-                bit_of[x] = b
-            mask |= b
-        uniq.append((leaves, sig, mask))
+def _undominated(masks: list) -> set:
+    """The masks of a list of distinct leaf-set masks that contain no other
+    mask of the list."""
     # visit in size order: a set can only be dominated by a smaller kept
     # set (dominance is transitive, so checking kept entries suffices)
-    order = sorted(range(len(uniq)), key=lambda i: len(uniq[i][0]))
     kept = []
-    kept_idx = []
-    for i in order:
-        mask = uniq[i][2]
-        dominated = False
+    for mk in sorted(masks, key=int.bit_count):
         for m2 in kept:
-            if m2 & ~mask == 0 and m2 != mask:
-                dominated = True
+            if m2 & mk == m2:
                 break
-        if not dominated:
-            kept.append(mask)
-            kept_idx.append(i)
-    kept_idx.sort()
-    return [uniq[i][:2] for i in kept_idx]
+        else:
+            kept.append(mk)
+    return set(kept)
+
+
+def _decode(mask: int, local: tuple) -> tuple:
+    """(sorted leaf tuple, signature) of a pool-local mask."""
+    leaves = []
+    sig = 0
+    while mask:
+        low = mask & -mask
+        x = local[low.bit_length() - 1]
+        leaves.append(x)
+        sig |= 1 << (((x * _SIG_MULT) >> 58) & 63)    # leaf_sig(x)
+        mask ^= low
+    leaves.sort()
+    return tuple(leaves), sig
+
+
+def _mask_of(leaves: tuple, local: tuple) -> int:
+    mask = 0
+    for x in leaves:
+        mask |= 1 << local.index(x)
+    return mask
 
 
 def is_cut(net, root: int, leaves) -> bool:
@@ -100,29 +104,7 @@ def is_cut(net, root: int, leaves) -> bool:
     return True
 
 
-def merge_leaf_sets(sets: list[tuple], k: int):
-    """Union of per-fanin leaf tuples, or None when more than k leaves."""
-    merged = set()
-    for s in sets:
-        merged |= set(s)
-        if len(merged) > k:
-            return None
-    return tuple(sorted(merged))
-
-
 # -- truth-table composition -------------------------------------------
-
-
-def _combos(fanin_cuts: list):
-    if len(fanin_cuts) == 2:
-        for a in fanin_cuts[0]:
-            for b in fanin_cuts[1]:
-                yield (a, b)
-    else:
-        for a in fanin_cuts[0]:
-            for b in fanin_cuts[1]:
-                for c in fanin_cuts[2]:
-                    yield (a, b, c)
 
 
 _SPREAD: dict[tuple, list] = {}
@@ -145,26 +127,25 @@ def _spread_masks(pos: tuple, v: int) -> list:
 
 # keyed by leaf positions, not node ids, so the same expansion is shared
 # by every node and the cache stays small on large networks
-_EXPAND: dict[tuple, TruthTable] = {}
+_EXPAND: dict[tuple, int] = {}
 
 
-def _expand(tt: TruthTable, sub: tuple, leaves: tuple) -> TruthTable:
-    """Re-express a cut tt over `sub` as a tt over the superset `leaves`."""
-    pos = tuple(leaves.index(x) for x in sub)
+def _expand(bits: int, sub: tuple, leaves: tuple) -> int:
+    """Re-express the table bits of a cut over `sub` as the padded table
+    bits over the superset `leaves`."""
+    pos = tuple(map(leaves.index, sub))
     v = len(leaves)
-    key = (tt.bits, pos, v)
-    hit = _EXPAND.get(key)
-    if hit is not None:
-        return hit
-    masks = _spread_masks(pos, v)
-    bits = 0
-    tb = tt.bits
-    for m in range(len(masks)):
-        if (tb >> m) & 1:
-            bits |= masks[m]
-    out = TruthTable.create(bits, v)
-    if len(_EXPAND) < 1_000_000:
-        _EXPAND[key] = out
+    key = (bits, pos, v)
+    out = _EXPAND.get(key)
+    if out is None:
+        masks = _spread_masks(pos, v)
+        out = 0
+        for m in range(len(masks)):
+            if (bits >> m) & 1:
+                out |= masks[m]
+        out = pad(out, v)
+        if len(_EXPAND) < 1_000_000:
+            _EXPAND[key] = out
     return out
 
 
@@ -173,15 +154,18 @@ def _combine(kind: str, fanins: tuple, combo: tuple,
     """Truth table of a merged cut from its fanin cut tables."""
     ins = []
     for f, c in zip(fanins, combo):
-        t = _expand(c.tt, c.leaves, leaves)
-        ins.append(~t if f.neg else t)
+        t = _expand(c.tt.bits, c.leaves, leaves)
+        ins.append(t ^ FULL if f.neg else t)
     if kind == AND2:
-        return ins[0] & ins[1]
-    if kind == XOR2:
-        return ins[0] ^ ins[1]
-    if kind == MAJ3:
-        return maj_tt(ins[0], ins[1], ins[2])
-    raise ValueError(f"cannot combine cut tables for kind {kind}")
+        bits = ins[0] & ins[1]
+    elif kind == XOR2:
+        bits = ins[0] ^ ins[1]
+    elif kind == MAJ3:
+        a, b, c = ins
+        bits = (a & b) | (a & c) | (b & c)
+    else:
+        raise ValueError(f"cannot combine cut tables for kind {kind}")
+    return TruthTable(bits, len(leaves))
 
 
 # -- the engine --------------------------------------------------------
@@ -209,8 +193,8 @@ class CutEngine:
         # with the versions of its fanins and members, and reused while
         # they match
         self._version: dict[int, int] = {}
-        # node -> (input versions, kept, combo per merged leaves,
-        #          folded table per member leaves)
+        # node -> (input versions, kept, combo per merged mask,
+        #          folded table per member mask, leaf of each mask bit)
         self._pools: dict[int, tuple] = {}
         self._tables: dict[tuple, TruthTable] = {}
 
@@ -228,37 +212,57 @@ class CutEngine:
             return hit[1]
         k = self.k
         cutsets = self.cutsets
-        pool: list[tuple] = []
-        combo_of: dict[tuple, tuple] = {}
-        for combo in _combos([cutsets[f.node] for f in fanins]):
-            sig = 0
-            for c in combo:
-                sig |= c.sig
-            if sig.bit_count() > k:
-                continue
-            leaves = merge_leaf_sets([c.leaves for c in combo], k)
-            if leaves is None or leaves in combo_of:
-                continue
-            combo_of[leaves] = combo
-            pool.append((leaves, sig))
-        member_tt: dict[tuple, TruthTable] = {}
+        bit: dict[int, int] = {}    # leaf -> its bit, in first-seen order
+
+        def masked(cuts) -> list:
+            out = []
+            for c in cuts:
+                mask = 0
+                for x in c.leaves:
+                    b = bit.get(x)
+                    if b is None:
+                        b = bit[x] = 1 << len(bit)
+                    mask |= b
+                out.append((mask, c))
+            return out
+
+        rows = [masked(cutsets[f.node]) for f in fanins]
+        combo_of: dict[int, tuple] = {}
+        if len(rows) == 2:
+            for ma, ca in rows[0]:
+                for mb, cb in rows[1]:
+                    u = ma | mb
+                    if u not in combo_of and u.bit_count() <= k:
+                        combo_of[u] = (ca, cb)
+        else:
+            for ma, ca in rows[0]:
+                for mb, cb in rows[1]:
+                    mab = ma | mb
+                    if mab.bit_count() > k:
+                        continue
+                    for mc, cc in rows[2]:
+                        u = mab | mc
+                        if u not in combo_of and u.bit_count() <= k:
+                            combo_of[u] = (ca, cb, cc)
+        member_tt: dict[int, TruthTable] = {}
         for m, phase in members:
-            fold = FULL if phase else 0
-            for c in cutsets[m]:
-                if c.leaves == (m,) or c.leaves in combo_of \
-                        or c.leaves in member_tt:
-                    continue
-                member_tt[c.leaves] = TruthTable(c.tt.bits ^ fold,
-                                                 c.tt.var_count)
-                pool.append((c.leaves, c.sig))
-        kept = _filter_dominated(pool)
-        self._pools[n] = (key, kept, combo_of, member_tt)
+            for mask, c in masked([c for c in cutsets[m]
+                                   if c.leaves != (m,)]):
+                if mask not in combo_of and mask not in member_tt:
+                    member_tt[mask] = ~c.tt if phase else c.tt
+        cands = [*combo_of, *member_tt]
+        keep = _undominated(cands)
+        local = tuple(bit)
+        kept = [_decode(mask, local) for mask in cands if mask in keep]
+        self._pools[n] = (key, kept, combo_of, member_tt, local)
         return kept
 
     def merged(self, n: int, leaves: tuple) -> bool:
         """True when leaves came from n's own fanin merge (dominated or not)
         the last time its pool was built."""
-        return leaves in self._pools[n][2]
+        _, _, combo_of, _, local = self._pools[n]
+        return all(x in local for x in leaves) and \
+            _mask_of(leaves, local) in combo_of
 
     def table(self, n: int, leaves: tuple) -> TruthTable:
         """Function of n over leaves, from n's current pool on first request
@@ -267,11 +271,12 @@ class CutEngine:
         table can differ where the leaves cannot take independent values."""
         tt = self._tables.get((n, leaves))
         if tt is None:
-            _, _, combo_of, member_tt = self._pools[n]
-            tt = member_tt.get(leaves)
+            _, _, combo_of, member_tt, local = self._pools[n]
+            mask = _mask_of(leaves, local)
+            tt = member_tt.get(mask)
             if tt is None:
                 tt = _combine(self.net.kind(n), self.net.fanins(n),
-                              combo_of[leaves], leaves)
+                              combo_of[mask], leaves)
             self._tables[(n, leaves)] = tt
         return tt
 
@@ -312,12 +317,12 @@ def all_cuts_bruteforce(net, root: int, k: int) -> list[tuple]:
     cut property, dominance-filtered.  Exponential; test-sized nets only."""
     import itertools
 
-    tfi = sorted(m for m in net.tfi([root]) if not net.is_const(m))
-    found = []
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(tfi, size):
-            if is_cut(net, root, combo):
-                found.append((combo, sig_of(combo)))
-    kept = _filter_dominated(found)
-    return sorted((leaves for leaves, _ in kept),
+    tfi = tuple(sorted(m for m in net.tfi([root]) if not net.is_const(m)))
+    found = [combo for size in range(1, k + 1)
+             for combo in itertools.combinations(tfi, size)
+             if is_cut(net, root, combo)]
+    masks = [_mask_of(combo, tfi) for combo in found]
+    keep = _undominated(masks)
+    return sorted((leaves for leaves, mask in zip(found, masks)
+                   if mask in keep),
                   key=lambda ls: (len(ls), sig_of(ls), ls))

@@ -2,14 +2,17 @@
 
 The mapper covers a choice network with K-input LUTs or library cells.
 Cut pools, member-cut pooling with the phase folded into the table, and
-truth-table composition all belong to `cuts.CutEngine`, so a
+truth-table composition all belong to `cuts.CutEngine`, which merges leaf
+sets as pool-local bitmasks and composes tables on raw `int` bits, so a
 representative sees its own cuts plus every class member's cuts and the
 dynamic program picks whichever structure maps cheapest.  This module
 holds one round driver (`_Rounds`): a delay round establishes optimal
 arrivals, then area-flow and exact-area rounds recover area under
 required times, each kept only if the cover does not get worse.  LUT and
 cell mapping are two cost models over it (`_LutCover`, `_CellCover`);
-each scores and truncates the engine's pools its own way.
+each scores and truncates the engine's pools its own way, from per-node
+scores kept current as nodes are picked (LUTs: arrival and area flow per
+fanout estimate; cells: the better phase's arrival and area flow).
 """
 
 from __future__ import annotations
@@ -101,12 +104,12 @@ def _check_structure(m: MappedNetlist) -> bool:
     return all(i in defined for i, _ in m.outputs)
 
 
-def cover_check(m: MappedNetlist, src, budget: int = 4096) -> bool:
+def cover_check(m: MappedNetlist, src) -> bool:
     """Legal-cover plus functional-equivalence check against the source.
 
-    Exhaustive up to EXHAUSTIVE_PI_LIMIT inputs; random patterns plus
-    all-0/all-1 corners above that, so a pass on wide networks is
-    evidence, not proof.
+    Exhaustive up to EXHAUSTIVE_PI_LIMIT inputs; above that, 256 patterns:
+    254 random ones plus the all-0 and all-1 corners, so a pass on wide
+    networks is evidence, not proof.
     """
     import random
 
@@ -122,7 +125,7 @@ def cover_check(m: MappedNetlist, src, budget: int = 4096) -> bool:
         pats = exhaustive_patterns(src.pis)
         words = [pats[p] for p in src.pis]
     else:
-        width = min(budget, 256)
+        width = 256
         rng = random.Random(0xC07E)
         # pattern 0 is the all-zeros corner, the top pattern all-ones
         words = [(rng.getrandbits(width) & ~1) | (1 << (width - 1))
@@ -382,11 +385,15 @@ class _LutCover(_Rounds):
         """Re-enumerate priority cuts with this round's cost key and pick
         each node's best feasible cut as we go."""
         eng, arr, flow, est = self.engine, self.arr, self.flow, self.est
+        # area flow per fanout estimate of each node, kept current as
+        # nodes are picked
+        share = [f / e for f, e in zip(flow, est)]
+        arr_at, share_at = arr.__getitem__, share.__getitem__
         for n in self.order:
             scored = []
             for leaves, sig in self.pool(n):
-                a = 1.0 + max((arr[x] for x in leaves), default=-1.0)
-                fl = 1.0 + sum(flow[x] / est[x] for x in leaves)
+                a = 1.0 + max(map(arr_at, leaves), default=-1.0)
+                fl = 1.0 + sum(map(share_at, leaves))
                 key = ((a, fl, len(leaves)) if delay_pri
                        else (fl, a, len(leaves)))
                 scored.append((key, a, fl, leaves, sig))
@@ -405,6 +412,7 @@ class _LutCover(_Rounds):
                 pick = (cuts[0], scored[0][1], scored[0][2])
             eng.set_cuts(n, cuts)
             self.chosen[n], arr[n], flow[n] = pick
+            share[n] = flow[n] / est[n]
 
 
 def map_lut(cn: ChoiceNetwork, p: MapParams = MapParams()) -> MappedNetlist:
@@ -678,12 +686,16 @@ class _CellCover(_Rounds):
     def enum_round(self, delay_pri: bool, constrained: bool) -> None:
         eng, arr, flow = self.engine, self.arr, self.flow
         inv = self.cl.inv
+        # arrival and flow of each node's better phase, kept current as
+        # nodes are picked
+        best_arr = list(map(min, arr[0::2], arr[1::2]))
+        best_flow = list(map(min, flow[0::2], flow[1::2]))
+        arr_at, flow_at = best_arr.__getitem__, best_flow.__getitem__
         for n in self.order:
             scored = []
             for leaves, sig in self.pool(n):
-                a = max((min(arr[2 * x], arr[2 * x + 1]) for x in leaves),
-                        default=0.0)
-                f = sum(min(flow[2 * x], flow[2 * x + 1]) for x in leaves)
+                a = max(map(arr_at, leaves), default=0.0)
+                f = sum(map(flow_at, leaves))
                 key = (a, f, len(leaves)) if delay_pri else (f, a,
                                                              len(leaves))
                 scored.append((key, leaves, sig))
@@ -742,6 +754,8 @@ class _CellCover(_Rounds):
                     invs[phase] or picked[phase])
                 self.alts[key] = tuple(per_phase[phase]) + (
                     _CMatch("inv", inv, (key ^ 1,)),)
+            best_arr[n] = min(arr[2 * n], arr[2 * n + 1])
+            best_flow[n] = min(flow[2 * n], flow[2 * n + 1])
 
 
 def map_cells(cn: ChoiceNetwork, cl: CellLibrary,

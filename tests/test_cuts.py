@@ -181,3 +181,122 @@ def test_engine_reuses_a_pool_until_a_fanin_or_member_changes():
     assert eng.pool(rep.node) is pool
     eng.set_cuts(member.node, [])       # member keeps only its trivial cut
     assert from_member not in [lv for lv, _ in eng.pool(rep.node)]
+
+
+# -- reference: a choice-aware pool over tuple leaf sets ----------------
+
+
+def _ref_expand(tt, sub, leaves):
+    from mch.tt import TruthTable
+
+    bits = 0
+    for m in range(1 << len(leaves)):
+        sm = 0
+        for i, x in enumerate(sub):
+            sm |= ((m >> leaves.index(x)) & 1) << i
+        bits |= tt.value_at(sm) << m
+    return TruthTable.create(bits, len(leaves))
+
+
+class _RefPools:
+    """Cut pools as the engine built them before leaf sets were masks:
+    the product merge of the fanin cut sets over sorted tuples, member cuts
+    pooled with the phase folded into the table and duplicates dropped, a
+    naive dominance filter, and one table per (node, leaves), first request
+    wins."""
+
+    def __init__(self, net, k, classes):
+        from mch.cuts import Cut, leaf_sig
+        from mch.tt import TruthTable
+
+        self.net, self.k, self.classes = net, k, classes
+        self.cutsets = {0: [Cut((), 0, TruthTable.const(False))]}
+        for n in net.pis:
+            self.cutsets[n] = [Cut((n,), leaf_sig(n), TruthTable.var(0, 1))]
+        self.combo_of, self.member_tt, self.tables = {}, {}, {}
+
+    def pool(self, n):
+        import itertools
+
+        combo_of, member_tt, cands = {}, {}, []
+        for combo in itertools.product(
+                *(self.cutsets[f.node] for f in self.net.fanins(n))):
+            leaves = tuple(sorted(set().union(*(c.leaves for c in combo))))
+            if len(leaves) <= self.k and leaves not in combo_of:
+                combo_of[leaves] = combo
+                cands.append(leaves)
+        for m, phase in self.classes.get(n, ()):
+            for c in self.cutsets[m]:
+                if c.leaves == (m,) or c.leaves in combo_of \
+                        or c.leaves in member_tt:
+                    continue
+                member_tt[c.leaves] = ~c.tt if phase else c.tt
+                cands.append(c.leaves)
+        sets = [set(lv) for lv in cands]
+        self.combo_of[n], self.member_tt[n] = combo_of, member_tt
+        return [(lv, sig_of(lv)) for lv, s in zip(cands, sets)
+                if not any(o < s for o in sets)]
+
+    def table(self, n, leaves):
+        from mch.tt import maj_tt
+
+        if (n, leaves) not in self.tables:
+            tt = self.member_tt[n].get(leaves)
+            if tt is None:
+                ins = [_ref_expand(c.tt, c.leaves, leaves)
+                       for c in self.combo_of[n][leaves]]
+                ins = [~t if f.neg else t
+                       for f, t in zip(self.net.fanins(n), ins)]
+                kind = self.net.kind(n)
+                tt = (ins[0] & ins[1] if kind == nw.AND2
+                      else ins[0] ^ ins[1] if kind == nw.XOR2
+                      else maj_tt(*ins))
+            self.tables[(n, leaves)] = tt
+        return self.tables[(n, leaves)]
+
+
+def test_engine_pools_with_members_match_reference():
+    from mch.choices import MchParams, build_mch
+    from mch.cuts import Cut, CutEngine, leaf_sig
+    from mch.mapper import _dep_order
+    from mch.strategies import default_library
+    from mch.tt import TruthTable
+
+    lib = default_library()
+    rng = random.Random(6)
+    phases, from_members, changed = set(), 0, 0
+    for i in range(6):
+        net = random_network(rng.randint(4, 6), rng.randint(15, 30),
+                             rng.randint(0, 10**9), n_pos=2)
+        cn = build_mch(net, lib, MchParams(r=0.8),
+                       mix_target=(nw.XMG, nw.XAG)[i % 2])
+        classes = {r: [(m, cn.phase[m]) for m in cn.members(r)]
+                   for r in cn.first_choice}
+        phases |= {ph for pairs in classes.values() for _, ph in pairs}
+        base, k = cn.base, (4, 6)[i % 2]
+        eng, ref = CutEngine(base, k, classes), _RefPools(base, k, classes)
+        # each round keeps a different slice of every pool, so the fanin
+        # and member cut lists change from round to round
+        picks = [lambda p: p[:3], lambda p: p[::-1][:2],
+                 lambda p: rng.sample(p, min(4, len(p)))]
+        last: dict = {}
+        for pick in picks:
+            for n in _dep_order(cn):
+                got = eng.pool(n)
+                assert got == ref.pool(n), n
+                from_members += sum(lv in ref.member_tt[n] for lv, _ in got)
+                for lv, _ in got:
+                    assert eng.table(n, lv) == ref.table(n, lv), (n, lv)
+                elem = tuple(sorted({f.node for f in base.fanins(n)}))
+                for lv in [elem] + [lv for lv, _ in got]:
+                    assert eng.merged(n, lv) == (lv in ref.combo_of[n])
+                keep = pick(got)
+                changed += last.get(n, keep) != keep
+                last[n] = keep
+                eng.set_cuts(n, [Cut(lv, sg, eng.table(n, lv))
+                                 for lv, sg in keep])
+                ref.cutsets[n] = [Cut(lv, sg, ref.table(n, lv))
+                                  for lv, sg in keep] + [
+                    Cut((n,), leaf_sig(n), TruthTable.var(0, 1))]
+    assert phases == {False, True}
+    assert from_members > 0 and changed > 0

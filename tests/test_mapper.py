@@ -185,6 +185,55 @@ def test_pinned_qor_on_bundled_circuits(name, cl):
             PINNED_QOR[name]["cell"][mode]
 
 
+# sha256 of repr((outputs, [tuple(instance) ...])) of whole netlists, so a
+# changed cover with equal area and delay is caught too.  Recorded before
+# cut leaf sets became pool-local masks, at the benchmark presets: XMG r=0.8
+# in AREA mode and XAG r=0.5 in DELAY mode, LUTs and cells at k=6, cells
+# with three rounds
+PINNED_NETLISTS = {
+    ("int2float", "xmg", "lut"):
+        "a995cf5778939929f0c95d7400f6d9a2aa6a41a89d9bb88bbdb6de378ec4da6b",
+    ("int2float", "xmg", "cell"):
+        "4a10c1c44dc5cefab8fa3844334d6d94ebbd74053c1ab92fa8fcb8ff3c767032",
+    ("int2float", "xag", "lut"):
+        "41b05d6df8cff48478d7240b633741e0f2d64a2ab801478b70d14c57f03e446c",
+    ("int2float", "xag", "cell"):
+        "1a01ab458baa7ea4e1bf752be1ebf3ff3328d4d9d5024649944cda57aea40511",
+    ("priority", "xmg", "lut"):
+        "9cf50ca5963e129023e0fa4071def618da90555e096f29da590d48beb05795fe",
+    ("priority", "xmg", "cell"):
+        "a8f55b556e95ea8b9188c2f086d3c3175160b32839bdb6ad19618188fb006a16",
+    ("priority", "xag", "lut"):
+        "d225e5385a05e4a6b682ec7534145b3dfe288da45afc90775268c13e27bc30c5",
+    ("priority", "xag", "cell"):
+        "6fe53c839b1f003339faeb75d24c5fc0cd05358db4ab9a820d57996aae00bb16",
+}
+
+
+@pytest.mark.parametrize("name", ["int2float", "priority"])
+def test_pinned_netlists_on_bundled_circuits(name, cl):
+    import hashlib
+    import os
+
+    from mch.aiger import read_aiger
+
+    path = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                        f"{name}.aag")
+    net = read_aiger(path)
+    presets = {"xmg": (nw.XMG, 0.8, AREA), "xag": (nw.XAG, 0.5, DELAY)}
+    for preset, (mix, r, mode) in presets.items():
+        cn = build_mch(net, default_library(), MchParams(r=r),
+                       mix_target=mix)
+        got = {"lut": map_lut(cn, MapParams(k=6, mode=mode)),
+               "cell": map_cells(cn, cl, MapParams(k=6, mode=mode, rounds=3,
+                                                   target=CELL))}
+        for target, m in got.items():
+            digest = hashlib.sha256(repr((m.outputs, [
+                tuple(i) for i in m.instances])).encode()).hexdigest()
+            assert digest == PINNED_NETLISTS[(name, preset, target)], \
+                (preset, target)
+
+
 def test_expand_cache_stays_smaller_than_the_network():
     # tables are expanded by leaf position, so the cache does not grow
     # with the number of nodes mapped

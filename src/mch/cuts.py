@@ -7,19 +7,25 @@ truth tables of its cuts:
   distinct leaf of its fanin and member cuts gets one bit of a pool-local
   index, so a leaf set is an `int` mask: union is `|`, size is
   `bit_count()`, duplicates are equal ints and `m2 & m == m2` is
-  containment.  Only the cuts that survive dominance are decoded back to
-  sorted leaf tuples;
+  containment.  Only the cuts that survive dominance get a sorted leaf
+  tuple, taken from the cuts they came from (the union of the fanin cuts'
+  leaves, or the member cut's own), never by decoding the mask;
 - for a choice-class representative, pooling every member's cuts with the
   member's phase folded into the table;
 - dominance filtering;
 - truth-table composition from the fanin cut tables (`_combine`) on raw
-  `int` bits, with one `TruthTable` per (node, leaf set);
+  `int` bits, with one `TruthTable` per (node, leaf set).  A cut stored
+  without a table only has its source (fanin combination, or member cut
+  and phase) recorded; `table()` composes it, and the tables it derives
+  from, when it is first read;
 - reusing a node's pool across rounds while the cut leaves of its fanins
   and members are unchanged.
 
-Callers only score, sort and truncate a pool and store the result:
-`enumerate_cuts` with the structural order, the LUT and cell mappers in
-`mapper.py` with their own cost keys.
+A pool is a list of leaf tuples; signatures exist only in
+`enumerate_cuts`, for its structural order.  Callers score, sort and
+truncate a pool and store the result: `enumerate_cuts` and the cell
+mapper read every stored cut's table at once, the LUT mapper only those
+of its final cover.
 """
 
 from __future__ import annotations
@@ -46,8 +52,15 @@ def sig_of(leaves) -> int:
 
 class Cut(NamedTuple):
     leaves: tuple            # strictly ascending node indices
-    sig: int
-    tt: Optional[TruthTable] = None
+    sig: int = 0             # leaf signature; 0 where nothing sorts by it
+    tt: Optional[TruthTable] = None     # None: the engine composes it
+
+
+class _Member(NamedTuple):
+    """Source of a pooled member cut: the member, its cut and its phase."""
+    node: int
+    cut: Cut
+    phase: bool
 
 
 def _undominated(masks: list) -> set:
@@ -63,27 +76,6 @@ def _undominated(masks: list) -> set:
         else:
             kept.append(mk)
     return set(kept)
-
-
-def _decode(mask: int, local: tuple) -> tuple:
-    """(sorted leaf tuple, signature) of a pool-local mask."""
-    leaves = []
-    sig = 0
-    while mask:
-        low = mask & -mask
-        x = local[low.bit_length() - 1]
-        leaves.append(x)
-        sig |= 1 << (((x * _SIG_MULT) >> 58) & 63)    # leaf_sig(x)
-        mask ^= low
-    leaves.sort()
-    return tuple(leaves), sig
-
-
-def _mask_of(leaves: tuple, local: tuple) -> int:
-    mask = 0
-    for x in leaves:
-        mask |= 1 << local.index(x)
-    return mask
 
 
 def is_cut(net, root: int, leaves) -> bool:
@@ -149,13 +141,9 @@ def _expand(bits: int, sub: tuple, leaves: tuple) -> int:
     return out
 
 
-def _combine(kind: str, fanins: tuple, combo: tuple,
-             leaves: tuple) -> TruthTable:
-    """Truth table of a merged cut from its fanin cut tables."""
-    ins = []
-    for f, c in zip(fanins, combo):
-        t = _expand(c.tt.bits, c.leaves, leaves)
-        ins.append(t ^ FULL if f.neg else t)
+def _combine(kind: str, ins: list, v: int) -> TruthTable:
+    """Truth table of a merged cut over v leaves from its fanins' table
+    bits, each expanded to those leaves with the fanin's phase applied."""
     if kind == AND2:
         bits = ins[0] & ins[1]
     elif kind == XOR2:
@@ -165,7 +153,15 @@ def _combine(kind: str, fanins: tuple, combo: tuple,
         bits = (a & b) | (a & c) | (b & c)
     else:
         raise ValueError(f"cannot combine cut tables for kind {kind}")
-    return TruthTable(bits, len(leaves))
+    return TruthTable(bits, v)
+
+
+def _union(combo: tuple) -> tuple:
+    """Sorted leaf tuple of the cut merged from a fanin combination."""
+    leaves = {*combo[0].leaves, *combo[1].leaves}
+    if len(combo) == 3:
+        leaves.update(combo[2].leaves)
+    return tuple(sorted(leaves))
 
 
 # -- the engine --------------------------------------------------------
@@ -193,13 +189,15 @@ class CutEngine:
         # with the versions of its fanins and members, and reused while
         # they match
         self._version: dict[int, int] = {}
-        # node -> (input versions, kept, combo per merged mask,
-        #          folded table per member mask, leaf of each mask bit)
+        # node -> (input versions, kept leaf tuples, fanin combo per merged
+        #          leaf tuple, _Member per member leaf tuple)
         self._pools: dict[int, tuple] = {}
         self._tables: dict[tuple, TruthTable] = {}
+        # (node, leaves) -> source of a stored cut's table not yet composed
+        self._sources: dict[tuple, object] = {}
 
     def pool(self, n: int) -> list[tuple]:
-        """Dominance-filtered (leaves, sig) pairs of gate n: its own merged
+        """Dominance-filtered leaf tuples of gate n's cuts: its own merged
         cuts in fanin-product order, then member cuts not already present.
         The trivial cut is not included."""
         fanins = self.net.fanins(n)
@@ -244,44 +242,111 @@ class CutEngine:
                         u = mab | mc
                         if u not in combo_of and u.bit_count() <= k:
                             combo_of[u] = (ca, cb, cc)
-        member_tt: dict[int, TruthTable] = {}
+        member_of: dict[int, _Member] = {}
         for m, phase in members:
             for mask, c in masked([c for c in cutsets[m]
                                    if c.leaves != (m,)]):
-                if mask not in combo_of and mask not in member_tt:
-                    member_tt[mask] = ~c.tt if phase else c.tt
-        cands = [*combo_of, *member_tt]
-        keep = _undominated(cands)
-        local = tuple(bit)
-        kept = [_decode(mask, local) for mask in cands if mask in keep]
-        self._pools[n] = (key, kept, combo_of, member_tt, local)
+                if mask not in combo_of and mask not in member_of:
+                    member_of[mask] = _Member(m, c, phase)
+        keep = _undominated([*combo_of, *member_of])
+        kept = []
+        combos: dict[tuple, tuple] = {}
+        for mask, combo in combo_of.items():
+            if mask in keep:
+                leaves = _union(combo)
+                combos[leaves] = combo
+                kept.append(leaves)
+        member_src: dict[tuple, _Member] = {}
+        for mask, src in member_of.items():
+            if mask in keep:
+                member_src[src.cut.leaves] = src
+                kept.append(src.cut.leaves)
+        # the cell mapper reads the elementary fanin merge even when it is
+        # dominated
+        elem = 0
+        for f in fanins:
+            if f.node not in bit:
+                break
+            elem |= bit[f.node]
+        else:
+            if elem in combo_of and elem not in keep:
+                combos[_union(combo_of[elem])] = combo_of[elem]
+        self._pools[n] = (key, kept, combos, member_src)
         return kept
 
     def merged(self, n: int, leaves: tuple) -> bool:
-        """True when leaves came from n's own fanin merge (dominated or not)
-        the last time its pool was built."""
-        _, _, combo_of, _, local = self._pools[n]
-        return all(x in local for x in leaves) and \
-            _mask_of(leaves, local) in combo_of
+        """True when leaves came from n's own fanin merge the last time its
+        pool was built, as a pooled cut or as the elementary merge of n's
+        fanins (which is answered even when dominated)."""
+        return leaves in self._pools[n][2]
+
+    def _source(self, n: int, leaves: tuple):
+        """Where n's table over leaves comes from in n's current pool: the
+        fanin combination it was merged from, or a _Member."""
+        _, _, combos, member_src = self._pools[n]
+        src = combos.get(leaves)
+        return member_src[leaves] if src is None else src
 
     def table(self, n: int, leaves: tuple) -> TruthTable:
-        """Function of n over leaves, from n's current pool on first request
-        and the same table for every later request: a later pool may derive
-        the same leaves from another fanin combination or a member, whose
-        table can differ where the leaves cannot take independent values."""
+        """Function of n over leaves, and the same table for every later
+        request.  Its source is fixed the first time (n, leaves) is stored
+        by set_cuts or requested here, from n's pool at that moment: a later
+        pool may derive the same leaves from another fanin combination or a
+        member, whose table can differ where the leaves cannot take
+        independent values."""
         tt = self._tables.get((n, leaves))
         if tt is None:
-            _, _, combo_of, member_tt, local = self._pools[n]
-            mask = _mask_of(leaves, local)
-            tt = member_tt.get(mask)
-            if tt is None:
-                tt = _combine(self.net.kind(n), self.net.fanins(n),
-                              combo_of[mask], leaves)
-            self._tables[(n, leaves)] = tt
+            tt = self._compose(n, leaves)
         return tt
 
+    def _compose(self, n: int, leaves: tuple) -> TruthTable:
+        """Compose n's table over leaves, and first every stored fanin or
+        member table it derives from that is not composed yet.  The walk
+        keeps an explicit stack: a derivation can be thousands of levels
+        deep."""
+        net, tables, sources = self.net, self._tables, self._sources
+        stack = [(n, leaves, sources.pop((n, leaves), None)
+                  or self._source(n, leaves))]
+        while True:
+            x, lv, src = stack[-1]
+            pend = None
+            # a TruthTable is a non-empty tuple, so `or` reads only None
+            if type(src) is _Member:
+                tt = src.cut.tt or tables.get((src.node, lv))
+                if tt is None:
+                    pend = (src.node, lv)
+                elif src.phase:
+                    tt = ~tt
+            else:
+                fanins = net.fanins(x)
+                ins = []
+                for f, c in zip(fanins, src):
+                    tt = c.tt or tables.get((f.node, c.leaves))
+                    if tt is None:
+                        pend = (f.node, c.leaves)
+                        break
+                    t = _expand(tt.bits, c.leaves, lv)
+                    ins.append(t ^ FULL if f.neg else t)
+                else:
+                    tt = _combine(net.kind(x), ins, len(lv))
+            if pend is not None:
+                stack.append((*pend, sources.pop(pend)))
+                continue
+            stack.pop()
+            tables[(x, lv)] = tt
+            if not stack:
+                return tt
+
     def set_cuts(self, n: int, cuts: list[Cut]) -> None:
-        """Store gate n's cuts, appending its trivial cut."""
+        """Store gate n's cuts, appending its trivial cut.  A cut stored
+        without a table has its table's source fixed from n's current pool
+        the first time (n, leaves) is stored; table() composes it."""
+        tables, sources = self._tables, self._sources
+        for c in cuts:
+            if c.tt is None:
+                key = (n, c.leaves)
+                if key not in tables and key not in sources:
+                    sources[key] = self._source(n, c.leaves)
         cuts.append(Cut((n,), leaf_sig(n), _VAR0))
         old = self.cutsets.get(n)
         if old is None or [c.leaves for c in old] != [c.leaves for c in cuts]:
@@ -303,12 +368,19 @@ def enumerate_cuts(net, k: int, l: Optional[int] = None
     if l is not None and l < 1:
         raise ValueError("cut limit must be >= 1")
     eng = CutEngine(net, k)
+    sigs = [leaf_sig(x) for x in range(len(net))]
     for n in net.gates():
-        kept = sorted(eng.pool(n), key=lambda p: (len(p[0]), p[1], p[0]))
+        kept = []
+        for lv in eng.pool(n):
+            sig = 0
+            for x in lv:
+                sig |= sigs[x]
+            kept.append((len(lv), sig, lv))
+        kept.sort()
         if l is not None:
             kept = kept[:l]
         eng.set_cuts(n, [Cut(leaves, sig, eng.table(n, leaves))
-                         for leaves, sig in kept])
+                         for _, sig, leaves in kept])
     return eng.cutsets
 
 
@@ -321,7 +393,7 @@ def all_cuts_bruteforce(net, root: int, k: int) -> list[tuple]:
     found = [combo for size in range(1, k + 1)
              for combo in itertools.combinations(tfi, size)
              if is_cut(net, root, combo)]
-    masks = [_mask_of(combo, tfi) for combo in found]
+    masks = [sum(1 << tfi.index(x) for x in combo) for combo in found]
     keep = _undominated(masks)
     return sorted((leaves for leaves, mask in zip(found, masks)
                    if mask in keep),

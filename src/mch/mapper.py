@@ -5,7 +5,11 @@ Cut pools, member-cut pooling with the phase folded into the table, and
 truth-table composition all belong to `cuts.CutEngine`, which merges leaf
 sets as pool-local bitmasks and composes tables on raw `int` bits, so a
 representative sees its own cuts plus every class member's cuts and the
-dynamic program picks whichever structure maps cheapest.  This module
+dynamic program picks whichever structure maps cheapest.  Pools are lists
+of leaf tuples, scored without signatures.  The LUT mapper stores its
+cuts without tables and reads from the engine only the tables of the
+final cover (`_extract_lut`); the cell mapper needs every kept cut's
+table for matching and asks for them as it keeps them.  This module
 holds one round driver (`_Rounds`): a delay round establishes optimal
 arrivals, then area-flow and exact-area rounds recover area under
 required times, each kept only if the cover does not get worse.  LUT and
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .choices import ChoiceNetwork
-from .cuts import Cut, CutEngine, sig_of
+from .cuts import Cut, CutEngine
 from .npn import apply_npn, compose, npn_canonize
 from .tt import TruthTable
 from .verify import EXHAUSTIVE_PI_LIMIT
@@ -391,19 +395,20 @@ class _LutCover(_Rounds):
         arr_at, share_at = arr.__getitem__, share.__getitem__
         for n in self.order:
             scored = []
-            for leaves, sig in self.pool(n):
+            for leaves in self.pool(n):
                 a = 1.0 + max(map(arr_at, leaves), default=-1.0)
                 fl = 1.0 + sum(map(share_at, leaves))
                 key = ((a, fl, len(leaves)) if delay_pri
                        else (fl, a, len(leaves)))
-                scored.append((key, a, fl, leaves, sig))
+                scored.append((key, a, fl, leaves))
             scored.sort(key=lambda s: s[0])
             if self.p.l is not None:
                 scored = scored[:self.p.l]
             cuts = []
             pick = None
-            for _, a, fl, leaves, sig in scored:
-                c = Cut(leaves, sig, eng.table(n, leaves))
+            # no tables here: the engine composes those the cover reads
+            for _, a, fl, leaves in scored:
+                c = Cut(leaves)
                 cuts.append(c)
                 if pick is None and (not constrained
                                      or a <= self.req[n] + _EPS):
@@ -422,10 +427,10 @@ def map_lut(cn: ChoiceNetwork, p: MapParams = MapParams()) -> MappedNetlist:
         raise MapError("LUT size must be in [2, 6]")
     m = _LutCover(cn, p)
     m.run()
-    return _extract_lut(m.net, m.chosen, m.arr, m.roots)
+    return _extract_lut(m.net, m.chosen, m.engine.table, m.arr, m.roots)
 
 
-def _extract_lut(net, best, arrival, po_gates) -> MappedNetlist:
+def _extract_lut(net, best, table, arrival, po_gates) -> MappedNetlist:
     n_pis = len(net.pis)
     id_of: dict[int, int] = {pi: i for i, pi in enumerate(net.pis)}
     m = MappedNetlist(LUT, n_pis)
@@ -445,7 +450,7 @@ def _extract_lut(net, best, arrival, po_gates) -> MappedNetlist:
             stack.pop()
             ins = tuple(id_of[x] for x in best[n].leaves)
             m.instances.append(Instance(counter[0], "lut", 1.0,
-                                        best[n].tt, ins))
+                                        table(n, best[n].leaves), ins))
             id_of[n] = counter[0]
             counter[0] += 1
 
@@ -693,12 +698,12 @@ class _CellCover(_Rounds):
         arr_at, flow_at = best_arr.__getitem__, best_flow.__getitem__
         for n in self.order:
             scored = []
-            for leaves, sig in self.pool(n):
+            for leaves in self.pool(n):
                 a = max(map(arr_at, leaves), default=0.0)
                 f = sum(map(flow_at, leaves))
                 key = (a, f, len(leaves)) if delay_pri else (f, a,
                                                              len(leaves))
-                scored.append((key, leaves, sig))
+                scored.append((key, leaves))
             scored.sort(key=lambda s: s[0])
             if self.p.l is not None:
                 scored = scored[:self.p.l]
@@ -706,12 +711,12 @@ class _CellCover(_Rounds):
             # matchable; without it a budgeted list can end up with only
             # functions the library cannot realize
             elem = tuple(sorted({f.node for f in self.net.fanins(n)}))
-            if eng.merged(n, elem) and all(lv != elem for _, lv, _ in scored):
-                scored.append(((), elem, sig_of(elem)))
+            if eng.merged(n, elem) and all(lv != elem for _, lv in scored):
+                scored.append(((), elem))
             cuts = []
             per_phase: list = [[], []]
-            for _, leaves, sig in scored:
-                c = Cut(leaves, sig, eng.table(n, leaves))
+            for _, leaves in scored:
+                c = Cut(leaves, tt=eng.table(n, leaves))
                 cuts.append(c)
                 pm = self.match_cache.get((n, leaves))
                 if pm is None:

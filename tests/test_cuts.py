@@ -168,19 +168,19 @@ def test_engine_reuses_a_pool_until_a_fanin_or_member_changes():
     eng = CutEngine(net, 4, {rep.node: [(member.node, False)]})
 
     def settle(n):
-        eng.set_cuts(n, [Cut(lv, sg, eng.table(n, lv))
-                         for lv, sg in eng.pool(n)])
+        eng.set_cuts(n, [Cut(lv, sig_of(lv), eng.table(n, lv))
+                         for lv in eng.pool(n)])
 
     for g in (ab, bc, member, rep):
         settle(g.node)
     pool = eng.pool(rep.node)
     assert eng.pool(rep.node) is pool
     from_member = tuple(sorted((a.node, bc.node)))
-    assert from_member in [lv for lv, _ in pool]
+    assert from_member in pool
     settle(member.node)                 # same leaves: still reused
     assert eng.pool(rep.node) is pool
     eng.set_cuts(member.node, [])       # member keeps only its trivial cut
-    assert from_member not in [lv for lv, _ in eng.pool(rep.node)]
+    assert from_member not in eng.pool(rep.node)
 
 
 # -- reference: a choice-aware pool over tuple leaf sets ----------------
@@ -234,7 +234,7 @@ class _RefPools:
                 cands.append(c.leaves)
         sets = [set(lv) for lv in cands]
         self.combo_of[n], self.member_tt[n] = combo_of, member_tt
-        return [(lv, sig_of(lv)) for lv, s in zip(cands, sets)
+        return [lv for lv, s in zip(cands, sets)
                 if not any(o < s for o in sets)]
 
     def table(self, n, leaves):
@@ -284,19 +284,78 @@ def test_engine_pools_with_members_match_reference():
             for n in _dep_order(cn):
                 got = eng.pool(n)
                 assert got == ref.pool(n), n
-                from_members += sum(lv in ref.member_tt[n] for lv, _ in got)
-                for lv, _ in got:
+                from_members += sum(lv in ref.member_tt[n] for lv in got)
+                for lv in got:
                     assert eng.table(n, lv) == ref.table(n, lv), (n, lv)
                 elem = tuple(sorted({f.node for f in base.fanins(n)}))
-                for lv in [elem] + [lv for lv, _ in got]:
+                for lv in [elem] + got:
                     assert eng.merged(n, lv) == (lv in ref.combo_of[n])
                 keep = pick(got)
                 changed += last.get(n, keep) != keep
                 last[n] = keep
-                eng.set_cuts(n, [Cut(lv, sg, eng.table(n, lv))
-                                 for lv, sg in keep])
-                ref.cutsets[n] = [Cut(lv, sg, ref.table(n, lv))
-                                  for lv, sg in keep] + [
+                eng.set_cuts(n, [Cut(lv, sig_of(lv), eng.table(n, lv))
+                                 for lv in keep])
+                ref.cutsets[n] = [Cut(lv, sig_of(lv), ref.table(n, lv))
+                                  for lv in keep] + [
                     Cut((n,), leaf_sig(n), TruthTable.var(0, 1))]
     assert phases == {False, True}
     assert from_members > 0 and changed > 0
+
+
+def test_tables_of_cuts_stored_without_one_come_from_their_first_pool():
+    # cuts stored without a table (as the LUT mapper stores them) get the
+    # table of the pool they were first stored from, however the pools
+    # change before the table is read
+    from mch.choices import MchParams, build_mch
+    from mch.cuts import Cut, CutEngine
+    from mch.mapper import _dep_order
+    from mch.strategies import default_library
+    from mch.tt import TruthTable
+
+    lib = default_library()
+    rng = random.Random(8)
+    stored = 0
+    for i in range(4):
+        net = random_network(rng.randint(4, 6), rng.randint(15, 30),
+                             rng.randint(0, 10**9), n_pos=2)
+        cn = build_mch(net, lib, MchParams(r=0.8),
+                       mix_target=(nw.XMG, nw.XAG)[i % 2])
+        classes = {r: [(m, cn.phase[m]) for m in cn.members(r)]
+                   for r in cn.first_choice}
+        base, k = cn.base, (4, 6)[i % 2]
+        eng, ref = CutEngine(base, k, classes), _RefPools(base, k, classes)
+        kept = set()
+        for pick in (lambda p: p[:3], lambda p: p[::-1][:2],
+                     lambda p: rng.sample(p, min(4, len(p)))):
+            for n in _dep_order(cn):
+                got = eng.pool(n)
+                assert got == ref.pool(n)
+                keep = pick(got)
+                eng.set_cuts(n, [Cut(lv) for lv in keep])
+                ref.cutsets[n] = [Cut(lv, 0, ref.table(n, lv))
+                                  for lv in keep] + [
+                    Cut((n,), 0, TruthTable.var(0, 1))]
+                kept |= {(n, lv) for lv in keep}
+        for n, lv in sorted(kept, reverse=True):
+            assert eng.table(n, lv) == ref.table(n, lv), (n, lv)
+        stored += len(kept)
+    assert stored > 0
+
+
+def test_engine_answers_the_elementary_merge_when_it_is_dominated():
+    from mch.cuts import Cut, CutEngine
+    from mch.tt import TruthTable, cut_truth
+
+    net = LogicNetwork(nw.AIG)
+    a, b, c = net.add_pi(), net.add_pi(), net.add_pi()
+    rep = net.add_and(a, b)
+    member = net.add_and(a, c)
+    net.add_po(rep)
+    eng = CutEngine(net, 4, {rep.node: [(member.node, False)]})
+    # a member cut over a alone dominates the elementary merge {a, b}
+    eng.set_cuts(member.node, [Cut((a.node,), 0, TruthTable.var(0, 1))])
+    elem = (a.node, b.node)
+    assert eng.pool(rep.node) == [(a.node,)]
+    assert eng.merged(rep.node, elem)
+    assert not eng.merged(rep.node, (a.node,))
+    assert eng.table(rep.node, elem) == cut_truth(net, rep.node, list(elem))

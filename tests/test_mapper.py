@@ -245,6 +245,42 @@ def test_expand_cache_stays_smaller_than_the_network():
     assert len(cuts._EXPAND) < net.num_gates()
 
 
+def test_lut_tables_are_composed_only_for_the_cover(monkeypatch):
+    # the LUT mapper keeps l cuts per node and round but reads the tables
+    # of the final cover only, plus the fanin tables they derive from
+    from mch import cuts
+
+    calls = []
+    combine = cuts._combine
+
+    def counted(*args):
+        calls.append(args)
+        return combine(*args)
+
+    monkeypatch.setattr(cuts, "_combine", counted)
+    net = random_network(16, 1000, 1)
+    m = map_lut(wrap(net), MapParams(k=4))
+    assert len(calls) < 2 * m.stats["area"]
+
+
+def test_deep_table_derivation_does_not_recurse():
+    # at k=4 the cut of every AND over the three PIs merges the same cut
+    # of the AND below it, so the one LUT's table derives through the
+    # whole chain
+    import sys
+
+    net = LogicNetwork(nw.AIG)
+    xs = [net.add_pi() for _ in range(3)]
+    s = net.add_and(xs[0], xs[1])
+    for i in range(1500):
+        s = net.add_and(s, xs[i % 3].with_neg(i % 2 == 0))
+    net.add_po(s)
+    assert net.num_gates() > sys.getrecursionlimit()
+    m = map_lut(wrap(net), MapParams(k=4))
+    assert m.stats["area"] == 1
+    assert cover_check(m, net)
+
+
 def _and_chain(n_ands: int) -> LogicNetwork:
     # four PIs in turn, so at k=2 every cut above a level has three leaves
     # and each LUT or cell covers one AND

@@ -188,8 +188,9 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
     net = cn.base
     stats = cn.stats
     sim = _IncrementalSim(net)
+    count: dict[int, int] = {}  # members installed per node
     for node, leaves, cand in specs:
-        if len(cn.members(node)) >= params.max_members:
+        if count.get(node, 0) >= params.max_members:
             continue
         stats.generated += 1
         before = len(net)
@@ -204,7 +205,8 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
             stats.failed += 1
             continue
         stats.verified += 1
-        cn.add_choice(node, member, phase)
+        if cn.add_choice(node, member, phase):
+            count[node] = count.get(node, 0) + 1
 
 
 class _IncrementalSim:

@@ -3,6 +3,13 @@
 A LogicNetwork is a DAG over {CONST0, PI, AND2, XOR2, MAJ3} nodes with
 complemented edges.  A representation tag (aig/xag/mig/xmg) restricts which
 gate kinds may appear, so the same arena type hosts all four graph flavors.
+
+Every gate enters the arena through one strash core, `_strash_gate`, which
+simplifies, canonicalizes and dedupes a gate over plain (node, neg) pairs.
+It has two entry points, each validating its input once: `add` (one gate)
+and `insert` (a whole network over given leaves: construction, embedding,
+`compact`, template placement).  Signals are made only at that API edge
+and for the fanins of stored nodes.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ ALLOWED_KINDS = {
 }
 
 GATE_KINDS = (AND2, XOR2, MAJ3)
+_ARITY = {AND2: 2, XOR2: 2, MAJ3: 3}
+_FALSE = (0, False)
 
 
 class Signal(NamedTuple):
@@ -121,20 +130,19 @@ class LogicNetwork:
             raise NetworkError(f"signal refers to missing node {s.node}")
 
     def add(self, kind: str, fanins: Iterable[Signal]) -> Signal:
-        """Structural-hash add: simplify, canonicalize, dedupe."""
+        """Structural-hash add: simplify, canonicalize, dedupe.
+
+        Checks the arity, every fanin's node and the tag's gate kinds, then
+        runs the strash core (`_strash_gate`)."""
         fanins = tuple(fanins)
-        arity = {AND2: 2, XOR2: 2, MAJ3: 3}.get(kind)
+        arity = _ARITY.get(kind)
         if arity is None or len(fanins) != arity:
             raise NetworkError(f"bad arity for {kind}: {fanins}")
         for f in fanins:
             self._check_signal(f)
         if kind not in ALLOWED_KINDS[self.tag]:
             raise NetworkError(f"{kind} not allowed in {self.tag} network")
-        if kind == AND2:
-            return self._add_and(*fanins)
-        if kind == XOR2:
-            return self._add_xor(*fanins)
-        return self._add_maj(*fanins)
+        return Signal(*self._strash_gate(kind, fanins))
 
     def add_and(self, a: Signal, b: Signal) -> Signal:
         return self.add(AND2, (a, b))
@@ -148,62 +156,64 @@ class LogicNetwork:
     def add_maj(self, a: Signal, b: Signal, c: Signal) -> Signal:
         return self.add(MAJ3, (a, b, c))
 
-    def _raw_add(self, kind: str, fanins: tuple) -> Signal:
-        key = (kind, fanins)
-        hit = self._strash.get(key)
-        if hit is not None:
-            return Signal(hit, False)
-        n = len(self._nodes)
-        self._nodes.append(_Node(kind, fanins))
-        self._strash[key] = n
-        return Signal(n, False)
+    def _strash_gate(self, kind: str, fs) -> tuple:
+        """The strash core: the (node, neg) image of gate `kind` over the
+        (node, neg) pairs `fs`, which the caller has validated.
 
-    def _add_and(self, a: Signal, b: Signal) -> Signal:
-        if a.node == b.node:
-            if a.neg == b.neg:
-                return a  # x & x
-            return self.const0  # x & ~x
-        if a.node == 0:
-            return b if a.neg else self.const0
-        if b.node == 0:
-            return a if b.neg else self.const0
-        if b < a:
-            a, b = b, a
-        return self._raw_add(AND2, (a, b))
-
-    def _add_xor(self, a: Signal, b: Signal) -> Signal:
-        # Complements push to the output so stored fanins are positive.
-        out_neg = a.neg ^ b.neg
-        a, b = Signal(a.node), Signal(b.node)
-        if a.node == b.node:
-            return Signal(0, out_neg)
-        if a.node == 0:
-            return Signal(b.node, out_neg)
-        if b.node == 0:
-            return Signal(a.node, out_neg)
-        if b < a:
-            a, b = b, a
-        return self._raw_add(XOR2, (a, b)).with_neg(out_neg)
-
-    def _add_maj(self, a: Signal, b: Signal, c: Signal) -> Signal:
-        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-            if x.node == y.node:
-                if x.neg == y.neg:
-                    return x  # two equal fanins win
-                return z  # MAJ(x, ~x, z) = z
-        fs = [a, b, c]
-        # constant fanin folds to AND/OR
-        for i, f in enumerate(fs):
-            if f.node == 0:
-                u, v = (fs[j] for j in range(3) if j != i)
-                if f.neg:
-                    return self.add_or(u, v)
-                return self._add_and(u, v)
-        # canonical polarity: at most one complemented fanin
-        if sum(f.neg for f in fs) >= 2:
-            return ~self._add_maj(~a, ~b, ~c)
-        fs.sort()
-        return self._raw_add(MAJ3, tuple(fs))
+        AND2 folds x&x, x&~x and constants; XOR2 pushes complements to its
+        output; MAJ3 resolves two fanins on one node, folds a constant
+        fanin to AND2/OR and keeps at most one fanin complemented.  Fanins
+        are sorted and the result is looked up in `_strash`, whose keys are
+        the stored `_Node`s: a Signal is a tuple, so a key built from plain
+        pairs matches one.  Only a new node gets Signal fanins.  A result
+        is a plain pair or one of `fs`.
+        """
+        out_neg = False
+        if kind == AND2:
+            a, b = fs
+            if a[0] == b[0]:
+                return a if a[1] == b[1] else _FALSE  # x & x, x & ~x
+            if a[0] == 0:
+                return b if a[1] else _FALSE
+            if b[0] == 0:
+                return a if b[1] else _FALSE
+            key = (kind, (a, b) if a[0] < b[0] else (b, a))
+        elif kind == XOR2:
+            (na, ga), (nb, gb) = fs
+            out_neg = ga ^ gb
+            if na == nb:
+                return (0, out_neg)
+            if na == 0:
+                return (nb, out_neg)
+            if nb == 0:
+                return (na, out_neg)
+            if nb < na:
+                na, nb = nb, na
+            key = (kind, ((na, False), (nb, False)))
+        else:
+            a, b, c = fs
+            for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+                if x[0] == y[0]:
+                    return x if x[1] == y[1] else z  # MAJ(x,x,z), MAJ(x,~x,z)
+            for f, u, v in ((a, b, c), (b, a, c), (c, a, b)):
+                if f[0] == 0:  # constant fanin folds to AND / OR
+                    if not f[1]:
+                        return self._strash_gate(AND2, (u, v))
+                    n, neg = self._strash_gate(
+                        AND2, ((u[0], not u[1]), (v[0], not v[1])))
+                    return (n, not neg)
+            if a[1] + b[1] + c[1] >= 2:
+                out_neg = True
+                a, b, c = ((a[0], not a[1]), (b[0], not b[1]),
+                           (c[0], not c[1]))
+            key = (kind, tuple(sorted((a, b, c))))
+        n = self._strash.get(key)
+        if n is None:
+            n = len(self._nodes)
+            node = _Node(kind, tuple([Signal(m, neg) for m, neg in key[1]]))
+            self._nodes.append(node)
+            self._strash[node] = n  # the node is its own key
+        return (n, out_neg)
 
     # -- analyses ---------------------------------------------------------
 
@@ -328,30 +338,49 @@ class LogicNetwork:
 
         Gates are rebuilt in ascending id order: all of them, or only
         `gates` (ascending src ids covering the cone of every output).
+        The leaf count, every leaf's node and the gate kinds to rebuild
+        (UnsupportedConversion when this tag does not allow one) are
+        checked before the arena changes; then each gate runs the
+        strash core on (node, neg) pairs, and only the returned outputs
+        become Signals.
         """
         leaves = list(leaves)
         if len(leaves) != len(src.pis):
             raise NetworkError(f"{len(leaves)} leaves for "
                                f"{len(src.pis)} inputs")
-        xlat: list = [None] * len(src._nodes)
-        xlat[0] = self.const0
+        for s in leaves:
+            self._check_signal(s)
+        nodes = src._nodes
+        order = range(len(nodes)) if gates is None else list(gates)
+        allowed = ALLOWED_KINDS[self.tag]
+        if not ALLOWED_KINDS[src.tag] <= allowed:
+            for g in order:
+                kind = nodes[g].kind
+                if kind in GATE_KINDS and kind not in allowed:
+                    raise UnsupportedConversion(
+                        f"cannot embed {src.tag} {kind} gates into "
+                        f"{self.tag}")
+        xlat: list = [None] * len(nodes)
+        xlat[0] = _FALSE
         for pi, s in zip(src.pis, leaves):
             xlat[pi] = s
-        nodes = src._nodes
-        for g in src.gates() if gates is None else gates:
+        core = self._strash_gate
+        for g in order:
             kind, fanins = nodes[g]
-            xlat[g] = self.add(kind, tuple(xlat[f.node].with_neg(f.neg)
-                                           for f in fanins))
-        return [xlat[s.node].with_neg(s.neg) for s in src.outputs]
+            if fanins:  # a gate: CONST0 and PIs have none
+                fs = []
+                for n, neg in fanins:
+                    x = xlat[n]
+                    fs.append((x[0], not x[1]) if neg else x)
+                xlat[g] = core(kind, fs)
+        return [Signal(xlat[s[0]][0], xlat[s[0]][1] ^ s[1])
+                for s in src.outputs]
 
     def one_to_one_map(self, target: str) -> "LogicNetwork":
-        """Node-for-node copy into a (weakly more expressive) representation."""
-        if target not in ALLOWED_KINDS:
-            raise NetworkError(f"unknown representation tag {target!r}")
-        used = {self._nodes[n].kind for n in self.gates()}
-        if not used <= ALLOWED_KINDS[target]:
-            raise UnsupportedConversion(
-                f"cannot embed {self.tag} gates {sorted(used)} into {target}")
+        """Node-for-node copy into a (weakly more expressive) representation.
+
+        Raises UnsupportedConversion (from `insert`) when a gate's kind is
+        not allowed in `target`."""
         out = LogicNetwork(target)
         for s in out.insert(self, [out.add_pi() for _ in self.pis]):
             out.add_po(s)
@@ -408,15 +437,20 @@ class LevelMap(NamedTuple):
 
 
 def exhaustive_patterns(pis: list[int]) -> dict[int, int]:
-    """Standard minterm-order input words: bit j of PI i is (j >> i) & 1."""
-    n = len(pis)
-    width = 1 << n
+    """Standard minterm-order input words: bit j of PI i is (j >> i) & 1.
+
+    Each word repeats one byte pattern: 0xAA, 0xCC, 0xF0 for PIs 0-2, and
+    2^(i-3) zero bytes then 2^(i-3) 0xFF bytes for PI i >= 3."""
+    width = 1 << len(pis)
+    nbytes = max(width >> 3, 1)
+    mask = (1 << width) - 1
     pats = {}
     for i, node in enumerate(pis):
-        word = 0
-        period = 1 << i
-        block = (1 << period) - 1
-        for start in range(period, width, 2 * period):
-            word |= block << start
-        pats[node] = word
+        if i < 3:
+            unit = bytes(((0xAA, 0xCC, 0xF0)[i],))
+        else:
+            half = 1 << (i - 3)
+            unit = bytes(half) + b"\xff" * half
+        pats[node] = int.from_bytes(unit * (nbytes // len(unit)),
+                                    "little") & mask
     return pats

@@ -41,7 +41,7 @@ def cec(a: LogicNetwork, b: LogicNetwork, budget: int = 4096) -> Verdict:
     if npi <= EXHAUSTIVE_PI_LIMIT:
         width = 1 << npi
         pa = exhaustive_patterns(a.pis)
-        pb = exhaustive_patterns(b.pis)
+        pb = {nb: pa[na] for na, nb in zip(a.pis, b.pis)}
         oa = a.output_values(pa, width)
         ob = b.output_values(pb, width)
         for i, (va, vb) in enumerate(zip(oa, ob)):

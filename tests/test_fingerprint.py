@@ -44,3 +44,23 @@ def test_fingerprint_flags_changed_and_missing_operations(tmp_path, capsys):
                      "router/lut-area": ["MISMATCH"],
                      "router/lut-base": [], "router/lut-delay": []}
     assert lines[-1] == "2 of 4 operations identical"
+
+
+# The ladder's .mch file lists every arena gate in order, so a strash
+# change that renumbers the arena shows here first.
+LADDER1000 = {
+    "ladder1000/build":
+        "d7fb7f5a5ada30847d0796b1fa7963194ae6c2ca2bd998bc297153e75b731e77",
+}
+
+
+def test_fingerprint_of_the_1000_gate_ladder_is_pinned(tmp_path):
+    saved = sys.path[:]
+    try:
+        main = runpy.run_path(str(TOOL), run_name="fingerprint_tool")["main"]
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"fingerprints": LADDER1000}))
+        assert main(["--workload", "ladder", "--seed", "1",
+                     "--design", "ladder1000", "--against", str(base)]) == 0
+    finally:
+        sys.path[:] = saved

@@ -195,7 +195,7 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
         stats.generated += 1
         before = len(net)
         root = net.insert(cand.net,
-                          [Signal(leaves[j]) for j in cand.support])[0]
+                          [(leaves[j], False) for j in cand.support])[0]
         if root.node < before:
             stats.deduped += 1
             continue

@@ -2,21 +2,24 @@
 
 The mapper covers a choice network with K-input LUTs or library cells.
 Cut pools, member-cut pooling with the phase folded into the table, and
-truth-table composition all belong to `cuts.CutEngine`, which merges leaf
-sets as pool-local bitmasks and composes tables on raw `int` bits, so a
+truth-table composition all belong to `cuts.CutEngine`, which builds the
+pools of a whole dependency level at once on numpy arrays, so a
 representative sees its own cuts plus every class member's cuts and the
-dynamic program picks whichever structure maps cheapest.  Pools are lists
-of leaf tuples, scored without signatures.  The LUT mapper stores its
-cuts without tables and reads from the engine only the tables of the
-final cover (`_extract_lut`); the cell mapper needs every kept cut's
-table for matching and asks for them as it keeps them.  This module
+dynamic program picks whichever structure maps cheapest.  This module
 holds one round driver (`_Rounds`): a delay round establishes optimal
 arrivals, then area-flow and exact-area rounds recover area under
 required times, each kept only if the cover does not get worse.  LUT and
-cell mapping are two cost models over it (`_LutCover`, `_CellCover`);
-each scores and truncates the engine's pools its own way, from per-node
-scores kept current as nodes are picked (LUTs: arrival and area flow per
-fanout estimate; cells: the better phase's arrival and area flow).
+cell mapping are two cost models over it (`_LutCover`, `_CellCover`).
+Each hands the engine a vectorized sort key over per-node values kept
+current level by level (LUTs: arrival and area flow per fanout estimate;
+cells: the better phase's arrival and area flow), and the engine stores
+each node's best `l` cuts.  The LUT mapper then picks every node of a
+level at once and reads from the engine only the tables of the final
+cover (`_extract_lut`); the cell mapper matches and picks node by node,
+reading every stored cut's table, and keeps a host gate's elementary
+fanin cut stored so that the gate is always matchable.  A round that
+meets a node it cannot cover finishes, then reports the failing node
+that comes first in dependency order.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .choices import ChoiceNetwork
-from .cuts import Cut, CutEngine
+from .cuts import CutEngine
 from .npn import apply_npn, compose, npn_canonize
 from .tt import TruthTable
 from .verify import EXHAUSTIVE_PI_LIMIT
@@ -196,7 +201,7 @@ class _Rounds:
         self.order = _dep_order(cn)
         self.engine = CutEngine(net, p.k, {
             r: [(m, cn.phase[m]) for m in cn.members(r)]
-            for r in cn.first_choice})
+            for r in cn.first_choice}, self.order)
         self.req = [INF] * (width * len(net))
         # fanout estimates from the structural cone only, so member gates
         # do not inflate the sharing estimate of original nodes
@@ -337,16 +342,22 @@ class _Rounds:
             self.cone_area(refs, key, 1)
             self.arr[key] = self.arrival(chosen[key])
 
-    def pool(self, n: int) -> list:
-        """The engine's cut pool of n; empty only when k is below n's
-        arity and no smaller cut exists."""
-        got = self.engine.pool(n)
-        if not got:
-            fanins = self.net.fanins(n)
-            raise MapError(
-                f"node {n}: k={self.p.k} is below the arity {len(fanins)} "
-                f"of its {self.net.kind(n)} gate and it has no smaller cut")
-        return got
+    def no_cut(self, n: int) -> MapError:
+        """The error for a gate whose pool is empty: k is below its arity
+        and it has no smaller cut."""
+        return MapError(
+            f"node {n}: k={self.p.k} is below the arity "
+            f"{len(self.net.fanins(n))} of its {self.net.kind(n)} gate and "
+            f"it has no smaller cut")
+
+    def fail_first(self, failed: dict) -> None:
+        """Raise the error of the failed node that comes first in
+        dependency order, the one a node-by-node round would meet first:
+        a round goes on past failures, and whatever it computes for the
+        nodes above one comes later in that order."""
+        if failed:
+            pos = {n: i for i, n in enumerate(self.order)}
+            raise failed[min(failed, key=pos.__getitem__)]
 
 
 # -- LUT mapping -------------------------------------------------------
@@ -367,57 +378,74 @@ class _LutCover(_Rounds):
         self.base_est = self.fouts
         self.est = [max(1.0, f) for f in self.fouts]
 
-    def own_area(self, c: Cut) -> int:
+    def own_area(self, c: tuple) -> int:
         return 1
 
-    def children(self, c: Cut) -> list:
-        return [x for x in c.leaves if self.net.is_gate(x)]
+    def children(self, c: tuple) -> list:
+        return [x for x in c if self.net.is_gate(x)]
 
-    def edges(self, c: Cut) -> list:
+    def edges(self, c: tuple) -> list:
         return [(x, 1.0) for x in self.children(c)]
 
-    def arrival(self, c: Cut) -> float:
-        return 1.0 + max((self.arr[x] for x in c.leaves), default=-1.0)
+    def arrival(self, c: tuple) -> float:
+        return 1.0 + max((self.arr[x] for x in c), default=-1.0)
 
-    def tie(self, c: Cut) -> int:
-        return len(c.leaves)
+    def tie(self, c: tuple) -> int:
+        return len(c)
 
     def cands(self, n: int) -> list:
         return self.engine.cutsets[n][:-1]     # all but the trivial cut
 
     def enum_round(self, delay_pri: bool, constrained: bool) -> None:
         """Re-enumerate priority cuts with this round's cost key and pick
-        each node's best feasible cut as we go."""
-        eng, arr, flow, est = self.engine, self.arr, self.flow, self.est
-        # area flow per fanout estimate of each node, kept current as
-        # nodes are picked
-        share = [f / e for f, e in zip(flow, est)]
-        arr_at, share_at = arr.__getitem__, share.__getitem__
-        for n in self.order:
-            scored = []
-            for leaves in self.pool(n):
-                a = 1.0 + max(map(arr_at, leaves), default=-1.0)
-                fl = 1.0 + sum(map(share_at, leaves))
-                key = ((a, fl, len(leaves)) if delay_pri
-                       else (fl, a, len(leaves)))
-                scored.append((key, a, fl, leaves))
-            scored.sort(key=lambda s: s[0])
-            if self.p.l is not None:
-                scored = scored[:self.p.l]
-            cuts = []
-            pick = None
+        each node's best feasible cut, one level at a time."""
+        eng, cutsets, chosen = self.engine, self.engine.cutsets, self.chosen
+        # per node, kept current as levels are picked; the extra last entry
+        # is what a padding leaf reads
+        arr = np.array(self.arr + [-1.0])
+        flow = np.array(self.flow)
+        est = np.array(self.est)
+        share = np.append(flow / est, 0.0)
+        slack = np.array(self.req) + _EPS
+
+        def key(leaves, size):
+            a = 1.0 + arr[leaves].max(axis=1)
+            fl = 1.0 + _column_sum(share[leaves])
+            return (a, fl, size) if delay_pri else (fl, a, size)
+
+        failed = {}
+        for lv in eng.round(key, self.p.l):
+            a, fl = lv.key[:2] if delay_pri else lv.key[1::-1]
+            nodes, count = lv.nodes, lv.count
+            live = count > 0
+            if not live.all():
+                failed.update((n, self.no_cut(n)) for n in lv.empty)
+                nodes, count = nodes[live], count[live]
+            first = count.cumsum() - count
+            pick = first
+            if constrained:
+                # the first cut meeting the required time, else the best
+                at = np.where(a <= slack[lv.nodes[lv.owner]],
+                              np.arange(len(a)), len(a))
+                met = np.minimum.reduceat(at, first)
+                pick = np.where(met < len(a), met, first)
+            arr[nodes], flow[nodes] = a[pick], fl[pick]
+            share[nodes] = fl[pick] / est[nodes]
             # no tables here: the engine composes those the cover reads
-            for _, a, fl, leaves in scored:
-                c = Cut(leaves)
-                cuts.append(c)
-                if pick is None and (not constrained
-                                     or a <= self.req[n] + _EPS):
-                    pick = (c, a, fl)
-            if pick is None:
-                pick = (cuts[0], scored[0][1], scored[0][2])
-            eng.set_cuts(n, cuts)
-            self.chosen[n], arr[n], flow[n] = pick
-            share[n] = flow[n] / est[n]
+            for n, rank in zip(nodes.tolist(), (pick - first).tolist()):
+                chosen[n] = cutsets[n][rank]
+        self.fail_first(failed)
+        self.arr[:] = arr[:-1].tolist()
+        self.flow[:] = flow.tolist()
+
+
+def _column_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums of x added column by column, left to right: the same
+    floats as Python's sum over each row."""
+    out = x[:, 0]
+    for c in range(1, x.shape[1]):
+        out = out + x[:, c]
+    return out
 
 
 def map_lut(cn: ChoiceNetwork, p: MapParams = MapParams()) -> MappedNetlist:
@@ -443,14 +471,14 @@ def _extract_lut(net, best, table, arrival, po_gates) -> MappedNetlist:
             if n in id_of:
                 stack.pop()
                 continue
-            pend = [x for x in best[n].leaves if x not in id_of]
+            pend = [x for x in best[n] if x not in id_of]
             if pend:
                 stack.extend(pend)
                 continue
             stack.pop()
-            ins = tuple(id_of[x] for x in best[n].leaves)
+            ins = tuple(id_of[x] for x in best[n])
             m.instances.append(Instance(counter[0], "lut", 1.0,
-                                        table(n, best[n].leaves), ins))
+                                        table(n, best[n]), ins))
             id_of[n] = counter[0]
             counter[0] += 1
 
@@ -503,6 +531,7 @@ class CellLibrary:
         self.const1: Optional[Cell] = None
         self._table: dict = {}
         self._queries: dict = {}
+        self._shrunk: dict = {}
         var0 = TruthTable.var(0, 1)
         for cell in self.cells:
             v = cell.tt.var_count
@@ -559,6 +588,14 @@ class CellLibrary:
     def load(path) -> "CellLibrary":
         with open(path) as fh:
             return CellLibrary.loads(fh.read())
+
+    def shrink(self, tt: TruthTable) -> tuple:
+        """tt.shrink_to_support(), kept for every later mapping."""
+        key = (tt.bits, tt.var_count)
+        hit = self._shrunk.get(key)
+        if hit is None:
+            hit = self._shrunk[key] = tt.shrink_to_support()
+        return hit
 
     def matches(self, tt: TruthTable):
         """(cell, pin binding, phase) triples realizing tt or its inverse.
@@ -622,7 +659,6 @@ class _CellCover(_Rounds):
         self.alts: list = [()] * size
         # a cut's match list depends only on (node, leaf set)
         self.match_cache: dict[tuple, tuple] = {}
-        self.shrink_cache: dict[tuple, tuple] = {}
         self.chosen[0] = _CMatch("const", cl.const0, ())
         self.chosen[1] = _CMatch("const", cl.const1, ())
         self.arr[0] = self.arr[1] = 0.0
@@ -660,22 +696,17 @@ class _CellCover(_Rounds):
         return [m for m in self.alts[key]
                 if not (two_invs and m.kind == "inv")]
 
-    def matches_for_cut(self, c: Cut):
+    def matches_for_cut(self, leaves: tuple, tt: TruthTable):
         """Candidate matches per phase for one cut of a node."""
         out: list = [[], []]
-        skey = (c.tt.bits, c.tt.var_count)
-        hit = self.shrink_cache.get(skey)
-        if hit is None:
-            hit = c.tt.shrink_to_support()
-            self.shrink_cache[skey] = hit
-        tt_s, sup = hit
+        tt_s, sup = self.cl.shrink(tt)
         v = len(sup)
         if v == 0:
             one = 1 if tt_s.is_const1() else 0
             out[0].append(_CMatch("wire", None, (one,)))
             out[1].append(_CMatch("wire", None, (1 - one,)))
             return out
-        sub = [c.leaves[i] for i in sup]
+        sub = [leaves[i] for i in sup]
         if v == 1:
             flip = 1 if tt_s == ~TruthTable.var(0, 1) else 0
             for phase in (0, 1):
@@ -692,75 +723,73 @@ class _CellCover(_Rounds):
         eng, arr, flow = self.engine, self.arr, self.flow
         inv = self.cl.inv
         # arrival and flow of each node's better phase, kept current as
-        # nodes are picked
-        best_arr = list(map(min, arr[0::2], arr[1::2]))
-        best_flow = list(map(min, flow[0::2], flow[1::2]))
-        arr_at, flow_at = best_arr.__getitem__, best_flow.__getitem__
-        for n in self.order:
-            scored = []
-            for leaves in self.pool(n):
-                a = max(map(arr_at, leaves), default=0.0)
-                f = sum(map(flow_at, leaves))
-                key = (a, f, len(leaves)) if delay_pri else (f, a,
-                                                             len(leaves))
-                scored.append((key, leaves))
-            scored.sort(key=lambda s: s[0])
-            if self.p.l is not None:
-                scored = scored[:self.p.l]
-            # keep the elementary fanin cut so a host primitive is always
-            # matchable; without it a budgeted list can end up with only
-            # functions the library cannot realize
-            elem = tuple(sorted({f.node for f in self.net.fanins(n)}))
-            if eng.merged(n, elem) and all(lv != elem for _, lv in scored):
-                scored.append(((), elem))
-            cuts = []
-            per_phase: list = [[], []]
-            for _, leaves in scored:
-                c = Cut(leaves, tt=eng.table(n, leaves))
-                cuts.append(c)
-                pm = self.match_cache.get((n, leaves))
-                if pm is None:
-                    pm = self.match_cache[(n, leaves)] = \
-                        self.matches_for_cut(c)
-                per_phase[0].extend(pm[0])
-                per_phase[1].extend(pm[1])
-            eng.set_cuts(n, cuts)
+        # levels are picked; the extra last entry is what a padding leaf
+        # reads
+        best_arr = np.append(np.minimum(arr[0::2], arr[1::2]), 0.0)
+        best_flow = np.append(np.minimum(flow[0::2], flow[1::2]), 0.0)
 
-            # per phase: the best match meeting the required time, else
-            # the best match
-            picked = [None, None]
-            for phase in (0, 1):
-                opts = [(self.arrival(m), self.flow_of(m), m)
-                        for m in per_phase[phase]]
-                feasible = [o for o in opts if not constrained
-                            or o[0] <= self.req[2 * n + phase] + _EPS]
-                if feasible or opts:
-                    picked[phase] = min(
-                        feasible or opts,
-                        key=lambda o: (o[:2] if delay_pri else (o[1], o[0])))
-            if picked[0] is None and picked[1] is None:
-                raise LibraryError(
-                    f"no cell matches any cut function of node {n}")
-            # realize a missing or expensive phase through an inverter
-            invs = [None, None]
-            for phase in (0, 1):
-                other = picked[1 - phase]
-                if other is None:
+        def score(leaves, size):
+            a = best_arr[leaves].max(axis=1)
+            f = _column_sum(best_flow[leaves])
+            return (a, f, size) if delay_pri else (f, a, size)
+
+        failed = {}
+        # the stored lists keep the elementary fanin cut so a host
+        # primitive is always matchable; without it a budgeted list can
+        # end up with only functions the library cannot realize
+        for lv in eng.round(score, self.p.l, elem=True):
+            empty = lv.empty
+            failed.update((n, self.no_cut(n)) for n in empty)
+            for n in lv.node_list:
+                if empty and n in empty:
                     continue
-                m = _CMatch("inv", inv, (2 * n + 1 - phase,))
-                a, f = other[0] + max(inv.pin_delays), inv.area + other[1]
-                cur = picked[phase]
-                if cur is None or ((a, f) < cur[:2] if delay_pri
-                                   else (f, a) < (cur[1], cur[0])):
-                    invs[phase] = (a, f, m)
-            for phase in (0, 1):
-                key = 2 * n + phase
-                arr[key], flow[key], self.chosen[key] = (
-                    invs[phase] or picked[phase])
-                self.alts[key] = tuple(per_phase[phase]) + (
-                    _CMatch("inv", inv, (key ^ 1,)),)
-            best_arr[n] = min(arr[2 * n], arr[2 * n + 1])
-            best_flow[n] = min(flow[2 * n], flow[2 * n + 1])
+                per_phase: list = [[], []]
+                for lvs in eng.cutsets[n][:-1]:
+                    pm = self.match_cache.get((n, lvs))
+                    if pm is None:
+                        pm = self.match_cache[(n, lvs)] = \
+                            self.matches_for_cut(lvs, eng.table(n, lvs))
+                    per_phase[0].extend(pm[0])
+                    per_phase[1].extend(pm[1])
+
+                # per phase: the best match meeting the required time, else
+                # the best match
+                picked = [None, None]
+                for phase in (0, 1):
+                    opts = [(self.arrival(m), self.flow_of(m), m)
+                            for m in per_phase[phase]]
+                    feasible = [o for o in opts if not constrained
+                                or o[0] <= self.req[2 * n + phase] + _EPS]
+                    if feasible or opts:
+                        picked[phase] = min(
+                            feasible or opts,
+                            key=lambda o: (o[:2] if delay_pri
+                                           else (o[1], o[0])))
+                if picked[0] is None and picked[1] is None:
+                    failed[n] = LibraryError(
+                        f"no cell matches any cut function of node {n}")
+                    continue
+                # realize a missing or expensive phase through an inverter
+                invs = [None, None]
+                for phase in (0, 1):
+                    other = picked[1 - phase]
+                    if other is None:
+                        continue
+                    m = _CMatch("inv", inv, (2 * n + 1 - phase,))
+                    a, f = other[0] + max(inv.pin_delays), inv.area + other[1]
+                    cur = picked[phase]
+                    if cur is None or ((a, f) < cur[:2] if delay_pri
+                                       else (f, a) < (cur[1], cur[0])):
+                        invs[phase] = (a, f, m)
+                for phase in (0, 1):
+                    key = 2 * n + phase
+                    arr[key], flow[key], self.chosen[key] = (
+                        invs[phase] or picked[phase])
+                    self.alts[key] = tuple(per_phase[phase]) + (
+                        _CMatch("inv", inv, (key ^ 1,)),)
+                best_arr[n] = min(arr[2 * n], arr[2 * n + 1])
+                best_flow[n] = min(flow[2 * n], flow[2 * n + 1])
+        self.fail_first(failed)
 
 
 def map_cells(cn: ChoiceNetwork, cl: CellLibrary,

@@ -125,9 +125,10 @@ class LogicNetwork:
         self._check_signal(s)
         self.outputs.append(s)
 
-    def _check_signal(self, s: Signal) -> None:
-        if not (0 <= s.node < len(self._nodes)):
-            raise NetworkError(f"signal refers to missing node {s.node}")
+    def _check_signal(self, s: tuple) -> None:
+        """s is a Signal or a plain (node, neg) pair."""
+        if not (0 <= s[0] < len(self._nodes)):
+            raise NetworkError(f"signal refers to missing node {s[0]}")
 
     def add(self, kind: str, fanins: Iterable[Signal]) -> Signal:
         """Structural-hash add: simplify, canonicalize, dedupe.
@@ -331,14 +332,16 @@ class LogicNetwork:
 
     # -- structure-preserving embedding -----------------------------------
 
-    def insert(self, src: "LogicNetwork", leaves: Iterable[Signal],
+    def insert(self, src: "LogicNetwork", leaves: Iterable[tuple],
                gates: Optional[Iterable[int]] = None) -> list[Signal]:
         """Rebuild src's gates here through strash, reading src's i-th PI
-        as leaves[i]; returns the images of src's outputs.
+        as leaves[i], a Signal or a plain (node, neg) pair; returns the
+        images of src's outputs.
 
         Gates are rebuilt in ascending id order: all of them, or only
         `gates` (ascending src ids covering the cone of every output).
-        The leaf count, every leaf's node and the gate kinds to rebuild
+        The leaf count, every leaf's node, that `gates` covers every
+        fanin and output it needs, and the gate kinds to rebuild
         (UnsupportedConversion when this tag does not allow one) are
         checked before the arena changes; then each gate runs the
         strash core on (node, neg) pairs, and only the returned outputs
@@ -351,7 +354,26 @@ class LogicNetwork:
         for s in leaves:
             self._check_signal(s)
         nodes = src._nodes
-        order = range(len(nodes)) if gates is None else list(gates)
+        if gates is None:
+            order = range(len(nodes))
+        else:
+            order = list(gates)
+            built = [False] * len(nodes)
+            built[0] = True
+            for pi in src.pis:
+                built[pi] = True
+            for g in order:
+                for f in nodes[g].fanins:
+                    if not built[f[0]]:
+                        raise NetworkError(
+                            f"gate {g} reads node {f[0]}, which is neither "
+                            f"an input nor among the gates to rebuild")
+                built[g] = True
+            for s in src.outputs:
+                if not built[s[0]]:
+                    raise NetworkError(
+                        f"output node {s[0]} is neither an input nor among "
+                        f"the gates to rebuild")
         allowed = ALLOWED_KINDS[self.tag]
         if not ALLOWED_KINDS[src.tag] <= allowed:
             for g in order:

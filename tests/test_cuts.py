@@ -155,34 +155,6 @@ def test_engine_matches_reference_enumeration():
                         assert c.tt == cut_truth(net, n, list(c.leaves))
 
 
-def test_engine_reuses_a_pool_until_a_fanin_or_member_changes():
-    from mch.cuts import Cut, CutEngine
-
-    net = LogicNetwork(nw.AIG)
-    a, b, c = net.add_pi(), net.add_pi(), net.add_pi()
-    ab = net.add_and(a, b)
-    rep = net.add_and(ab, c)
-    bc = net.add_and(b, c)
-    member = net.add_and(a, bc)
-    net.add_po(rep)
-    eng = CutEngine(net, 4, {rep.node: [(member.node, False)]})
-
-    def settle(n):
-        eng.set_cuts(n, [Cut(lv, sig_of(lv), eng.table(n, lv))
-                         for lv in eng.pool(n)])
-
-    for g in (ab, bc, member, rep):
-        settle(g.node)
-    pool = eng.pool(rep.node)
-    assert eng.pool(rep.node) is pool
-    from_member = tuple(sorted((a.node, bc.node)))
-    assert from_member in pool
-    settle(member.node)                 # same leaves: still reused
-    assert eng.pool(rep.node) is pool
-    eng.set_cuts(member.node, [])       # member keeps only its trivial cut
-    assert from_member not in eng.pool(rep.node)
-
-
 # -- reference: a choice-aware pool over tuple leaf sets ----------------
 
 
@@ -255,107 +227,257 @@ class _RefPools:
         return self.tables[(n, leaves)]
 
 
-def test_engine_pools_with_members_match_reference():
+def _weight_key(rng, size):
+    """A random sort key that keeps every cut after its subsets: the
+    largest and the summed integer weight of its leaves, then its leaf
+    count.  Returns the engine's vectorized key and the same key over a
+    leaf tuple."""
+    import numpy as np
+
+    wa = [rng.randint(0, 9) for _ in range(size)]
+    wb = [rng.randint(0, 9) for _ in range(size)]
+    # the engine pads leaf rows with -1, which reads the last entry, 0
+    va, vb = np.array(wa + [0]), np.array(wb + [0])
+
+    def key(leaves, sz):
+        return va[leaves].max(axis=1), vb[leaves].sum(axis=1), sz
+
+    def ref_key(lv):
+        return max(wa[x] for x in lv), sum(wb[x] for x in lv), len(lv)
+    return key, ref_key
+
+
+def _choice_engines(rng, i):
+    """A choice network's engine and reference pools, with members of
+    both phases (XMG or XAG mix, k = 4 or 6)."""
     from mch.choices import MchParams, build_mch
-    from mch.cuts import Cut, CutEngine, leaf_sig
+    from mch.cuts import CutEngine
     from mch.mapper import _dep_order
     from mch.strategies import default_library
+
+    net = random_network(rng.randint(4, 6), rng.randint(15, 30),
+                         rng.randint(0, 10**9), n_pos=2)
+    cn = build_mch(net, default_library(), MchParams(r=0.8),
+                   mix_target=(nw.XMG, nw.XAG)[i % 2])
+    classes = {r: [(m, cn.phase[m]) for m in cn.members(r)]
+               for r in cn.first_choice}
+    base, k = cn.base, (4, 6)[i % 2]
+    return (cn, classes, CutEngine(base, k, classes, _dep_order(cn)),
+            _RefPools(base, k, classes))
+
+
+def test_engine_pools_with_members_match_reference():
+    from mch.cuts import Cut, leaf_sig
     from mch.tt import TruthTable
 
-    lib = default_library()
     rng = random.Random(6)
-    phases, from_members, changed = set(), 0, 0
+    phases, from_members, changed, levels = set(), 0, 0, 0
     for i in range(6):
-        net = random_network(rng.randint(4, 6), rng.randint(15, 30),
-                             rng.randint(0, 10**9), n_pos=2)
-        cn = build_mch(net, lib, MchParams(r=0.8),
-                       mix_target=(nw.XMG, nw.XAG)[i % 2])
-        classes = {r: [(m, cn.phase[m]) for m in cn.members(r)]
-                   for r in cn.first_choice}
+        cn, classes, eng, ref = _choice_engines(rng, i)
+        base = cn.base
         phases |= {ph for pairs in classes.values() for _, ph in pairs}
-        base, k = cn.base, (4, 6)[i % 2]
-        eng, ref = CutEngine(base, k, classes), _RefPools(base, k, classes)
-        # each round keeps a different slice of every pool, so the fanin
+        # each round stores an arbitrary slice of every pool: all of it,
+        # then the best 3 and the best 2 under random keys, so the fanin
         # and member cut lists change from round to round
-        picks = [lambda p: p[:3], lambda p: p[::-1][:2],
-                 lambda p: rng.sample(p, min(4, len(p)))]
         last: dict = {}
-        for pick in picks:
-            for n in _dep_order(cn):
-                got = eng.pool(n)
-                assert got == ref.pool(n), n
-                from_members += sum(lv in ref.member_tt[n] for lv in got)
-                for lv in got:
-                    assert eng.table(n, lv) == ref.table(n, lv), (n, lv)
-                elem = tuple(sorted({f.node for f in base.fanins(n)}))
-                for lv in [elem] + got:
-                    assert eng.merged(n, lv) == (lv in ref.combo_of[n])
-                keep = pick(got)
-                changed += last.get(n, keep) != keep
-                last[n] = keep
-                eng.set_cuts(n, [Cut(lv, sig_of(lv), eng.table(n, lv))
-                                 for lv in keep])
-                ref.cutsets[n] = [Cut(lv, sig_of(lv), ref.table(n, lv))
-                                  for lv in keep] + [
-                    Cut((n,), leaf_sig(n), TruthTable.var(0, 1))]
+        for l in (None, 3, 2):
+            key, ref_key = _weight_key(rng, len(base))
+            for lv in eng.round(key, l):
+                levels += 1
+                for j, n in enumerate(lv.node_list):
+                    got = lv.pool(j)
+                    assert got == ref.pool(n), n
+                    from_members += sum(c in ref.member_tt[n] for c in got)
+                    elem = tuple(sorted({f.node for f in base.fanins(n)}))
+                    for c in [elem] + got:
+                        assert lv.merged(j, c) == (c in ref.combo_of[n])
+                    keep = sorted(got, key=ref_key)[:l]
+                    assert eng.cutsets[n] == keep + [(n,)], n
+                    for c in keep:
+                        assert eng.table(n, c) == ref.table(n, c), (n, c)
+                    changed += last.get(n, keep) != keep
+                    last[n] = keep
+                    ref.cutsets[n] = [Cut(c, sig_of(c), ref.table(n, c))
+                                      for c in keep] + [
+                        Cut((n,), leaf_sig(n), TruthTable.var(0, 1))]
     assert phases == {False, True}
-    assert from_members > 0 and changed > 0
+    assert from_members > 0 and changed > 0 and levels > 0
 
 
 def test_tables_of_cuts_stored_without_one_come_from_their_first_pool():
-    # cuts stored without a table (as the LUT mapper stores them) get the
-    # table of the pool they were first stored from, however the pools
-    # change before the table is read
-    from mch.choices import MchParams, build_mch
-    from mch.cuts import Cut, CutEngine
-    from mch.mapper import _dep_order
-    from mch.strategies import default_library
+    # the engine stores cuts without tables (as the LUT mapper reads
+    # them); each gets the table of the pool it was first stored from,
+    # however the pools change before the table is read
+    from mch.cuts import Cut
     from mch.tt import TruthTable
 
-    lib = default_library()
     rng = random.Random(8)
     stored = 0
     for i in range(4):
-        net = random_network(rng.randint(4, 6), rng.randint(15, 30),
-                             rng.randint(0, 10**9), n_pos=2)
-        cn = build_mch(net, lib, MchParams(r=0.8),
-                       mix_target=(nw.XMG, nw.XAG)[i % 2])
-        classes = {r: [(m, cn.phase[m]) for m in cn.members(r)]
-                   for r in cn.first_choice}
-        base, k = cn.base, (4, 6)[i % 2]
-        eng, ref = CutEngine(base, k, classes), _RefPools(base, k, classes)
+        cn, _, eng, ref = _choice_engines(rng, i)
         kept = set()
-        for pick in (lambda p: p[:3], lambda p: p[::-1][:2],
-                     lambda p: rng.sample(p, min(4, len(p)))):
-            for n in _dep_order(cn):
-                got = eng.pool(n)
-                assert got == ref.pool(n)
-                keep = pick(got)
-                eng.set_cuts(n, [Cut(lv) for lv in keep])
-                ref.cutsets[n] = [Cut(lv, 0, ref.table(n, lv))
-                                  for lv in keep] + [
-                    Cut((n,), 0, TruthTable.var(0, 1))]
-                kept |= {(n, lv) for lv in keep}
-        for n, lv in sorted(kept, reverse=True):
-            assert eng.table(n, lv) == ref.table(n, lv), (n, lv)
+        for l in (3, 2, 4):
+            key, ref_key = _weight_key(rng, len(cn.base))
+            for lv in eng.round(key, l):
+                for j, n in enumerate(lv.node_list):
+                    got = lv.pool(j)
+                    assert got == ref.pool(n)
+                    keep = sorted(got, key=ref_key)[:l]
+                    assert eng.cutsets[n] == keep + [(n,)]
+                    ref.cutsets[n] = [Cut(c, 0, ref.table(n, c))
+                                      for c in keep] + [
+                        Cut((n,), 0, TruthTable.var(0, 1))]
+                    kept |= {(n, c) for c in keep}
+        for n, c in sorted(kept, reverse=True):
+            assert eng.table(n, c) == ref.table(n, c), (n, c)
         stored += len(kept)
     assert stored > 0
 
 
-def test_engine_answers_the_elementary_merge_when_it_is_dominated():
-    from mch.cuts import Cut, CutEngine
-    from mch.tt import TruthTable, cut_truth
+def _structural_key(leaves, size):
+    return (size, *leaves.T)
 
-    net = LogicNetwork(nw.AIG)
+
+def test_engine_answers_the_elementary_merge_when_it_is_dominated():
+    from mch.cuts import CutEngine
+    from mch.tt import cut_truth
+
+    net = LogicNetwork(nw.XMG)
+    a, b, c = net.add_pi(), net.add_pi(), net.add_pi()
+    rep = net.add_maj(a, b, c)
+    member = net.add_and(a, b)
+    net.add_po(rep)
+    # the member's cut {a, b} dominates the elementary merge {a, b, c}
+    eng = CutEngine(net, 4, {rep.node: [(member.node, False)]},
+                    [member.node, rep.node])
+    elem = (a.node, b.node, c.node)
+    for lv in eng.round(_structural_key, None, elem=True):
+        for j, n in enumerate(lv.node_list):
+            if n == rep.node:
+                assert lv.pool(j) == [(a.node, b.node)]
+                assert lv.merged(j, elem)
+                assert not lv.merged(j, (a.node, b.node))
+    # the cell mapper's round stores it after the pool's cuts
+    assert eng.cutsets[rep.node] == [(a.node, b.node), elem, (rep.node,)]
+    assert eng.table(rep.node, elem) == cut_truth(net, rep.node, list(elem))
+    assert eng.table(rep.node, (a.node, b.node)) == \
+        cut_truth(net, member.node, [a.node, b.node])
+
+
+def test_a_member_with_only_its_trivial_cut_adds_nothing_to_the_pool():
+    # at k=2 the MAJ3 member has no cut but its trivial one
+    from mch.cuts import CutEngine
+
+    net = LogicNetwork(nw.XMG)
     a, b, c = net.add_pi(), net.add_pi(), net.add_pi()
     rep = net.add_and(a, b)
-    member = net.add_and(a, c)
+    member = net.add_maj(a, b, c)
     net.add_po(rep)
-    eng = CutEngine(net, 4, {rep.node: [(member.node, False)]})
-    # a member cut over a alone dominates the elementary merge {a, b}
-    eng.set_cuts(member.node, [Cut((a.node,), 0, TruthTable.var(0, 1))])
-    elem = (a.node, b.node)
-    assert eng.pool(rep.node) == [(a.node,)]
-    assert eng.merged(rep.node, elem)
-    assert not eng.merged(rep.node, (a.node,))
-    assert eng.table(rep.node, elem) == cut_truth(net, rep.node, list(elem))
+    eng = CutEngine(net, 2, {rep.node: [(member.node, False)]},
+                    [member.node, rep.node])
+    empty = []
+    for lv in eng.round(_structural_key, 8):
+        empty += lv.empty
+        for j, n in enumerate(lv.node_list):
+            if n == rep.node:
+                assert lv.pool(j) == [(a.node, b.node)]
+    assert empty == [member.node]
+    assert eng.cutsets[member.node] == [(member.node,)]
+    assert eng.cutsets[rep.node] == [(a.node, b.node), (rep.node,)]
+
+
+def test_maj3_at_k2_keeps_its_two_leaf_cut():
+    # MAJ(a, b, a & b) has a 2-leaf cut below its arity; the plain MAJ
+    # beside it has none
+    from mch.choices import ChoiceNetwork
+    from mch.mapper import MapParams, cover_check, map_lut
+    from mch.tt import cut_truth
+
+    net = LogicNetwork(nw.XMG)
+    a, b, c = net.add_pi(), net.add_pi(), net.add_pi()
+    ab = net.add_and(a, b)
+    m = net.add_maj(a, b, ab)
+    net.add_po(m)
+    cutsets = enumerate_cuts(net, 2, 8)
+    assert [x.leaves for x in cutsets[m.node]] == [(a.node, b.node),
+                                                   (m.node,)]
+    assert cutsets[m.node][0].tt == cut_truth(net, m.node, [a.node, b.node])
+    mapped = map_lut(ChoiceNetwork(net), MapParams(k=2))
+    assert mapped.stats["area"] == 1 and cover_check(mapped, net)
+    net.add_po(net.add_maj(a, b, c))
+    assert [x.leaves for x in enumerate_cuts(net, 2, 8)[len(net) - 1]] == \
+        [(len(net) - 1,)]
+
+
+def test_pool_over_more_than_64_leaves():
+    # 34 members over two fresh PIs each and one over a gate, PI 3 and
+    # two more PIs: the representative's pool reads 73 distinct leaves,
+    # two mask words
+    from mch.cuts import Cut, CutEngine, leaf_sig
+    from mch.tt import TruthTable
+
+    net = LogicNetwork(nw.AIG)
+    pis = [net.add_pi() for _ in range(72)]
+    rep = net.add_and(pis[0], pis[1])
+    members = [(net.add_and(pis[2 * i], ~pis[2 * i + 1]).node, i % 2 == 0)
+               for i in range(1, 35)]
+    inner = net.add_and(pis[70], pis[71])
+    members.append((net.add_and(inner, pis[3]).node, True))
+    net.add_po(rep)
+    classes = {rep.node: members}
+    order = [m for m, _ in members[:-1]] + [inner.node, members[-1][0],
+                                            rep.node]
+    eng, ref = CutEngine(net, 4, classes, order), _RefPools(net, 4, classes)
+    pool = None
+    for lv in eng.round(_structural_key, None):
+        for j, n in enumerate(lv.node_list):
+            got = lv.pool(j)
+            assert got == ref.pool(n)
+            if n == rep.node:
+                pool = got
+            ref.cutsets[n] = [Cut(c, 0, ref.table(n, c))
+                              for c in sorted(got, key=lambda c: (len(c), c))
+                              ] + [Cut((n,), leaf_sig(n),
+                                       TruthTable.var(0, 1))]
+            for c in got:
+                assert eng.table(n, c) == ref.table(n, c)
+    assert len({x for c in pool for x in c}) > 64
+    assert len(pool) == 1 + 34 + 2
+
+
+def test_a_cut_stored_again_from_another_source_keeps_its_first_table():
+    # {y, b, c} is first stored for rep as its own merge, y & b & c; in
+    # the second round x no longer stores {y, b}, and the same leaves come
+    # from the (deliberately different) member's cut, y | b | c
+    import numpy as np
+
+    from mch.cuts import CutEngine
+    from mch.tt import cut_truth
+
+    net = LogicNetwork(nw.AIG)
+    a, b, c, d = (net.add_pi() for _ in range(4))
+    y = net.add_and(a, d)
+    x = net.add_and(y, b)
+    rep = net.add_and(x, c)
+    t = net.add_or(y, c)
+    member = net.add_or(t, b)
+    net.add_po(rep)
+    eng = CutEngine(net, 4, {rep.node: [(member.node, member.neg)]},
+                    [y.node, x.node, t.node, member.node, rep.node])
+    leaves = tuple(sorted((y.node, b.node, c.node)))
+    for _ in eng.round(_structural_key, None):
+        pass
+    assert leaves in eng.cutsets[rep.node]
+    wa, wb = np.zeros(len(net) + 1, int), np.zeros(len(net) + 1, int)
+    wa[[y.node, c.node, x.node, t.node]] = 5, 9, 9, 9
+    wb[[y.node, a.node, d.node, x.node, t.node]] = 1, 1, 1, 9, 9
+
+    def key(lv, size):
+        return wa[lv].max(axis=1), wb[lv].sum(axis=1), size
+
+    for _ in eng.round(key, 1):
+        pass
+    assert eng.cutsets[x.node] == [(a.node, b.node, d.node), (x.node,)]
+    assert eng.cutsets[rep.node] == [leaves, (rep.node,)]
+    assert eng.table(rep.node, leaves) == cut_truth(net, rep.node,
+                                                    list(leaves))

@@ -277,6 +277,41 @@ def test_insert_checks_gate_kinds_before_adding_any_node():
     assert net.insert(ands, pis[:2]) == [Signal(len(before[0]))]
 
 
+def test_insert_names_a_gate_missing_from_an_output_cone():
+    src = LogicNetwork(nw.AIG)
+    a, b, c = src.add_pi(), src.add_pi(), src.add_pi()
+    inner = src.add_and(a, b)
+    src.add_po(src.add_and(inner, c))
+    net = LogicNetwork(nw.AIG)
+    pis = [net.add_pi() for _ in range(3)]
+    net.add_po(net.add_and(pis[0], pis[2]))
+    before = (len(net), dict(net._strash))
+    # the outer AND reads the inner one, which gates leaves out
+    with pytest.raises(NetworkError, match=rf"\b{inner.node}\b"):
+        net.insert(src, pis, gates=[inner.node + 1])
+    assert (len(net), net._strash) == before
+    # an output whose own node is left out
+    with pytest.raises(NetworkError, match=rf"\b{inner.node + 1}\b"):
+        net.insert(src, pis, gates=[inner.node])
+    assert (len(net), net._strash) == before
+
+
+def test_insert_reads_plain_pairs_as_leaves():
+    src = LogicNetwork(nw.XMG)
+    a, b, c = src.add_pi(), src.add_pi(), src.add_pi()
+    src.add_po(~src.add_maj(a, ~b, src.add_xor(b, c)))
+    pairs, signals = LogicNetwork(nw.XMG), LogicNetwork(nw.XMG)
+    for net in (pairs, signals):
+        for _ in range(4):
+            net.add_pi()
+    got = pairs.insert(src, [(3, False), (1, True), (4, False)])
+    want = signals.insert(src, [Signal(3), Signal(1, True), Signal(4)])
+    assert got == want and _snapshot(pairs) == _snapshot(signals)
+    assert all(type(s) is Signal and type(s.neg) is bool for s in got)
+    with pytest.raises(NetworkError, match=r"\b9\b"):
+        pairs.insert(src, [(3, False), (9, False), (4, False)])
+
+
 def test_exhaustive_patterns_match_their_definition():
     for n in range(13):
         pis = list(range(7, 7 + n))

@@ -125,8 +125,8 @@ def read_aiger(path) -> LogicNetwork:
         and_rows = []
         for k in range(n_and):
             ln += 1
-            row = lines[n_in + n_out + k + 1].split()
             try:
+                row = lines[n_in + n_out + k + 1].split()
                 lhs, r0, r1 = (int(x) for x in row[:3])
             except (IndexError, ValueError):
                 raise AigerError(f"line {ln}: bad AND line")

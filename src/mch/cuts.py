@@ -23,12 +23,15 @@ Per level, on numpy arrays:
   the order, are the best `l` of the dominance-filtered pool.  They are
   stored, followed by the trivial cut.
 
-Truth tables stay per node: the first time (node, leaves) is stored, the
-cut's source is recorded (the fanin cuts it was merged from, or a
-`_Member`), and `table()` composes it, and the tables it derives from, on
-raw `int` bits when it is first read.  `enumerate_cuts` and the cell
-mapper read every stored cut's table, the LUT mapper only those of its
-final cover.
+Every stored cut carries its truth table as one 64-bit word (`tt.py`
+tables: a function over v leaves, padded by replication).  The first time
+a (node, leaves) is stored, the level composes its word on arrays: each
+fanin cut's word is expanded to the merged leaves by nibble lookups keyed
+by the positions of its leaves among them, complemented by the fanin's
+phase and combined by AND, XOR or MAJ3; a member cut takes the member's
+word, complemented by its phase.  A (node, leaves) stored again keeps its
+first word, found by one sort over the rows the level stored before.
+`table()` answers any (node, leaves) ever stored.
 """
 
 from __future__ import annotations
@@ -37,11 +40,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .network import AND2, MAJ3, XOR2
-from .tt import FULL, TruthTable, pad
+from .network import XOR2
+from .tt import FULL, TruthTable
 
 _SIG_MULT = 0x9E3779B97F4A7C15
 _VAR0 = TruthTable.var(0, 1)
+_CONST0 = TruthTable.const(False)
 
 
 def leaf_sig(n: int) -> int:
@@ -58,15 +62,7 @@ def sig_of(leaves) -> int:
 class Cut(NamedTuple):
     leaves: tuple            # strictly ascending node indices
     sig: int = 0             # leaf signature; 0 where nothing sorts by it
-    tt: Optional[TruthTable] = None     # None: the engine composes it
-
-
-class _Member(NamedTuple):
-    """Source of a pooled member cut: the member, the leaves of its cut and
-    its phase."""
-    node: int
-    leaves: tuple
-    phase: bool
+    tt: Optional[TruthTable] = None     # the cut's function over leaves
 
 
 def is_cut(net, root: int, leaves) -> bool:
@@ -87,64 +83,42 @@ def is_cut(net, root: int, leaves) -> bool:
     return True
 
 
-# -- truth-table composition -------------------------------------------
+# -- truth-table words --------------------------------------------------
 
 
-_SPREAD: dict[tuple, list] = {}
+def _widen_nibbles() -> np.ndarray:
+    """Flat (64, 16, 16) table: entry [pos, c, x] is the table word of the
+    minterms 4c..4c+3 set in x of a cut whose leaves sit at the positions
+    set in pos among a merged cut's leaves, over those merged leaves.
+    The cut's i-th leaf goes to the i-th set bit of pos; the variables
+    its table does not depend on take the free positions in order, so the
+    result is padded like any table."""
+    pos = np.arange(64)
+    at = (pos[:, None] >> np.arange(6)) & 1
+    # perm[p, i]: where variable i goes, set positions first
+    perm = np.argsort(1 - at, axis=1, kind="stable")
+    minterm = (np.arange(64)[:, None] >> np.arange(6)) & 1
+    moved = (minterm[None] << perm[:, None]).sum(axis=2)      # (64, 64)
+    one = (np.uint64(1) << moved.astype(np.uint64)).reshape(64, 16, 4)
+    x = np.arange(16)
+    out = np.zeros((64, 16, 16), np.uint64)
+    for b in range(4):
+        out |= np.where((x >> b) & 1 == 1, one[:, :, None, b], np.uint64(0))
+    return out.ravel()
 
 
-def _spread_masks(pos: tuple, v: int) -> list:
-    """masks[m] = set of v-var minterms projecting to sub-minterm m."""
-    key = (pos, v)
-    masks = _SPREAD.get(key)
-    if masks is None:
-        masks = [0] * (1 << len(pos))
-        for m in range(1 << v):
-            inner = 0
-            for i, pi in enumerate(pos):
-                inner |= ((m >> pi) & 1) << i
-            masks[inner] |= 1 << m
-        _SPREAD[key] = masks
-    return masks
+_NIBBLES = _widen_nibbles()
+# flat offset of each byte's low nibble in a position's block
+_BYTE_AT = np.arange(8)[:, None] * 32
 
 
-# keyed by leaf positions, not node ids, so the same expansion is shared
-# by every node and the cache stays small on large networks
-_EXPAND: dict[tuple, int] = {}
-
-
-def _expand(bits: int, sub: tuple, leaves: tuple) -> int:
-    """Re-express the table bits of a cut over `sub` as the padded table
-    bits over the superset `leaves`."""
-    pos = tuple(map(leaves.index, sub))
-    v = len(leaves)
-    key = (bits, pos, v)
-    out = _EXPAND.get(key)
-    if out is None:
-        masks = _spread_masks(pos, v)
-        out = 0
-        for m in range(len(masks)):
-            if (bits >> m) & 1:
-                out |= masks[m]
-        out = pad(out, v)
-        if len(_EXPAND) < 1_000_000:
-            _EXPAND[key] = out
-    return out
-
-
-def _combine(kind: str, ins: list, v: int) -> TruthTable:
-    """Truth table of a merged cut over v leaves from its fanins' table
-    bits, each expanded to those leaves with the fanin's phase applied."""
-    if kind == AND2:
-        bits = ins[0] & ins[1]
-    elif kind == XOR2:
-        bits = ins[0] ^ ins[1]
-    elif kind == MAJ3:
-        a, b, c = ins
-        bits = (a & b) | (a & c) | (b & c)
-    else:
-        raise ValueError(f"cannot combine cut tables for kind {kind}")
-    return TruthTable(bits, v)
+def _widen(tt: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Table words of cuts whose leaves sit at the positions set in the
+    6-bit masks pos among merged cuts' leaves, over the merged leaves."""
+    b = tt.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).T
+    at = pos.astype(np.int64) * 256 + _BYTE_AT
+    return np.bitwise_or.reduce(
+        _NIBBLES[at + (b & 15)] | _NIBBLES[at + 16 + (b >> 4)], axis=0)
 
 
 # -- leaf-set masks ----------------------------------------------------
@@ -313,23 +287,25 @@ def _best_undominated(m: np.ndarray, own: np.ndarray, n_lv: int,
     return sel, rank[sel], np.bincount(own[sel], minlength=n_lv)
 
 
-def _decode(msv, osv, size, ukeys, nfirst, base, top, k) -> np.ndarray:
+def _decode(msv, osv, size, ukeys, nfirst, base, top, k) -> tuple:
     """(S, k) ascending leaves, -1 padded, of masks over local bits up to
-    top: a mask's set bits, in ascending order, are its leaves."""
+    top: a mask's set bits, in ascending order, are its leaves.  Returns
+    them and their local bits."""
     bits = np.unpackbits(msv.astype("<u8", copy=False).view(np.uint8)[
         :, :(top >> 3) + 1], axis=1, bitorder="little")
     r, c = bits.nonzero()
     orow = osv[r]
+    at = (r, np.arange(len(r)) - (size.cumsum(dtype=np.int64) - size)[r])
     leaves = np.full((len(msv), k), -1, np.int64)
-    leaves[r, np.arange(len(r)) - (size.cumsum(dtype=np.int64)
-                                   - size)[r]] = (
-        ukeys[nfirst[orow] + c] - base[orow])
-    return leaves
+    leaves[at] = ukeys[nfirst[orow] + c] - base[orow]
+    local = np.full((len(msv), k), -1, np.int64)
+    local[at] = c
+    return leaves, local
 
 
 def _elem_hits(md, code, plan, ukeys, nfirst, width, d, od) -> tuple:
     """The first merged candidate over exactly its node's fanins, per
-    node that has one: candidate indices and node positions."""
+    node that has one: candidate positions and node positions."""
     n_lv = len(plan.node_list)
     fan = plan.src[:3 * n_lv].reshape(n_lv, 3)
     fan = np.where(fan > 0, fan, fan[:, :1]) + plan.base[:, None]
@@ -338,11 +314,15 @@ def _elem_hits(md, code, plan, ukeys, nfirst, width, d, od) -> tuple:
     np.bitwise_or.at(em, (np.arange(n_lv).repeat(3), (pos >> 6).ravel()),
                      (np.uint64(1) << (pos & 63).astype(np.uint64)).ravel())
     hit = _same(md, em[od]) & (code[d] >= 0)
-    return d[hit], od[hit]
+    return hit.nonzero()[0], od[hit]
 
 
 # the most cut lists one part of a level reads (see CutEngine._plan)
 _PART = 256
+
+_FANIN = np.arange(3)
+# bit t of a position mask, per leaf t
+_LEAF_BIT = np.arange(6, dtype=np.uint64)[:, None]
 
 _TRI = [0, np.zeros(0, np.int64), np.zeros(0, np.int64)]
 
@@ -376,8 +356,10 @@ class _Plan(NamedTuple):
     maj: Optional[np.ndarray]    # which nodes are 3-input gates; None
     #                              when none is
     mown: np.ndarray         # per member segment: its node's position
-    msrc: list
-    mphase: list
+    mneg: np.ndarray         # per member segment: FULL where its phase is
+    #                          set, else 0
+    fneg: np.ndarray         # (N, 3) FULL where a fanin is complemented
+    xor: np.ndarray          # (N,) which nodes are XOR2 gates
     trivial: np.ndarray      # (N, k) the node itself, -1 padded
 
 
@@ -386,14 +368,19 @@ class Level:
 
     `nodes` (and `node_list`) are the level's gates, ascending; `count`
     is the number of pool cuts stored per node (0 for a node whose pool
-    is empty).  Over the stored cuts, grouped by node in key order,
-    `owner` is each one's node position and `key` holds the caller's key
-    columns.  `pool` and `merged` describe the pools themselves while the
-    round is at this level."""
+    is empty).  Over those cuts, grouped by node in key order, `owner` is
+    each one's node position and `key` holds the caller's key columns.
+    Over every stored cut but the trivial ones, grouped by node in stored
+    order (with `elem`, a node's elementary merge follows its pool cuts),
+    `cut_owner` is each one's node position, `leaves` its ascending leaf
+    row (-1 padded), `size` its leaf count and `tt` its table word.
+    Without `elem` both lists are the same.  `pool` and `merged` describe
+    the pools themselves while the round is at this level."""
 
-    def __init__(self, plan, key, owner, count, pools):
+    def __init__(self, plan, key, owner, count, pools, stored):
         self.nodes, self.node_list = plan.nodes, plan.node_list
         self.key, self.owner, self.count = key, owner, count
+        self.cut_owner, self.leaves, self.size, self.tt = stored
         self._fanins, self._pools = plan.fanins, pools
 
     @property
@@ -446,37 +433,33 @@ class CutEngine:
         self.net = net
         self.k = k
         self.classes = classes or {}
-        # node -> leaf tuples of its stored cuts
-        self.cutsets: dict[int, list[tuple]] = {0: [()]}
-        # (node, leaves) -> the cut's table, or the source it is composed
-        # from when first read: the fanin cuts it was merged from, or a
-        # _Member
-        self._known: dict[tuple, object] = {(0, ()): TruthTable.const(False)}
-        for n in net.pis:
-            self.cutsets[n] = [(n,)]
-            self._known[(n, (n,))] = _VAR0
         size = len(net)
         self._key_mult = size + 1
-        # one leaf row per stored cut of the current round: node n's list
-        # is rows start[n] .. start[n] + count[n] - 1; the constant's one
-        # cut is empty
+        # one leaf row and table word per stored cut of the current round:
+        # node n's list is rows start[n] .. start[n] + count[n] - 1; the
+        # constant's one cut is empty
         self._start = np.zeros(size, np.int64)
         self._count = np.zeros(size, np.int64)
         self._rows = np.full((max(64, 8 * size), k), -1, np.int32)
+        self._tts = np.zeros(len(self._rows), np.uint64)
         self._count[0] = 1
         for i, n in enumerate(net.pis, start=1):
             self._rows[i, 0] = n
             self._start[n], self._count[n] = i, 1
         self._base = self._nrows = 1 + len(net.pis)
-        self._ints = np.array(range(size), object)
+        self._tts[1:self._base] = _VAR0.bits
+        # node -> (plan, position) of each gate
+        self._place: dict[int, tuple] = {}
         self._plans = self._plan(net.gates() if order is None else order)
-        # per plan, the rows (position, leaves...) it stored so far
-        self._stored = [np.zeros((0, k + 1), np.int32)] * len(self._plans)
+        # per plan, the rows (position, leaves...) it stored so far and
+        # their table words, the first stored for each
+        self._stored = [(np.zeros((0, k + 1), np.int32),
+                         np.zeros(0, np.uint64))] * len(self._plans)
 
     def _plan(self, order) -> list[_Plan]:
         """ASAP levels over fanins plus class members, and each level's
         fixed arrays."""
-        net, classes, known = self.net, self.classes, self._known
+        net, classes = self.net, self.classes
         level = [0] * len(net)
         gates, fans = [], []
         for n in order:
@@ -487,13 +470,16 @@ class CutEngine:
             level[n] = lv + 1
             gates.append(n)
             fans.append(fs)
-            known[(n, (n,))] = _VAR0
         if not gates:
             return []
         by = np.lexsort((gates, [level[n] for n in gates])).tolist()
         gates = [gates[i] for i in by]
         fans = [fans[i] for i in by]
         fan = np.array([fs + (0,) * (3 - len(fs)) for fs in fans], np.int64)
+        # fanin phases as table masks; node 0 pads a 2-input gate
+        fneg = np.array([[f[1] for f in net.fanins(n)] + [False] * (
+            3 - len(fs)) for n, fs in zip(gates, fans)]) * np.uint64(FULL)
+        xor = np.array([net.kind(n) for n in gates]) == XOR2
         lv_all = np.array([level[n] for n in gates])
         cut = set((np.flatnonzero(lv_all[1:] != lv_all[:-1]) + 1).tolist())
         trivial = np.full((len(gates), self.k), -1, np.int64)
@@ -512,6 +498,8 @@ class CutEngine:
         plans = []
         for lo, hi in zip(bounds, bounds[1:]):
             node_list = gates[lo:hi]
+            for j, n in enumerate(node_list):
+                self._place[n] = (len(plans), j)
             members = [(j, m, ph) for j, n in enumerate(node_list)
                        for m, ph in classes.get(n, ())]
             base = np.arange(hi - lo, dtype=np.int64) * mult
@@ -526,8 +514,9 @@ class CutEngine:
                     :, None, None],
                 np.array([len(fs) == 3 for fs in fans[lo:hi]])
                 if any(len(fs) == 3 for fs in fans[lo:hi]) else None,
-                mown, msrc,
-                [ph for _, _, ph in members], trivial[lo:hi]))
+                mown, np.array([FULL if ph else 0 for _, _, ph in members],
+                               np.uint64),
+                fneg[lo:hi], xor[lo:hi], trivial[lo:hi]))
         return plans
 
     def round(self, key, l: Optional[int] = None, elem: bool = False):
@@ -571,7 +560,8 @@ class CutEngine:
         own, code, mask, pc, lc3 = _merged(plan, smask, sok, sc, k)
         d, od, md = _first_occurrences(own, mask)
         size = pc[d]
-        leaves = _decode(md, od, size, ukeys, nfirst, plan.base, top, k)
+        leaves, local = _decode(md, od, size, ukeys, nfirst, plan.base, top,
+                                k)
         # the caller's order, ties in pool order, then the best l cuts of
         # each node that contain no other
         cols = key(leaves, size)
@@ -580,36 +570,31 @@ class CutEngine:
         sel, rank, kept = _best_undominated(md[order], sown, n_lv, l)
         order, sown = order[sel], sown[sel]
 
-        cand, cown, crank = d[order], sown, rank
-        crow, csize, count = leaves[order], size[order], kept
+        pick, cown, crank, count = order, sown, rank, kept
         pools = (leaves, size, md, code, plan, ukeys, nfirst, width, d, od)
         if elem:
-            ed, eo = _elem_hits(*pools[2:])
+            ep, eo = _elem_hits(*pools[2:])
             stored = np.zeros(len(own), bool)
-            stored[cand] = True
-            ed, eo = ed[~stored[ed]], eo[~stored[ed]]
-            erow = np.full((len(eo), k), -1, np.int64)
-            for e, j in enumerate(eo.tolist()):
-                erow[e, :len(plan.fanins[j])] = sorted(plan.fanins[j])
+            stored[d[pick]] = True
+            keep = ~stored[d[ep]]
+            ep, eo = ep[keep], eo[keep]
             grp = np.concatenate((cown, eo)).argsort(kind="stable")
-            cand = np.concatenate((cand, ed))[grp]
+            pick = np.concatenate((pick, ep))[grp]
             cown = np.concatenate((cown, eo))[grp]
             crank = np.concatenate((crank, kept[eo]))[grp]
-            crow = np.concatenate((crow, erow))[grp]
-            csize = np.concatenate((csize, pc[ed]))[grp]
             count = kept + np.bincount(eo, minlength=n_lv)
-        self._store(plan, i, cown, crank, count, crow, csize, code[cand],
-                    (ls, lc3))
-        return Level(plan, [c[order] for c in cols], sown, kept, pools)
+        crow = leaves[pick]
+        ctt = self._store(plan, i, cown, crank, count, crow, (
+            code[d[pick]], local[pick], smask, ls, lc3))
+        return Level(plan, [c[order] for c in cols], sown, kept, pools,
+                     (cown, crow, size[pick], ctt))
 
-    def _store(self, plan, i, cown, crank, count, crow, csize, ccode,
-               shape) -> None:
+    def _store(self, plan, i, cown, crank, count, crow, src) -> np.ndarray:
         """Store each level node's chosen cuts (grouped by node, each at its
-        slot in crank) and its trivial cut, recording the table source of
-        every (node, leaves) stored for the first time.  A source code is
-        the index of a merged cut in its node's fanin product, over a
-        (ls, ls, lc3) grid of the fanins' slots, or -1 - the index of a
-        member cut in the level's (members, ls) grid."""
+        slot in crank) and its trivial cut, with their table words: a
+        (node, leaves) stored before keeps its first word, the others are
+        composed from src (see _fresh_words).  Returns the chosen cuts'
+        words."""
         total = count + 1
         start = total.cumsum()
         start += self._nrows - total
@@ -620,103 +605,127 @@ class CutEngine:
             grown = np.full((2 * room, self.k), -1, np.int32)
             grown[:self._nrows] = self._rows[:self._nrows]
             self._rows = grown
-        self._rows[start[cown] + crank] = crow
+            tts = np.zeros(2 * room, np.uint64)
+            tts[:self._nrows] = self._tts[:self._nrows]
+            self._tts = tts
+        at = start[cown] + crank
+        self._rows[at] = crow
         self._rows[start + count] = plan.trivial
+        self._tts[start + count] = _VAR0.bits
         self._start[plan.nodes] = start
         self._count[plan.nodes] = total
         self._nrows = need
 
-        # leaves as the network's own node ints, shared by every tuple
-        cuts = [tuple(r[:z]) for r, z in zip(self._ints[crow].tolist(),
-                                             csize.tolist())]
-        cutsets, nodes, t = self.cutsets, plan.node_list, 0
-        for n, cnt in zip(nodes, count.tolist()):
-            own = cuts[t:t + cnt]
-            own.append((n,))
-            cutsets[n] = own
-            t += cnt
         # the (node, leaves) stored for the first time: rows not among
         # those the level stored in earlier rounds
         new = np.concatenate((cown[:, None], crow), axis=1,
                              dtype=np.int32)
-        if len(self._stored[i]):
-            new = np.concatenate((self._stored[i], new))
-            o = np.lexsort(new.T[::-1])
-            fresh = np.empty(len(o), bool)
-            fresh[o[0]] = True
-            fresh[o[1:]] = _differ(new[o[1:]], new[o[:-1]])
-            new = new[fresh]
-            fresh = fresh[len(fresh) - len(cown):].nonzero()[0].tolist()
+        old, old_tt = self._stored[i]
+        if len(old):
+            both = np.concatenate((old, new))
+            o = np.lexsort(both.T[::-1])
+            head = np.empty(len(o), bool)
+            head[0] = True
+            head[1:] = _differ(both[o[1:]], both[o[:-1]])
+            # each row's run of equal rows starts with an old row when
+            # there is one (the sort is stable)
+            first = np.empty(len(o), np.int64)
+            first[o] = o[np.maximum.accumulate(
+                np.where(head, np.arange(len(o)), 0))]
+            first = first[len(old):]
+            fresh = (first == np.arange(len(old), len(both))).nonzero()[0]
+            ctt = old_tt[np.minimum(first, len(old) - 1)]
         else:
-            fresh = range(len(cown))
-        self._stored[i] = new
+            fresh = np.arange(len(new))
+            ctt = np.empty(len(new), np.uint64)
+        if len(fresh):
+            ctt[fresh] = self._fresh_words(plan, cown[fresh], fresh, src)
+            self._stored[i] = (np.concatenate((old, new[fresh])),
+                               np.concatenate((old_tt, ctt[fresh])))
+        self._tts[at] = ctt
+        return ctt
 
-        ls, lc3 = shape
-        known, fanins = self._known, plan.fanins
-        msrc, mphase = plan.msrc, plan.mphase
-        cown, ccode = cown.tolist(), ccode.tolist()
-        for t in fresh:
-            j, c = cown[t], ccode[t]
-            if c < 0:
-                g, i = divmod(-1 - c, ls)
-                m = msrc[g]
-                src = _Member(m, cutsets[m][i], mphase[g])
-            else:
-                fs = fanins[j]
-                c, i2 = divmod(c, lc3)
-                i0, i1 = divmod(c, ls)
-                src = (cutsets[fs[0]][i0], cutsets[fs[1]][i1])
-                if len(fs) == 3:
-                    src += (cutsets[fs[2]][i2],)
-            known[(nodes[j], cuts[t])] = src
+    def _fresh_words(self, plan, own, fresh, src) -> np.ndarray:
+        """Table words of the chosen cuts fresh (of nodes own), from
+        src = (code, local, smask, ls, lc3): per chosen cut its source
+        code and the local bits of its leaves, and the level's fanin
+        masks.  A source code is the index of a merged cut in its node's
+        fanin product, over a (ls, ls, lc3) grid of the fanins' slots, or
+        -1 - the index of a member cut in the level's (members, ls)
+        grid."""
+        code, local, smask, ls, lc3 = src
+        code, local = code[fresh], local[fresh]
+        start, seg = self._start, plan.src
+        out = np.empty(len(own), np.uint64)
+        merged = slice(None)
+        if plan.drop is not None:
+            member = code < 0
+            g, slot = np.divmod(-1 - code[member], ls)
+            out[member] = self._tts[start[seg[3 * len(plan.node_list) + g]]
+                                    + slot] ^ plan.mneg[g]
+            merged = ~member
+            own, code, local = own[merged], code[merged], local[merged]
+        # (3, F): each fanin's segment and slot; node 0's one empty cut
+        # pads a 2-input gate
+        c, i2 = np.divmod(code, lc3)
+        i0, i1 = np.divmod(c, ls)
+        fseg = 3 * own + _FANIN[:, None]
+        fslot = np.stack((i0, i1, i2))
+        # bit t of a fanin's position mask: whether the merged cut's
+        # leaf t is among the fanin cut's leaves, read from the fanin's
+        # leaf mask at the leaf's local bit.  A padding leaf (-1) reads
+        # the top bit of the last word: that can only add positions past
+        # the cut's real leaves, which the expansion gives to variables
+        # the fanin's table does not depend on.
+        local = local.T
+        fm = smask[fseg, fslot]
+        if fm.shape[-1] == 1:
+            word = fm[:, None, :, 0]
+        else:
+            word = fm[_FANIN[:, None, None], np.arange(len(own)),
+                      local >> 6]
+        hit = (word >> (local & 63).astype(np.uint64)) & np.uint64(1)
+        pos = np.bitwise_or.reduce(hit << _LEAF_BIT[:self.k], axis=1)
+        w = _widen(self._tts[start[seg[fseg]] + fslot].ravel(),
+                   pos.ravel()).reshape(3, -1)
+        w ^= plan.fneg[own].T
+        a, b, c = w
+        # an AND2's third fanin is 0, and so is MAJ(a, b, 0)
+        out[merged] = np.where(plan.xor[own], a ^ b, (a & b) | (c & (a | b)))
+        return out
+
+    def cuts(self, n: int) -> list[tuple]:
+        """Leaf tuples of n's stored list in the current round, the trivial
+        cut last for a gate."""
+        s = self._start[n]
+        return [tuple(x for x in r if x >= 0)
+                for r in self._rows[s:s + self._count[n]].tolist()]
+
+    def words(self, n: int) -> list[int]:
+        """Table words of n's stored list, as `cuts(n)` lists them."""
+        s = self._start[n]
+        return self._tts[s:s + self._count[n]].tolist()
 
     def table(self, n: int, leaves: tuple) -> TruthTable:
-        """Function of n over leaves, a cut stored for n; the same table
-        for every later request.  Its source is fixed the first time
+        """Function of n over leaves, a cut ever stored for n; the same
+        table for every later request.  It is fixed the first time
         (n, leaves) is stored, from n's pool in that round: a later pool
         may derive the same leaves from another fanin combination or a
         member, whose table can differ where the leaves cannot take
         independent values."""
-        tt = self._known[(n, leaves)]
-        if type(tt) is not TruthTable:
-            tt = self._compose(n, leaves)
-        return tt
-
-    def _compose(self, n: int, leaves: tuple) -> TruthTable:
-        """Compose n's table over leaves, and first every stored fanin or
-        member table it derives from that is not composed yet.  The walk
-        keeps an explicit stack: a derivation can be thousands of levels
-        deep."""
-        net, known = self.net, self._known
-        stack = [(n, leaves)]
-        while True:
-            x, lv = stack[-1]
-            src = known[(x, lv)]
-            pend = None
-            if type(src) is _Member:
-                tt = known[(src.node, lv)]
-                if type(tt) is not TruthTable:
-                    pend = (src.node, lv)
-                elif src.phase:
-                    tt = ~tt
-            else:
-                ins = []
-                for f, c in zip(net.fanins(x), src):
-                    tt = known[(f.node, c)]
-                    if type(tt) is not TruthTable:
-                        pend = (f.node, c)
-                        break
-                    t = _expand(tt.bits, c, lv)
-                    ins.append(t ^ FULL if f.neg else t)
-                else:
-                    tt = _combine(net.kind(x), ins, len(lv))
-            if pend is not None:
-                stack.append(pend)
-                continue
-            stack.pop()
-            known[(x, lv)] = tt
-            if not stack:
-                return tt
+        if leaves == (n,):
+            return _VAR0
+        if n == 0:
+            return _CONST0
+        i, j = self._place[n]
+        rows, tts = self._stored[i]
+        want = np.full((1, self.k + 1), -1, np.int32)
+        want[0, 0] = j
+        want[0, 1:len(leaves) + 1] = leaves
+        hit = _same(rows, want).nonzero()[0]
+        if not len(hit):
+            raise KeyError((n, leaves))
+        return TruthTable(int(tts[hit[0]]), len(leaves))
 
 
 def enumerate_cuts(net, k: int, l: Optional[int] = None
@@ -740,22 +749,21 @@ def enumerate_cuts(net, k: int, l: Optional[int] = None
     def key(leaves, size):
         return (size, np.bitwise_or.reduce(sigs[leaves], axis=1), *leaves.T)
 
-    sig_of_cut: dict[int, list] = {}
-    for lv in eng.round(key, l):
-        sig = lv.key[1].tolist()
-        t = 0
-        for n, cnt in zip(lv.node_list, lv.count.tolist()):
-            sig_of_cut[n] = sig[t:t + cnt]
-            t += cnt
-    out = {0: [Cut((), 0, eng.table(0, ()))]}
+    out = {0: [Cut((), 0, _CONST0)]}
     for n in net.pis:
         out[n] = [Cut((n,), leaf_sig(n), _VAR0)]
-    for n in net.gates():
-        cuts = eng.cutsets[n]
-        out[n] = [Cut(lv, s, eng.table(n, lv))
-                  for lv, s in zip(cuts, sig_of_cut[n])] + [
-            Cut((n,), leaf_sig(n), _VAR0)]
-    return out
+    # leaves as the network's own node ints, shared by every tuple
+    ints = np.array(range(len(net)), object)
+    for lv in eng.round(key, l):
+        cuts = zip(ints[lv.leaves].tolist(), lv.size.tolist(),
+                   lv.key[1].tolist(), lv.tt.tolist())
+        for n, cnt in zip(lv.node_list, lv.count.tolist()):
+            own = out[n] = []
+            for _ in range(cnt):
+                row, z, sig, tt = next(cuts)
+                own.append(Cut(tuple(row[:z]), sig, TruthTable(tt, z)))
+            own.append(Cut((n,), leaf_sig(n), _VAR0))
+    return {n: out[n] for n in (0, *net.pis, *net.gates())}
 
 
 def all_cuts_bruteforce(net, root: int, k: int) -> list[tuple]:

@@ -3,23 +3,28 @@
 The mapper covers a choice network with K-input LUTs or library cells.
 Cut pools, member-cut pooling with the phase folded into the table, and
 truth-table composition all belong to `cuts.CutEngine`, which builds the
-pools of a whole dependency level at once on numpy arrays, so a
-representative sees its own cuts plus every class member's cuts and the
-dynamic program picks whichever structure maps cheapest.  This module
-holds one round driver (`_Rounds`): a delay round establishes optimal
-arrivals, then area-flow and exact-area rounds recover area under
-required times, each kept only if the cover does not get worse.  LUT and
-cell mapping are two cost models over it (`_LutCover`, `_CellCover`).
-Each hands the engine a vectorized sort key over per-node values kept
-current level by level (LUTs: arrival and area flow per fanout estimate;
-cells: the better phase's arrival and area flow), and the engine stores
-each node's best `l` cuts.  The LUT mapper then picks every node of a
-level at once and reads from the engine only the tables of the final
-cover (`_extract_lut`); the cell mapper matches and picks node by node,
-reading every stored cut's table, and keeps a host gate's elementary
-fanin cut stored so that the gate is always matchable.  A round that
-meets a node it cannot cover finishes, then reports the failing node
-that comes first in dependency order.
+pools of a whole dependency level at once on numpy arrays and stores each
+cut with its table as a 64-bit word, so a representative sees its own
+cuts plus every class member's cuts and the dynamic program picks
+whichever structure maps cheapest.  This module holds one round driver
+(`_Rounds`): a delay round establishes optimal arrivals, then area-flow
+and exact-area rounds recover area under required times, each kept only
+if the cover does not get worse.  LUT and cell mapping are two cost models
+over it (`_LutCover`, `_CellCover`).  Each hands the engine a vectorized
+sort key over per-node values kept current level by level (LUTs: arrival
+and area flow per fanout estimate; cells: the better phase's arrival and
+area flow), and the engine stores each node's best `l` cuts.  Both then
+pick a whole level at once.  The LUT mapper reads tables only for the
+final cover (`_extract_lut`).  The cell mapper looks up each stored cut's
+word in the library's match templates (one per function: each match's
+phase, cell and pin-to-leaf binding), scores every (cut, match) row of
+the level on arrays, and picks per node phase the first best match
+meeting the required time, with an inverter where the other phase is
+cheaper; it keeps a host gate's elementary fanin cut stored so that the
+gate is always matchable.  Match objects are made only for the picks and
+for the alternatives the exact-area round reads.  A round that meets a
+node it cannot cover finishes, then reports the failing node that comes
+first in dependency order.
 """
 
 from __future__ import annotations
@@ -373,6 +378,7 @@ class _LutCover(_Rounds):
         self.keys = self.order
         self.roots = [s.node for s in net.outputs if net.is_gate(s.node)]
         self.chosen: list = [None] * size
+        self.picked: list = [None] * size   # the last round's picks
         self.arr = [0.0] * size
         self.flow = [0.0] * size
         self.base_est = self.fouts
@@ -394,12 +400,19 @@ class _LutCover(_Rounds):
         return len(c)
 
     def cands(self, n: int) -> list:
-        return self.engine.cutsets[n][:-1]     # all but the trivial cut
+        """n's stored cuts but the trivial one.  The cut the last round
+        picked is the very object chosen holds unless a rollback replaced
+        it, which is how exact_round tells the old choice."""
+        cuts = self.engine.cuts(n)[:-1]
+        old = self.chosen[n]
+        if old is self.picked[n]:
+            cuts[cuts.index(old)] = old
+        return cuts
 
     def enum_round(self, delay_pri: bool, constrained: bool) -> None:
         """Re-enumerate priority cuts with this round's cost key and pick
         each node's best feasible cut, one level at a time."""
-        eng, cutsets, chosen = self.engine, self.engine.cutsets, self.chosen
+        eng, chosen = self.engine, self.chosen
         # per node, kept current as levels are picked; the extra last entry
         # is what a padding leaf reads
         arr = np.array(self.arr + [-1.0])
@@ -431,10 +444,12 @@ class _LutCover(_Rounds):
                 pick = np.where(met < len(a), met, first)
             arr[nodes], flow[nodes] = a[pick], fl[pick]
             share[nodes] = fl[pick] / est[nodes]
-            # no tables here: the engine composes those the cover reads
-            for n, rank in zip(nodes.tolist(), (pick - first).tolist()):
-                chosen[n] = cutsets[n][rank]
+            # no tables here: _extract_lut reads those of the cover
+            for n, row, z in zip(nodes.tolist(), lv.leaves[pick].tolist(),
+                                 lv.size[pick].tolist()):
+                chosen[n] = tuple(row[:z])
         self.fail_first(failed)
+        self.picked = chosen[:]
         self.arr[:] = arr[:-1].tolist()
         self.flow[:] = flow.tolist()
 
@@ -532,6 +547,18 @@ class CellLibrary:
         self._table: dict = {}
         self._queries: dict = {}
         self._shrunk: dict = {}
+        # match templates of cut functions, see templates()
+        self._pins = max([len(c.pin_delays) for c in self.cells] + [1])
+        self._tpl: dict = {}
+        self.tpl_matches: list = []
+        self.tpl_first = np.zeros(0, np.int64)
+        self.tpl_count = np.zeros(0, np.int64)
+        self.match_phase = np.zeros(0, np.int64)
+        self.match_area = np.zeros(0)
+        self.match_pin = np.zeros((0, self._pins), np.int64)
+        self.match_comp = np.zeros((0, self._pins), np.int64)
+        self.match_delay = np.zeros((0, self._pins))
+        self.match_info: list = []
         var0 = TruthTable.var(0, 1)
         for cell in self.cells:
             v = cell.tt.var_count
@@ -625,6 +652,84 @@ class CellLibrary:
         return out
 
 
+    def template(self, bits: int, v: int) -> int:
+        """Id of the match template of the function with table word bits
+        over v cut leaves.  tpl_matches[id] lists its matches as
+        (phase, kind, cell, pins) tuples, each phase's in the order a
+        node's match list takes them; a pin is (i, complement): cut leaf
+        i drives it, or the constant node for i = _PIN_CONST.  Phase 0
+        realizes the function, 1 its complement."""
+        t = self._tpl.get((bits, v))
+        if t is None:
+            t = self._tpl[(bits, v)] = len(self.tpl_matches)
+            self.tpl_matches.append(self._matches_of(TruthTable(bits, v)))
+        return t
+
+    def _matches_of(self, tt: TruthTable) -> list:
+        tt_s, sup = self.shrink(tt)
+        v = len(sup)
+        if v == 0:
+            one = 1 if tt_s.is_const1() else 0
+            return [(0, "wire", None, ((_PIN_CONST, one),)),
+                    (1, "wire", None, ((_PIN_CONST, 1 - one),))]
+        if v == 1:
+            flip = 1 if tt_s == ~TruthTable.var(0, 1) else 0
+            return [(ph, "wire", None, ((sup[0], ph ^ flip),))
+                    for ph in (0, 1)]
+        return [(1 if neg else 0, "cell", cell,
+                 tuple((sup[t.perm[i]], (t.neg >> i) & 1)
+                       for i in range(v)))
+                for cell, t, neg in self.matches(tt_s)]
+
+    def templates(self, words: list, sizes: list) -> np.ndarray:
+        """Template ids of cut functions (table words over sizes leaves).
+        Template t's matches are rows tpl_first[t] .. tpl_first[t] +
+        tpl_count[t] - 1 of the match_* arrays: phase, cell area, and per
+        pin (padded with _PIN_PAD) the cut leaf, complement and delay;
+        match_info holds each row's kind, cell, pin count and index in
+        its template."""
+        get = self._tpl.get
+        ids = [get(key) for key in zip(words, sizes)]
+        if None in ids:
+            known = len(self.tpl_matches)
+            ids = [self.template(b, v) if t is None else t
+                   for t, b, v in zip(ids, words, sizes)]
+            self._fill(known)
+        return np.array(ids, np.int64)
+
+    def _fill(self, lo: int) -> None:
+        """Append the match rows of templates lo and up to the arrays."""
+        new = self.tpl_matches[lo:]
+        count = np.array([len(ms) for ms in new], np.int64)
+        rows = [m for ms in new for m in ms]
+        pin = np.full((len(rows), self._pins), _PIN_PAD, np.int64)
+        comp = np.zeros((len(rows), self._pins), np.int64)
+        delay = np.zeros((len(rows), self._pins))
+        self.match_info += [(kind, cell, len(pins), i) for ms in new
+                            for i, (_, kind, cell, pins) in enumerate(ms)]
+        for r, (_, _, cell, pins) in enumerate(rows):
+            pin[r, :len(pins)] = [x for x, _ in pins]
+            comp[r, :len(pins)] = [c for _, c in pins]
+            if cell is not None:
+                delay[r, :len(pins)] = cell.pin_delays
+        self.tpl_first = np.concatenate((
+            self.tpl_first, len(self.match_area) + count.cumsum() - count))
+        self.tpl_count = np.concatenate((self.tpl_count, count))
+        self.match_phase = np.concatenate((self.match_phase, np.array(
+            [ph for ph, _, _, _ in rows], np.int64)))
+        self.match_area = np.concatenate((self.match_area, np.array(
+            [0.0 if cell is None else cell.area for _, _, cell, _ in rows],
+            float)))
+        self.match_pin = np.concatenate((self.match_pin, pin))
+        self.match_comp = np.concatenate((self.match_comp, comp))
+        self.match_delay = np.concatenate((self.match_delay, delay))
+
+
+# template pins that read the constant node and that pad a short pin list
+_PIN_CONST, _PIN_PAD = -2, -1
+_PHASES = np.arange(2)
+
+
 def default_cell_library() -> CellLibrary:
     import os
 
@@ -639,6 +744,10 @@ class _CMatch(NamedTuple):
     kind: str                # "cell" | "inv" | "wire" | "pi" | "const"
     cell: Optional[Cell]     # None for "wire" and "pi"
     pins: tuple              # keys 2 * node + phase, in cell pin order
+    # a cut's match: (cut leaves, index in the cut function's template);
+    # the same for every round that stores the cut, so exact_round knows
+    # the old choice among a key's alternatives
+    src: Optional[tuple] = None
 
 
 class _CellCover(_Rounds):
@@ -656,9 +765,6 @@ class _CellCover(_Rounds):
         self.flow = [INF] * size
         self.est = [1.0] * size
         self.base_est = [e for fo in self.fouts for e in (fo, 1)]
-        self.alts: list = [()] * size
-        # a cut's match list depends only on (node, leaf set)
-        self.match_cache: dict[tuple, tuple] = {}
         self.chosen[0] = _CMatch("const", cl.const0, ())
         self.chosen[1] = _CMatch("const", cl.const1, ())
         self.arr[0] = self.arr[1] = 0.0
@@ -685,47 +791,46 @@ class _CellCover(_Rounds):
     def arrival(self, m: _CMatch) -> float:
         return max((self.arr[k] + d for k, d in self.edges(m)), default=0.0)
 
-    def flow_of(self, m: _CMatch) -> float:
-        return self.own_area(m) + sum(self.flow[k] / self.est[k]
-                                      for k in m.pins)
-
     def cands(self, key: int) -> list:
-        # never pick an inverter when the other phase already is one
+        """The key's matches over its node's stored cuts, in the order the
+        last round read them, then an inverter from the other phase; never
+        an inverter when the other phase already is one."""
+        n, phase = key >> 1, key & 1
+        old = self.chosen[key]
+        out = []
+        eng = self.engine
+        for leaves, word in zip(eng.cuts(n)[:-1], eng.words(n)[:-1]):
+            ms = self.cl.tpl_matches[self.cl.template(word, len(leaves))]
+            for i, (ph, kind, cell, pins) in enumerate(ms):
+                if ph != phase:
+                    continue
+                if old.src == (leaves, i):
+                    out.append(old)
+                    continue
+                out.append(_CMatch(kind, cell, tuple(
+                    2 * (leaves[x] if x >= 0 else 0) + c for x, c in pins),
+                    (leaves, i)))
         other = self.chosen[key ^ 1]
-        two_invs = other is not None and other.kind == "inv"
-        return [m for m in self.alts[key]
-                if not (two_invs and m.kind == "inv")]
-
-    def matches_for_cut(self, leaves: tuple, tt: TruthTable):
-        """Candidate matches per phase for one cut of a node."""
-        out: list = [[], []]
-        tt_s, sup = self.cl.shrink(tt)
-        v = len(sup)
-        if v == 0:
-            one = 1 if tt_s.is_const1() else 0
-            out[0].append(_CMatch("wire", None, (one,)))
-            out[1].append(_CMatch("wire", None, (1 - one,)))
-            return out
-        sub = [leaves[i] for i in sup]
-        if v == 1:
-            flip = 1 if tt_s == ~TruthTable.var(0, 1) else 0
-            for phase in (0, 1):
-                out[phase].append(
-                    _CMatch("wire", None, (2 * sub[0] + (phase ^ flip),)))
-            return out
-        for cell, t, neg in self.cl.matches(tt_s):
-            pins = tuple(2 * sub[t.perm[i]] + ((t.neg >> i) & 1)
-                         for i in range(v))
-            out[1 if neg else 0].append(_CMatch("cell", cell, pins))
+        if other is None or other.kind != "inv":
+            out.append(_CMatch("inv", self.cl.inv, (key ^ 1,)))
         return out
 
     def enum_round(self, delay_pri: bool, constrained: bool) -> None:
-        eng, arr, flow = self.engine, self.arr, self.flow
-        inv = self.cl.inv
-        # arrival and flow of each node's better phase, kept current as
-        # levels are picked; the extra last entry is what a padding leaf
-        # reads
-        best_arr = np.append(np.minimum(arr[0::2], arr[1::2]), 0.0)
+        """Re-enumerate priority cuts, match every stored cut of a level
+        and pick each key's best match, a whole level at a time."""
+        eng, cl, chosen = self.engine, self.cl, self.chosen
+        inv, invd = cl.inv, max(cl.inv.pin_delays)
+        pad = len(self.net)
+        # per key, kept current as levels are picked; the extra last entry
+        # is what a padding pin reads (key 2 * pad)
+        arr = np.array(self.arr + [-INF])
+        flow = np.array(self.flow)
+        est = np.array(self.est)
+        share = np.append(flow / est, 0.0)
+        slack = np.array(self.req) + _EPS
+        # arrival and flow of each node's better phase; the extra last
+        # entry is what a padding leaf reads
+        best_arr = np.append(np.minimum(arr[0:-1:2], arr[1::2]), 0.0)
         best_flow = np.append(np.minimum(flow[0::2], flow[1::2]), 0.0)
 
         def score(leaves, size):
@@ -738,58 +843,81 @@ class _CellCover(_Rounds):
         # primitive is always matchable; without it a budgeted list can
         # end up with only functions the library cannot realize
         for lv in eng.round(score, self.p.l, elem=True):
-            empty = lv.empty
-            failed.update((n, self.no_cut(n)) for n in empty)
-            for n in lv.node_list:
-                if empty and n in empty:
-                    continue
-                per_phase: list = [[], []]
-                for lvs in eng.cutsets[n][:-1]:
-                    pm = self.match_cache.get((n, lvs))
-                    if pm is None:
-                        pm = self.match_cache[(n, lvs)] = \
-                            self.matches_for_cut(lvs, eng.table(n, lvs))
-                    per_phase[0].extend(pm[0])
-                    per_phase[1].extend(pm[1])
-
-                # per phase: the best match meeting the required time, else
-                # the best match
-                picked = [None, None]
-                for phase in (0, 1):
-                    opts = [(self.arrival(m), self.flow_of(m), m)
-                            for m in per_phase[phase]]
-                    feasible = [o for o in opts if not constrained
-                                or o[0] <= self.req[2 * n + phase] + _EPS]
-                    if feasible or opts:
-                        picked[phase] = min(
-                            feasible or opts,
-                            key=lambda o: (o[:2] if delay_pri
-                                           else (o[1], o[0])))
-                if picked[0] is None and picked[1] is None:
+            failed.update((n, self.no_cut(n)) for n in lv.empty)
+            if not len(lv.tt):
+                continue
+            # one row per (stored cut, match), grouped by cut
+            tid = cl.templates(lv.tt.tolist(), lv.size.tolist())
+            cnt = cl.tpl_count[tid]
+            row = np.arange(len(tid)).repeat(cnt)
+            mi = np.arange(len(row)) + (cl.tpl_first[tid] - cnt.cumsum()
+                                        + cnt).repeat(cnt)
+            # pin keys, 2 * node + complement: a cut leaf, the constant
+            # node or the padding node
+            node = np.empty((len(tid), lv.leaves.shape[1] + 2), np.int64)
+            node[:, :-2], node[:, -2], node[:, -1] = lv.leaves, 0, pad
+            pk = 2 * node[row[:, None], cl.match_pin[mi]] + cl.match_comp[mi]
+            a = (arr[pk] + cl.match_delay[mi]).max(axis=1)
+            f = cl.match_area[mi] + _column_sum(share[pk])
+            j = lv.cut_owner[row]
+            key = 2 * lv.nodes[j] + cl.match_phase[mi]
+            # per key, the first best match meeting the required time,
+            # else the first best
+            cols = (f, a, key) if delay_pri else (a, f, key)
+            if constrained:
+                cols = cols[:2] + (a > slack[key], key)
+            o = np.lexsort(cols)
+            ko = key[o]
+            head = np.empty(len(o), bool)
+            head[:1] = True
+            np.not_equal(ko[1:], ko[:-1], out=head[1:])
+            pick = o[head]
+            # per node and phase: the pick's row, arrival and flow
+            n_lv = len(lv.node_list)
+            jp = j[pick], ko[head] & 1
+            at = np.full((n_lv, 2), -1)
+            at[jp] = pick
+            has = at >= 0
+            pa = np.full((n_lv, 2), INF)
+            pa[jp] = a[pick]
+            pf = np.full((n_lv, 2), INF)
+            pf[jp] = f[pick]
+            # realize a missing or costlier phase through an inverter
+            ia, iff = pa[:, ::-1] + invd, inv.area + pf[:, ::-1]
+            if delay_pri:
+                better = (ia < pa) | ((ia == pa) & (iff < pf))
+            else:
+                better = (iff < pf) | ((iff == pf) & (ia < pa))
+            use = has[:, ::-1] & (~has | better)
+            fa, ff = np.where(use, ia, pa), np.where(use, iff, pf)
+            ok = has.any(axis=1)
+            if not ok.all():
+                for n in lv.nodes[~ok & (lv.count > 0)].tolist():
                     failed[n] = LibraryError(
                         f"no cell matches any cut function of node {n}")
-                    continue
-                # realize a missing or expensive phase through an inverter
-                invs = [None, None]
-                for phase in (0, 1):
-                    other = picked[1 - phase]
-                    if other is None:
-                        continue
-                    m = _CMatch("inv", inv, (2 * n + 1 - phase,))
-                    a, f = other[0] + max(inv.pin_delays), inv.area + other[1]
-                    cur = picked[phase]
-                    if cur is None or ((a, f) < cur[:2] if delay_pri
-                                       else (f, a) < (cur[1], cur[0])):
-                        invs[phase] = (a, f, m)
-                for phase in (0, 1):
-                    key = 2 * n + phase
-                    arr[key], flow[key], self.chosen[key] = (
-                        invs[phase] or picked[phase])
-                    self.alts[key] = tuple(per_phase[phase]) + (
-                        _CMatch("inv", inv, (key ^ 1,)),)
-                best_arr[n] = min(arr[2 * n], arr[2 * n + 1])
-                best_flow[n] = min(flow[2 * n], flow[2 * n + 1])
+                fa, ff, use, at = fa[ok], ff[ok], use[ok], at[ok]
+            nodes = lv.nodes[ok]
+            keys = 2 * nodes[:, None] + _PHASES
+            arr[keys], flow[keys] = fa, ff
+            share[keys] = ff / est[keys]
+            best_arr[nodes] = fa.min(axis=1)
+            best_flow[nodes] = ff.min(axis=1)
+            # match objects for the picks only
+            at = at.ravel()
+            cut = row[at]
+            for key, inv_, m, lvs, z, pins in zip(
+                    keys.ravel().tolist(), use.ravel().tolist(),
+                    mi[at].tolist(), lv.leaves[cut].tolist(),
+                    lv.size[cut].tolist(), pk[at].tolist()):
+                if inv_:
+                    chosen[key] = _CMatch("inv", inv, (key ^ 1,))
+                else:
+                    kind, cell, npins, i = cl.match_info[m]
+                    chosen[key] = _CMatch(kind, cell, tuple(pins[:npins]),
+                                          (tuple(lvs[:z]), i))
         self.fail_first(failed)
+        self.arr[:] = arr[:-1].tolist()
+        self.flow[:] = flow.tolist()
 
 
 def map_cells(cn: ChoiceNetwork, cl: CellLibrary,

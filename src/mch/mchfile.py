@@ -7,7 +7,7 @@ AIGER.  A file with no `class` lines is a plain network.
 
 from . import network as nw
 from .network import LogicNetwork, Signal
-from .choices import ChoiceNetwork
+from .choices import ChoiceError, ChoiceNetwork
 
 HEADER = "mch v1"
 
@@ -55,14 +55,27 @@ def read_mch(path) -> ChoiceNetwork:
     node_of = [0]
     classes = []
 
-    def sig(lit_text: str, ln: int) -> Signal:
+    def num(fields: list, i: int, ln: int, what: str) -> int:
+        """Field i of a record as a non-negative integer."""
+        if i >= len(fields):
+            raise MchFileError(f"line {ln}: missing {what}")
         try:
-            lit = int(lit_text)
+            value = int(fields[i])
         except ValueError:
-            raise MchFileError(f"line {ln}: bad literal {lit_text!r}")
-        if lit // 2 >= len(node_of):
-            raise MchFileError(f"line {ln}: literal {lit} not yet defined")
-        s = Signal(node_of[lit // 2], False)
+            raise MchFileError(
+                f"line {ln}: bad {what} {fields[i]!r}") from None
+        if value < 0:
+            raise MchFileError(f"line {ln}: negative {what} {value}")
+        return value
+
+    def node(i: int, ln: int) -> int:
+        if i >= len(node_of):
+            raise MchFileError(f"line {ln}: node {i} not yet defined")
+        return node_of[i]
+
+    def sig(fields: list, i: int, ln: int) -> Signal:
+        lit = num(fields, i, ln, "literal")
+        s = Signal(node(lit // 2, ln), False)
         return ~s if lit & 1 else s
 
     for ln, line in enumerate(lines[1:], 2):
@@ -71,24 +84,25 @@ def read_mch(path) -> ChoiceNetwork:
             continue
         tok = line.split()
         if tok[0] == "pis":
-            for _ in range(int(tok[1])):
+            for _ in range(num(tok, 1, ln, "input count")):
                 node_of.append(net.add_pi().node)
         elif tok[0] == "gate":
-            kind, fins = tok[1], tok[2:]
+            kind, fins = tok[1] if len(tok) > 1 else None, tok[2:]
             if kind not in (nw.AND2, nw.XOR2, nw.MAJ3):
                 raise MchFileError(f"line {ln}: unknown gate kind {kind!r}")
             arity = 3 if kind == nw.MAJ3 else 2
             if len(fins) != arity:
                 raise MchFileError(f"line {ln}: {kind} needs {arity} fanins")
+            ins = tuple(sig(fins, i, ln) for i in range(arity))
             try:
-                s = net.add(kind, tuple(sig(t, ln) for t in fins))
+                s = net.add(kind, ins)
             except nw.NetworkError as e:
                 raise MchFileError(f"line {ln}: {e}") from None
             if s.neg:
                 raise MchFileError(f"line {ln}: gate folds to a complement")
             node_of.append(s.node)
         elif tok[0] == "output":
-            net.add_po(sig(tok[1], ln))
+            net.add_po(sig(tok, 1, ln))
         elif tok[0] == "class":
             classes.append((ln, tok[1:]))
         else:
@@ -96,11 +110,15 @@ def read_mch(path) -> ChoiceNetwork:
 
     cn = ChoiceNetwork(net)
     for ln, fields in classes:
-        try:
-            r = node_of[int(fields[0])]
-            for item in fields[1:]:
-                mtxt, ptxt = item.split(":")
-                cn.add_choice(r, node_of[int(mtxt)], ptxt == "1")
-        except (ValueError, IndexError):
-            raise MchFileError(f"line {ln}: malformed class record")
+        r = node(num(fields, 0, ln, "class representative"), ln)
+        for item in fields[1:]:
+            parts = item.split(":")
+            if len(parts) != 2 or parts[1] not in ("0", "1"):
+                raise MchFileError(f"line {ln}: malformed class member "
+                                   f"{item!r}")
+            m = node(num(parts, 0, ln, "class member"), ln)
+            try:
+                cn.add_choice(r, m, parts[1] == "1")
+            except ChoiceError as e:
+                raise MchFileError(f"line {ln}: {e}") from None
     return cn

@@ -101,3 +101,10 @@ def test_error_reports_line(tmp_path):
     with pytest.raises(AigerError) as exc:
         read_aiger(path)
     assert "line" in str(exc.value)
+
+
+def test_truncated_ascii_and_section_names_its_line(tmp_path):
+    path = tmp_path / "t.aag"
+    path.write_text("aag 3 2 0 1 1\n2\n4\n6")
+    with pytest.raises(AigerError, match=r"line 5: bad AND line"):
+        read_aiger(path)

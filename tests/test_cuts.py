@@ -170,6 +170,28 @@ def _ref_expand(tt, sub, leaves):
     return TruthTable.create(bits, len(leaves))
 
 
+def test_word_expansion_matches_reference_for_every_position_mask():
+    # the engine expands a fanin cut's table word to the merged leaves by
+    # the 6-bit mask of where its leaves sit among them
+    import numpy as np
+
+    from mch.cuts import _widen
+    from mch.tt import TruthTable
+
+    rng = random.Random(10)
+    for pos in range(64):
+        sub = tuple(i for i in range(6) if pos >> i & 1)
+        tts = [TruthTable.create(rng.getrandbits(64), len(sub))
+               for _ in range(4)]
+        got = _widen(np.array([t.bits for t in tts], np.uint64),
+                     np.full(len(tts), pos)).tolist()
+        # padded: the same word over any merged cut holding the positions
+        for v in sorted({max(sub, default=-1) + 1, 6}):
+            for t, g in zip(tts, got):
+                assert g == _ref_expand(t, sub, tuple(range(v))).bits, \
+                    (pos, v)
+
+
 class _RefPools:
     """Cut pools as the engine built them before leaf sets were masks:
     the product merge of the fanin cut sets over sorted tuples, member cuts
@@ -225,6 +247,10 @@ class _RefPools:
                       else maj_tt(*ins))
             self.tables[(n, leaves)] = tt
         return self.tables[(n, leaves)]
+
+
+# the table word of a trivial cut
+VAR0 = 0xAAAAAAAAAAAAAAAA
 
 
 def _weight_key(rng, size):
@@ -292,9 +318,11 @@ def test_engine_pools_with_members_match_reference():
                     for c in [elem] + got:
                         assert lv.merged(j, c) == (c in ref.combo_of[n])
                     keep = sorted(got, key=ref_key)[:l]
-                    assert eng.cutsets[n] == keep + [(n,)], n
+                    assert eng.cuts(n) == keep + [(n,)], n
                     for c in keep:
                         assert eng.table(n, c) == ref.table(n, c), (n, c)
+                    assert eng.words(n) == [ref.table(n, c).bits
+                                            for c in keep] + [VAR0], n
                     changed += last.get(n, keep) != keep
                     last[n] = keep
                     ref.cutsets[n] = [Cut(c, sig_of(c), ref.table(n, c))
@@ -323,7 +351,9 @@ def test_tables_of_cuts_stored_without_one_come_from_their_first_pool():
                     got = lv.pool(j)
                     assert got == ref.pool(n)
                     keep = sorted(got, key=ref_key)[:l]
-                    assert eng.cutsets[n] == keep + [(n,)]
+                    assert eng.cuts(n) == keep + [(n,)]
+                    assert eng.words(n) == [ref.table(n, c).bits
+                                            for c in keep] + [VAR0]
                     ref.cutsets[n] = [Cut(c, 0, ref.table(n, c))
                                       for c in keep] + [
                         Cut((n,), 0, TruthTable.var(0, 1))]
@@ -358,7 +388,7 @@ def test_engine_answers_the_elementary_merge_when_it_is_dominated():
                 assert lv.merged(j, elem)
                 assert not lv.merged(j, (a.node, b.node))
     # the cell mapper's round stores it after the pool's cuts
-    assert eng.cutsets[rep.node] == [(a.node, b.node), elem, (rep.node,)]
+    assert eng.cuts(rep.node) == [(a.node, b.node), elem, (rep.node,)]
     assert eng.table(rep.node, elem) == cut_truth(net, rep.node, list(elem))
     assert eng.table(rep.node, (a.node, b.node)) == \
         cut_truth(net, member.node, [a.node, b.node])
@@ -382,8 +412,8 @@ def test_a_member_with_only_its_trivial_cut_adds_nothing_to_the_pool():
             if n == rep.node:
                 assert lv.pool(j) == [(a.node, b.node)]
     assert empty == [member.node]
-    assert eng.cutsets[member.node] == [(member.node,)]
-    assert eng.cutsets[rep.node] == [(a.node, b.node), (rep.node,)]
+    assert eng.cuts(member.node) == [(member.node,)]
+    assert eng.cuts(rep.node) == [(a.node, b.node), (rep.node,)]
 
 
 def test_maj3_at_k2_keeps_its_two_leaf_cut():
@@ -445,6 +475,32 @@ def test_pool_over_more_than_64_leaves():
     assert len(pool) == 1 + 34 + 2
 
 
+def test_pool_of_exactly_64_leaves():
+    # 31 members over fresh PI pairs and the representative's own two
+    # PIs: one mask word, whose top bit holds the last fanin leaf, and
+    # merged cuts of 2 leaves at k=4
+    from mch.cuts import CutEngine
+    from mch.tt import cut_truth
+
+    net = LogicNetwork(nw.AIG)
+    pis = [net.add_pi() for _ in range(64)]
+    rep = net.add_and(pis[62], ~pis[63])
+    members = [(net.add_and(pis[2 * i], pis[2 * i + 1]).node, False)
+               for i in range(31)]
+    net.add_po(rep)
+    eng = CutEngine(net, 4, {rep.node: members},
+                    [m for m, _ in members] + [rep.node])
+    for lv in eng.round(_structural_key, None):
+        for j, n in enumerate(lv.node_list):
+            if n == rep.node:
+                assert len({x for c in lv.pool(j) for x in c}) == 64
+    own = (pis[62].node, pis[63].node)
+    assert own in eng.cuts(rep.node)
+    assert eng.table(rep.node, own) == cut_truth(net, rep.node, list(own))
+    assert eng.words(rep.node)[eng.cuts(rep.node).index(own)] == \
+        cut_truth(net, rep.node, list(own)).bits
+
+
 def test_a_cut_stored_again_from_another_source_keeps_its_first_table():
     # {y, b, c} is first stored for rep as its own merge, y & b & c; in
     # the second round x no longer stores {y, b}, and the same leaves come
@@ -467,7 +523,7 @@ def test_a_cut_stored_again_from_another_source_keeps_its_first_table():
     leaves = tuple(sorted((y.node, b.node, c.node)))
     for _ in eng.round(_structural_key, None):
         pass
-    assert leaves in eng.cutsets[rep.node]
+    assert leaves in eng.cuts(rep.node)
     wa, wb = np.zeros(len(net) + 1, int), np.zeros(len(net) + 1, int)
     wa[[y.node, c.node, x.node, t.node]] = 5, 9, 9, 9
     wb[[y.node, a.node, d.node, x.node, t.node]] = 1, 1, 1, 9, 9
@@ -477,7 +533,9 @@ def test_a_cut_stored_again_from_another_source_keeps_its_first_table():
 
     for _ in eng.round(key, 1):
         pass
-    assert eng.cutsets[x.node] == [(a.node, b.node, d.node), (x.node,)]
-    assert eng.cutsets[rep.node] == [leaves, (rep.node,)]
-    assert eng.table(rep.node, leaves) == cut_truth(net, rep.node,
-                                                    list(leaves))
+    assert eng.cuts(x.node) == [(a.node, b.node, d.node), (x.node,)]
+    assert eng.cuts(rep.node) == [leaves, (rep.node,)]
+    want = cut_truth(net, rep.node, list(leaves))
+    assert eng.table(rep.node, leaves) == want
+    # and the stored row carries that first table
+    assert eng.words(rep.node)[0] == want.bits

@@ -46,6 +46,18 @@ def test_fingerprint_flags_changed_and_missing_operations(tmp_path, capsys):
     assert lines[-1] == "2 of 4 operations identical"
 
 
+def _matches_pins(pins: dict, workload: str, design: str, tmp_path) -> int:
+    saved = sys.path[:]
+    try:
+        main = runpy.run_path(str(TOOL), run_name="fingerprint_tool")["main"]
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"fingerprints": pins}))
+        return main(["--workload", workload, "--seed", "1",
+                     "--design", design, "--against", str(base)])
+    finally:
+        sys.path[:] = saved
+
+
 # The ladder's .mch file lists every arena gate in order, so a strash
 # change that renumbers the arena shows here first.
 LADDER1000 = {
@@ -55,12 +67,36 @@ LADDER1000 = {
 
 
 def test_fingerprint_of_the_1000_gate_ladder_is_pinned(tmp_path):
-    saved = sys.path[:]
-    try:
-        main = runpy.run_path(str(TOOL), run_name="fingerprint_tool")["main"]
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps({"fingerprints": LADDER1000}))
-        assert main(["--workload", "ladder", "--seed", "1",
-                     "--design", "ladder1000", "--against", str(base)]) == 0
-    finally:
-        sys.path[:] = saved
+    assert _matches_pins(LADDER1000, "ladder", "ladder1000", tmp_path) == 0
+
+
+# router's two iterate operations: k=4 LUT mapping feeding rebuilding,
+# recorded before cut tables were composed at store time
+ROUTER_ITERATE = {
+    "router/aig-area":
+        "96e6323601281746ac8dc7461506181c62589cfa1bba525dff23a44d73b74a77",
+    "router/xmg-delay":
+        "ff804ccf024082d2024c2e2df13678c5e79e809035227a0526eafb377de45e44",
+}
+
+
+def test_fingerprint_of_routers_iterate_operations_is_pinned(tmp_path):
+    assert _matches_pins(ROUTER_ITERATE, "iterate", "router", tmp_path) == 0
+
+
+# dec's suite outputs; its cell mapping has the widest cell levels of the
+# suite.  Recorded before the cell round matched a whole level at once.
+DEC_SUITE = {
+    "dec/cell-area":
+        "141947de135425a28c1accda34de19366e650aad0a661f9bd42d150444f3665d",
+    "dec/lut-area":
+        "f7e007d09aedcbcec3407a1ea57ddbd80e3d42197719f2725d8714e98310b6d9",
+    "dec/lut-base":
+        "f7e007d09aedcbcec3407a1ea57ddbd80e3d42197719f2725d8714e98310b6d9",
+    "dec/lut-delay":
+        "f7e007d09aedcbcec3407a1ea57ddbd80e3d42197719f2725d8714e98310b6d9",
+}
+
+
+def test_fingerprint_of_decs_suite_operations_is_pinned(tmp_path):
+    assert _matches_pins(DEC_SUITE, "suite", "dec", tmp_path) == 0

@@ -124,6 +124,18 @@ def test_library_requires_inverter():
         CellLibrary.loads(text)
 
 
+def test_a_library_without_gate_cells_names_the_first_unmatched_node():
+    # no cut of the first AND has a match, nor has any level above it
+    cl = CellLibrary.loads("cell inv 1.0 1 1 1.0\n"
+                           "cell zero 0.0 0 0\ncell one 0.0 1 0\n")
+    net = LogicNetwork(nw.AIG)
+    a, b, c = net.add_pi(), net.add_pi(), net.add_pi()
+    ab = net.add_and(a, b)
+    net.add_po(net.add_and(ab, ~c))
+    with pytest.raises(LibraryError, match=rf"node {ab.node}$"):
+        map_cells(wrap(net), cl, MapParams(k=4, target=CELL))
+
+
 def test_library_matches_both_phases(cl):
     from mch.tt import TruthTable
     a, b = TruthTable.var(0, 2), TruthTable.var(1, 2)
@@ -234,35 +246,6 @@ def test_pinned_netlists_on_bundled_circuits(name, cl):
                 (preset, target)
 
 
-def test_expand_cache_stays_smaller_than_the_network():
-    # tables are expanded by leaf position, so the cache does not grow
-    # with the number of nodes mapped
-    from mch import cuts
-
-    net = random_network(16, 1000, 1)
-    cuts._EXPAND.clear()
-    map_lut(wrap(net), MapParams(k=4))
-    assert len(cuts._EXPAND) < net.num_gates()
-
-
-def test_lut_tables_are_composed_only_for_the_cover(monkeypatch):
-    # the LUT mapper keeps l cuts per node and round but reads the tables
-    # of the final cover only, plus the fanin tables they derive from
-    from mch import cuts
-
-    calls = []
-    combine = cuts._combine
-
-    def counted(*args):
-        calls.append(args)
-        return combine(*args)
-
-    monkeypatch.setattr(cuts, "_combine", counted)
-    net = random_network(16, 1000, 1)
-    m = map_lut(wrap(net), MapParams(k=4))
-    assert len(calls) < 2 * m.stats["area"]
-
-
 def test_deep_table_derivation_does_not_recurse():
     # at k=4 the cut of every AND over the three PIs merges the same cut
     # of the AND below it, so the one LUT's table derives through the
@@ -316,3 +299,123 @@ def test_k_below_maj3_arity_names_the_node(target, cl):
         else:
             map_lut(cn, MapParams(k=2))
     assert not isinstance(exc.value, LibraryError)
+
+
+# -- reference: the node-by-node cell pick ------------------------------
+
+
+def _ref_matches(cl, leaves, tt):
+    """(kind, cell, pins) matches per phase of one cut, in the order a
+    node's match list takes them."""
+    from mch.tt import TruthTable
+
+    out = [[], []]
+    tt_s, sup = cl.shrink(tt)
+    v = len(sup)
+    if v == 0:
+        one = 1 if tt_s.is_const1() else 0
+        out[0].append(("wire", None, (one,)))
+        out[1].append(("wire", None, (1 - one,)))
+        return out
+    sub = [leaves[i] for i in sup]
+    if v == 1:
+        flip = 1 if tt_s == ~TruthTable.var(0, 1) else 0
+        for phase in (0, 1):
+            out[phase].append(("wire", None, (2 * sub[0] + (phase ^ flip),)))
+        return out
+    for cell, t, neg in cl.matches(tt_s):
+        pins = tuple(2 * sub[t.perm[i]] + ((t.neg >> i) & 1)
+                     for i in range(v))
+        out[1 if neg else 0].append(("cell", cell, pins))
+    return out
+
+
+def _ref_cell_round(m, arr, flow, delay_pri, constrained, seen):
+    """One cell round's picks, node by node in dependency order, over the
+    cut lists the engine stored: per phase the first best match meeting
+    the required time (else the first best), a missing or costlier phase
+    through an inverter.  Updates arr and flow; returns each key's choice
+    and alternatives."""
+    from mch.mapper import _EPS
+
+    inv = m.cl.inv
+    invd = max(inv.pin_delays)
+    chosen, alts = {}, {}
+
+    def cost(match):
+        _, cell, pins = match
+        ds = [0.0] * len(pins) if cell is None else cell.pin_delays
+        return (max(arr[k] + d for k, d in zip(pins, ds)),
+                (0.0 if cell is None else cell.area)
+                + sum(flow[k] / m.est[k] for k in pins))
+
+    for n in m.order:
+        per_phase = [[], []]
+        for lvs in m.engine.cuts(n)[:-1]:
+            pm = _ref_matches(m.cl, lvs, m.engine.table(n, lvs))
+            per_phase[0] += pm[0]
+            per_phase[1] += pm[1]
+        picked = [None, None]
+        for phase in (0, 1):
+            opts = [cost(x) + (x,) for x in per_phase[phase]]
+            feasible = [o for o in opts if not constrained
+                        or o[0] <= m.req[2 * n + phase] + _EPS]
+            seen["dropped"] += len(opts) - len(feasible)
+            if feasible or opts:
+                picked[phase] = min(feasible or opts,
+                                    key=lambda o: o[:2] if delay_pri
+                                    else (o[1], o[0]))
+        assert picked != [None, None], n
+        invs = [None, None]
+        for phase in (0, 1):
+            other = picked[1 - phase]
+            if other is None:
+                continue
+            a, f = other[0] + invd, inv.area + other[1]
+            cur = picked[phase]
+            if cur is None or ((a, f) < cur[:2] if delay_pri
+                               else (f, a) < (cur[1], cur[0])):
+                invs[phase] = (a, f, ("inv", inv, (2 * n + 1 - phase,)))
+                seen["inverters"] += 1
+        for phase in (0, 1):
+            key = 2 * n + phase
+            arr[key], flow[key], chosen[key] = invs[phase] or picked[phase]
+            alts[key] = per_phase[phase] + [("inv", inv, (key ^ 1,))]
+    return chosen, alts
+
+
+def test_cell_round_matches_reference_picks(cl):
+    from mch.mapper import _CellCover
+
+    seen = {"rounds": 0, "constrained": 0, "dropped": 0, "inverters": 0}
+
+    class Checked(_CellCover):
+        def enum_round(self, delay_pri, constrained):
+            arr, flow = self.arr[:], self.flow[:]
+            super().enum_round(delay_pri, constrained)
+            chosen, alts = _ref_cell_round(self, arr, flow, delay_pri,
+                                           constrained, seen)
+            seen["rounds"] += 1
+            seen["constrained"] += constrained
+            for key, want in chosen.items():
+                got = self.chosen[key]
+                assert (got.kind, got.cell, got.pins) == want, key
+                assert (self.arr[key], self.flow[key]) == \
+                    (arr[key], flow[key]), key
+                two_invs = self.chosen[key ^ 1].kind == "inv"
+                assert [(c.kind, c.cell, c.pins)
+                        for c in self.cands(key)] == [
+                    x for x in alts[key]
+                    if not (two_invs and x[0] == "inv")], key
+
+    rng = random.Random(12)
+    for i in range(6):
+        net = random_network(rng.randint(4, 6), rng.randint(15, 30),
+                             rng.randint(0, 10**9), n_pos=2)
+        cn = build_mch(net, default_library(), MchParams(r=0.8),
+                       mix_target=(nw.XMG, nw.XAG)[i % 2])
+        for mode in (DELAY, AREA, BALANCED):
+            p = MapParams(k=(4, 6)[i % 2], mode=mode, rounds=3, target=CELL)
+            Checked(cn, cl, p).run()
+    assert seen["rounds"] == 6 * 3 * 2 and seen["constrained"] == 6 * 3
+    assert seen["dropped"] > 0 and seen["inverters"] > 0

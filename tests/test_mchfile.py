@@ -68,3 +68,35 @@ def test_rejects_dangling_literal(tmp_path):
     path.write_text("mch v1 aig\npis 2\ngate and2 2 12\noutput 6\n")
     with pytest.raises(MchFileError):
         read_mch(path)
+
+
+# 2 PIs (nodes 1, 2), 3 = AND(1, 2), 4 = AND(1, ~2): a negative field
+# must not index node_of from its end
+@pytest.mark.parametrize("body, where, what", [
+    ("pis 2\ngate and2 2 4\noutput -1\n", 4, "negative literal -1"),
+    ("pis 2\ngate and2 -2 4\noutput 6\n", 3, "negative literal -2"),
+    ("pis 2\ngate and2 2 4\ngate and2 2 5\noutput 6\nclass 3 -1:0\n", 6,
+     "negative class member -1"),
+    ("pis 2\ngate and2 2 4\noutput 6\nclass -3 3:0\n", 5,
+     "negative class representative -3"),
+    ("pis\n", 2, "missing input count"),
+    ("pis 2\ngate and2 2 4\noutput\n", 4, "missing literal"),
+    ("pis 2.5\n", 2, "bad input count '2.5'"),
+    ("pis -3\noutput 0\n", 2, "negative input count -3"),
+    ("pis 2\ngate and2 2 4\noutput 6\nclass 3 9:0\n", 5,
+     "node 9 not yet defined"),
+    ("pis 2\ngate and2 2 4\noutput 6\nclass 3 4:x\n", 5,
+     "malformed class member '4:x'"),
+    ("pis 2\ngate\n", 3, "unknown gate kind None"),
+    ("pis 2\ngate and2 2 4\ngate and2 2 5\ngate and2 6 8\noutput 10\n"
+     "class 3 4:0\nclass 4 5:0\n", 8, "representative 4 is itself a choice"),
+], ids=["output-1", "gate-2", "member-1", "repr-3", "pis-missing",
+        "output-missing", "pis-float", "pis-negative", "member-undefined",
+        "member-phase", "gate-no-kind", "member-as-repr"])
+def test_rejects_malformed_fields_with_their_line(tmp_path, body, where,
+                                                  what):
+    path = tmp_path / "m.mch"
+    path.write_text("mch v1 aig\n" + body)
+    with pytest.raises(MchFileError) as exc:
+        read_mch(path)
+    assert str(exc.value) == f"line {where}: {what}"

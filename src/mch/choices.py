@@ -8,6 +8,13 @@ small network over its cut or MFFC leaves; installing it is one
 `LogicNetwork.insert` into the arena, whose strash dedupes any gate the
 arena already has.  External choices (`add_external_choices`) are
 inserted the same way, over the arena's PIs.
+
+Every member is proven where it is installed.  A candidate's member is
+kept only when its table over the spec's leaves (`cut_truth`) equals the
+table of the cut or MFFC it was built from, or that table's complement;
+the member's cone stops at those leaves, so this is exact at any PI
+count.  External choices are kept only when `cec` proves the two networks
+`equivalent`.
 """
 
 from __future__ import annotations
@@ -16,17 +23,13 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from . import network as nw
 from .network import LogicNetwork, Signal, exhaustive_patterns
 from .cuts import Cut, enumerate_cuts
 from .strategies import (Candidate, StrategyLibrary,
                          area_oriented_candidates,
                          level_oriented_candidates)
-from .tt import MAX_VARS, cut_truth
-from .verify import cec
-
-EXACT_PI_LIMIT = 12
-SIM_WIDTH = 256
+from .tt import FULL, MAX_VARS, TruthTable, cut_truth
+from .verify import EQUIVALENT, EXHAUSTIVE_PI_LIMIT, cec
 
 
 class MchParams(NamedTuple):
@@ -50,7 +53,15 @@ class ChoiceStats:
 
 
 class ChoiceError(Exception):
-    pass
+    def __init__(self, message: str, member: Optional[int] = None):
+        super().__init__(message)
+        self.member = member  # the offending choice member, when there is one
+
+
+# check_invariants simulates at most 2^_RUN_VARS patterns at a time, so a
+# run holds 512 bytes per node however many PIs the network has
+_RUN_VARS = 12
+SIM_WIDTH = 256
 
 
 @dataclass
@@ -64,70 +75,77 @@ class ChoiceNetwork:
 
     base: LogicNetwork
     repr_of: dict[int, int] = field(default_factory=dict)   # member -> repr
-    first_choice: dict[int, int] = field(default_factory=dict)
-    next_choice: dict[int, Optional[int]] = field(default_factory=dict)
+    # repr -> its members, in install order
+    classes: dict[int, list[int]] = field(default_factory=dict)
     phase: dict[int, bool] = field(default_factory=dict)    # member vs repr
     stats: ChoiceStats = field(default_factory=ChoiceStats)
 
     def class_reprs(self) -> list[int]:
-        return sorted(self.first_choice)
+        return sorted(self.classes)
 
     def members(self, r: int) -> list[int]:
-        out = []
-        m = self.first_choice.get(r)
-        while m is not None:
-            out.append(m)
-            m = self.next_choice.get(m)
-        return out
+        return self.classes.get(r, [])
 
     def in_class(self, n: int) -> bool:
-        return n in self.repr_of or n in self.first_choice
+        return n in self.repr_of or n in self.classes
 
     def add_choice(self, r: int, member: int, phase: bool) -> bool:
         if member == r or self.in_class(member):
             return False
         if r in self.repr_of:
             raise ChoiceError(f"representative {r} is itself a choice")
-        ms = self.members(r)
-        if ms:
-            self.next_choice[ms[-1]] = member
-        else:
-            self.first_choice[r] = member
-        self.next_choice[member] = None
+        self.classes.setdefault(r, []).append(member)
         self.repr_of[member] = r
         self.phase[member] = phase
         return True
 
-    # -- invariants (test support) ------------------------------------
+    def check_invariants(self) -> None:
+        """Raise ChoiceError, naming the member, unless every member sits
+        in one class, outside its representative's fanout, and computes
+        the representative's function in its phase.
 
-    def check_invariants(self, exhaustive_limit: int = EXACT_PI_LIMIT) -> None:
+        `build_mch` and `add_external_choices` prove each member when
+        they install it; this check is for classes made any other way
+        (`add_choice`, `read_mch`).  Up to EXHAUSTIVE_PI_LIMIT PIs it
+        simulates every input pattern, so a pass is a proof.  Above it,
+        it simulates SIM_WIDTH random patterns, which can only reject: a
+        pass there proves nothing.
+        """
         net = self.base
         seen: set[int] = set()
         for r in self.class_reprs():
             for m in self.members(r):
                 if m in seen:
-                    raise ChoiceError(f"node {m} appears in two classes")
+                    raise ChoiceError(f"node {m} appears in two classes", m)
                 seen.add(m)
                 if r in net.tfi([m]):
                     raise ChoiceError(
-                        f"representative {r} in TFI of choice {m}")
-        # functional equivalence of all class members
-        npi = len(net.pis)
-        if npi <= exhaustive_limit:
-            width = 1 << npi
-            vals = net.simulate(exhaustive_patterns(net.pis), width)
-        else:
-            rng = random.Random(99)
-            width = SIM_WIDTH
-            pats = {n: rng.getrandbits(width) for n in net.pis}
+                        f"representative {r} in TFI of choice {m}", m)
+        for width, pats in _input_runs(net.pis):
             vals = net.simulate(pats, width)
-        mask = (1 << width) - 1
-        for r in self.class_reprs():
-            for m in self.members(r):
-                want = vals[r] ^ (mask if self.phase[m] else 0)
-                if vals[m] != want:
-                    raise ChoiceError(
-                        f"choice {m} not equivalent to representative {r}")
+            mask = (1 << width) - 1
+            for r in self.class_reprs():
+                for m in self.members(r):
+                    if vals[m] != vals[r] ^ (mask if self.phase[m] else 0):
+                        raise ChoiceError(f"choice {m} not equivalent to "
+                                          f"representative {r}", m)
+
+
+def _input_runs(pis: list[int]):
+    """(width, PI words) per simulation run of check_invariants: every
+    input pattern up to EXHAUSTIVE_PI_LIMIT PIs, else SIM_WIDTH random
+    ones."""
+    npi = len(pis)
+    if npi > EXHAUSTIVE_PI_LIMIT:
+        rng = random.Random(99)
+        yield SIM_WIDTH, {n: rng.getrandbits(SIM_WIDTH) for n in pis}
+        return
+    low = min(npi, _RUN_VARS)
+    words = exhaustive_patterns(pis[:low])
+    for high in range(1 << (npi - low)):
+        # -1 is an all-ones word once simulate masks it
+        yield 1 << low, {**words, **{
+            n: -((high >> i) & 1) for i, n in enumerate(pis[low:])}}
 
 
 # -- candidate generation (pure phase) --------------------------------
@@ -136,6 +154,7 @@ class ChoiceNetwork:
 class _Spec(NamedTuple):
     node: int
     leaves: tuple
+    tt: TruthTable       # the node's function over leaves
     candidate: Candidate
 
 
@@ -161,35 +180,37 @@ def multi_strategy_choices(netp: LogicNetwork, critical: set[int],
                 if len(cut.leaves) < 2 or cut.tt is None:
                     continue
                 for cand in level_oriented_candidates(lib, cut.tt, host):
-                    specs.append(_Spec(n, cut.leaves, cand))
+                    specs.append(_Spec(n, cut.leaves, cut.tt, cand))
         else:
             stats.other_nodes += 1
             for cut in cutsets.get(n, []):
                 if len(cut.leaves) < 2 or cut.tt is None:
                     continue
                 for cand in area_oriented_candidates(lib, cut.tt, host):
-                    specs.append(_Spec(n, cut.leaves, cand))
+                    specs.append(_Spec(n, cut.leaves, cut.tt, cand))
             cone = netp.mffc(n, K, fanouts)
             leaves = netp.mffc_leaves(cone)
             gates_in_cone = sum(1 for m in cone if netp.is_gate(m))
             if 2 <= len(leaves) <= MAX_VARS and gates_in_cone >= 2:
                 tt = cut_truth(netp, n, leaves)
                 for cand in area_oriented_candidates(lib, tt, host):
-                    specs.append(_Spec(n, tuple(leaves), cand))
+                    specs.append(_Spec(n, tuple(leaves), tt, cand))
 
     _install_specs(cn, specs, params)
-    stats.classes = len(cn.first_choice)
+    stats.classes = len(cn.classes)
     stats.members = len(cn.repr_of)
     return cn
 
 
 def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
                    params: MchParams) -> None:
+    """Insert each candidate over its spec's leaves and install the new
+    member when its table over those leaves is the spec's table (phase 0)
+    or its complement (phase 1); any other member counts as failed."""
     net = cn.base
     stats = cn.stats
-    sim = _IncrementalSim(net)
     count: dict[int, int] = {}  # members installed per node
-    for node, leaves, cand in specs:
+    for node, leaves, tt, cand in specs:
         if count.get(node, 0) >= params.max_members:
             continue
         stats.generated += 1
@@ -200,73 +221,13 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
             stats.deduped += 1
             continue
         member = root.node
-        ok, phase = sim.phase_of(member, node)
-        if not ok:
+        got = cut_truth(net, member, leaves).bits
+        if got != tt.bits and got != tt.bits ^ FULL:
             stats.failed += 1
             continue
         stats.verified += 1
-        if cn.add_choice(node, member, phase):
+        if cn.add_choice(node, member, got != tt.bits):
             count[node] = count.get(node, 0) + 1
-
-
-class _IncrementalSim:
-    """Node-value cache over fixed input patterns, extended on demand."""
-
-    def __init__(self, net: LogicNetwork):
-        self.net = net
-        npi = len(net.pis)
-        if npi <= EXACT_PI_LIMIT:
-            self.width = 1 << max(npi, 1)
-            pats = exhaustive_patterns(net.pis)
-        else:
-            self.width = SIM_WIDTH
-            rng = random.Random(0x5EED)
-            pats = {n: rng.getrandbits(self.width) for n in net.pis}
-        self.mask = (1 << self.width) - 1
-        self.vals: list = [None] * len(net._nodes)
-        self.vals[0] = 0
-        for n in net.pis:
-            self.vals[n] = pats[n] & self.mask
-
-    def value(self, n: int) -> int:
-        while len(self.vals) < len(self.net._nodes):
-            self.vals.append(None)  # type: ignore[arg-type]
-        v = self.vals[n]
-        if v is not None:
-            return v
-        stack = [n]
-        while stack:
-            m = stack[-1]
-            if self.vals[m] is not None:
-                stack.pop()
-                continue
-            pend = [f.node for f in self.net.fanins(m)
-                    if self.vals[f.node] is None]
-            if pend:
-                stack.extend(pend)
-                continue
-            ins = [self.vals[f.node] ^ (self.mask if f.neg else 0)
-                   for f in self.net.fanins(m)]
-            kind = self.net.kind(m)
-            if kind == nw.AND2:
-                self.vals[m] = ins[0] & ins[1]
-            elif kind == nw.XOR2:
-                self.vals[m] = ins[0] ^ ins[1]
-            elif kind == nw.MAJ3:
-                self.vals[m] = ((ins[0] & ins[1]) | (ins[0] & ins[2])
-                                | (ins[1] & ins[2]))
-            else:
-                self.vals[m] = 0
-            stack.pop()
-        return self.vals[n]
-
-    def phase_of(self, member: int, rep: int):
-        vm, vr = self.value(member), self.value(rep)
-        if vm == vr:
-            return True, False
-        if vm == vr ^ self.mask:
-            return True, True
-        return False, False
 
 
 # -- top-level MCH construction ---------------------------------------
@@ -285,17 +246,21 @@ def build_mch(net: LogicNetwork, lib: StrategyLibrary,
 
 def add_external_choices(cn: ChoiceNetwork,
                          other: LogicNetwork) -> ChoiceNetwork:
-    """Merge a functionally equivalent network as additional choices."""
+    """Merge a network that `cec` proves equivalent as additional choices:
+    each output's new node becomes a choice of the base output's node.
+    Raises ChoiceError when the verdict is anything but `equivalent`."""
     base = cn.base
     if len(base.pis) != len(other.pis) or \
             len(base.outputs) != len(other.outputs):
         raise ChoiceError("PI/PO interface mismatch")
     verdict = cec(base, other)
-    if verdict.status == "not-equivalent":
-        raise ChoiceError(f"networks differ on input {verdict.counterexample}")
+    if verdict.status != EQUIVALENT:
+        where = (f" (they differ on input {verdict.counterexample})"
+                 if verdict.counterexample else "")
+        raise ChoiceError(f"external choices need a proof of equivalence, "
+                          f"but cec says {verdict.status}{where}")
 
     outs = base.insert(other, [Signal(bp) for bp in base.pis])
-    sim = _IncrementalSim(base)
     for sb, snew in zip(base.outputs, outs):
         if snew.node == sb.node:
             continue
@@ -306,12 +271,8 @@ def add_external_choices(cn: ChoiceNetwork,
             continue
         if rep in base.tfi([member]):
             continue
-        ok, phase = sim.phase_of(member, rep)
-        if not ok:
-            cn.stats.failed += 1
-            continue
         cn.stats.verified += 1
-        cn.add_choice(rep, member, phase)
-    cn.stats.classes = len(cn.first_choice)
+        cn.add_choice(rep, member, sb.neg != snew.neg)
+    cn.stats.classes = len(cn.classes)
     cn.stats.members = len(cn.repr_of)
     return cn

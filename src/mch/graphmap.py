@@ -21,10 +21,6 @@ from .verify import cec, NOT_EQUIVALENT
 FIXPOINT = "fixpoint"
 MAX_ITERS = "max-iters"
 
-# default embedding mix per optimization target
-DEFAULT_MIX = {nw.AIG: nw.AIG, nw.XAG: nw.XAG,
-               nw.MIG: nw.MIG, nw.XMG: nw.XMG}
-
 
 class GraphTargetLibrary:
     """Structure templates usable when rebuilding into one representation."""
@@ -121,8 +117,7 @@ def optimize_iterate(net: LogicNetwork, target: str,
     is replaced only when equivalence holds and the mode's lexicographic
     cost strictly improves; otherwise the loop stops at a fixpoint.
     """
-    if mix is None:
-        mix = DEFAULT_MIX[target]
+    mix = mix or target
     tl = GraphTargetLibrary(target, lib)
     slib = lib if lib is not None else default_library()
 

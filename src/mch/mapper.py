@@ -168,9 +168,7 @@ def _dep_order(cn: ChoiceNetwork):
             if state.get(n) == 2 or not net.is_gate(n):
                 stack.pop()
                 continue
-            deps = [f.node for f in net.fanins(n)]
-            if n in cn.first_choice:
-                deps.extend(cn.members(n))
+            deps = [f.node for f in net.fanins(n)] + cn.members(n)
             pend = [d for d in deps
                     if net.is_gate(d) and state.get(d) != 2]
             if pend:
@@ -205,8 +203,8 @@ class _Rounds:
         self.net, self.p = net, p
         self.order = _dep_order(cn)
         self.engine = CutEngine(net, p.k, {
-            r: [(m, cn.phase[m]) for m in cn.members(r)]
-            for r in cn.first_choice}, self.order)
+            r: [(m, cn.phase[m]) for m in ms]
+            for r, ms in cn.classes.items()}, self.order)
         self.req = [INF] * (width * len(net))
         # fanout estimates from the structural cone only, so member gates
         # do not inflate the sharing estimate of original nodes

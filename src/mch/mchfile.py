@@ -2,7 +2,10 @@
 
 Node ids are implicit: 0 is the constant, 1..P are the PIs in order, and
 each `gate` line defines the next id.  Literals are 2*node+neg, as in
-AIGER.  A file with no `class` lines is a plain network.
+AIGER.  A file with no `class` lines is a plain network.  `read_mch`
+runs `ChoiceNetwork.check_invariants` on what it loads, so a member that
+does not compute its representative's function fails with its `class`
+line.
 """
 
 from . import network as nw
@@ -109,6 +112,7 @@ def read_mch(path) -> ChoiceNetwork:
             raise MchFileError(f"line {ln}: unknown record {tok[0]!r}")
 
     cn = ChoiceNetwork(net)
+    line_of = {}  # member -> its class line
     for ln, fields in classes:
         r = node(num(fields, 0, ln, "class representative"), ln)
         for item in fields[1:]:
@@ -118,7 +122,12 @@ def read_mch(path) -> ChoiceNetwork:
                                    f"{item!r}")
             m = node(num(parts, 0, ln, "class member"), ln)
             try:
-                cn.add_choice(r, m, parts[1] == "1")
+                if cn.add_choice(r, m, parts[1] == "1"):
+                    line_of[m] = ln
             except ChoiceError as e:
                 raise MchFileError(f"line {ln}: {e}") from None
+    try:
+        cn.check_invariants()
+    except ChoiceError as e:
+        raise MchFileError(f"line {line_of[e.member]}: {e}") from None
     return cn

@@ -332,36 +332,39 @@ class InvalidCut(Exception):
     pass
 
 
-def cut_truth(net, root: int, leaves: list[int]) -> TruthTable:
-    """Truth table of `root` as a function of `leaves` (sorted order)."""
-    if len(leaves) > MAX_VARS:
-        raise InvalidCut(f"cut has {len(leaves)} leaves (max {MAX_VARS})")
-    v = len(leaves)
-    memo: dict[int, TruthTable] = {
-        leaf: TruthTable.var(i, v) for i, leaf in enumerate(leaves)}
-    memo[0] = TruthTable.const(False, v)
+_FLIP = (0, FULL)  # word to xor in, by complement flag
 
-    # iterative post-order: a node is evaluated once all its fanins are
+
+def cut_truth(net, root: int, leaves: list[int]) -> TruthTable:
+    """Truth table of `root` as a function of `leaves` (sorted order).
+
+    Collects the cone above the leaves, then evaluates it in ascending id
+    order, which is topological (a gate is added after its fanins), on
+    padded words; one TruthTable is built at the end."""
+    v = len(leaves)
+    if v > MAX_VARS:
+        raise InvalidCut(f"cut has {v} leaves (max {MAX_VARS})")
+    memo = dict(zip(leaves, VAR_MASKS))
+    memo[0] = 0
+    cone: dict = {}  # gate between root and leaves -> its fanins
     stack = [root]
     while stack:
-        n = stack[-1]
-        if n in memo:
-            stack.pop()
-            continue
-        if not net.is_gate(n):
-            raise InvalidCut(f"leaf set does not cut off node {n}")
-        fanins = net.fanins(n)
-        pending = [f.node for f in fanins if f.node not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        ins = [~memo[f.node] if f.neg else memo[f.node] for f in fanins]
-        kind = net.kind(n)
-        if kind == "and2":
+        n = stack.pop()
+        if n not in memo and n not in cone:
+            fs = net.fanins(n)
+            if not fs:
+                raise InvalidCut(f"leaf set does not cut off node {n}")
+            cone[n] = fs
+            stack += [f.node for f in fs]
+    kind = net.kind
+    for n in sorted(cone):
+        ins = [memo[m] ^ _FLIP[neg] for m, neg in cone[n]]
+        k = kind(n)
+        if k == "and2":
             memo[n] = ins[0] & ins[1]
-        elif kind == "xor2":
+        elif k == "xor2":
             memo[n] = ins[0] ^ ins[1]
         else:
-            memo[n] = maj_tt(ins[0], ins[1], ins[2])
-    return memo[root]
+            a, b, c = ins
+            memo[n] = (a & b) | (a & c) | (b & c)
+    return TruthTable(memo[root], v)

@@ -286,7 +286,7 @@ def _choice_engines(rng, i):
     cn = build_mch(net, default_library(), MchParams(r=0.8),
                    mix_target=(nw.XMG, nw.XAG)[i % 2])
     classes = {r: [(m, cn.phase[m]) for m in cn.members(r)]
-               for r in cn.first_choice}
+               for r in cn.classes}
     base, k = cn.base, (4, 6)[i % 2]
     return (cn, classes, CutEngine(base, k, classes, _dep_order(cn)),
             _RefPools(base, k, classes))

@@ -1,4 +1,6 @@
-"""Every top-level function and class in src/mch is used somewhere.
+"""Every top-level function, class and constant in src/mch is used
+somewhere.  A constant is a name a module-level assignment binds; dunder
+names (`__all__`) are exempt.
 
 A name counts as used when it is referenced outside its own definition
 in any Python file under src/, tests/, demos/, perfbench/ or benchmarks/:
@@ -23,6 +25,12 @@ def _definitions() -> list:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 out.append((path, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                out.extend((path, t.id) for t in targets
+                           if isinstance(t, ast.Name) and not (
+                               t.id.startswith("__") and t.id.endswith("__")))
     return out
 
 
@@ -35,7 +43,8 @@ def _references(path: Path):
                   ast.ClassDef)) else None
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
-                yield node.id, owner
+                if not isinstance(node.ctx, ast.Store):  # binding, not use
+                    yield node.id, owner
             elif isinstance(node, ast.Attribute):
                 yield node.attr, owner
             elif isinstance(node, ast.Assign) and any(

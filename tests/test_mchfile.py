@@ -100,3 +100,12 @@ def test_rejects_malformed_fields_with_their_line(tmp_path, body, where,
     with pytest.raises(MchFileError) as exc:
         read_mch(path)
     assert str(exc.value) == f"line {where}: {what}"
+
+
+def test_rejects_a_class_whose_member_has_another_function(tmp_path):
+    path = tmp_path / "wrong.mch"
+    path.write_text("mch v1 aig\npis 2\ngate and2 2 4\ngate and2 2 5\n"
+                    "output 6\nclass 3 4:0\n")
+    with pytest.raises(MchFileError, match="line 6: choice 4 not "
+                       "equivalent to representative 3"):
+        read_mch(path)

@@ -28,10 +28,12 @@ tables: a function over v leaves, padded by replication).  The first time
 a (node, leaves) is stored, the level composes its word on arrays: each
 fanin cut's word is expanded to the merged leaves by nibble lookups keyed
 by the positions of its leaves among them, complemented by the fanin's
-phase and combined by AND, XOR or MAJ3; a member cut takes the member's
-word, complemented by its phase.  A (node, leaves) stored again keeps its
-first word, found by one sort over the rows the level stored before.
-`table()` answers any (node, leaves) ever stored.
+phase and combined by AND, XOR or MAJ3; a member cut reads its member's
+word as every fanin, complemented by its phase.  A (node, leaves) stored
+again keeps its first word: each level keeps the rows it stored sorted,
+so one search finds its repeated rows and `table()` is a binary search.
+A level's fixed cost in numpy calls is held to a budget by
+`tests/test_call_budget.py`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .network import XOR2
+from .network import MAJ3, XOR2
 from .tt import FULL, TruthTable
 
 _SIG_MULT = 0x9E3779B97F4A7C15
@@ -108,20 +110,24 @@ def _widen_nibbles() -> np.ndarray:
 
 
 _NIBBLES = _widen_nibbles()
-# flat offset of each byte's low nibble in a position's block
-_BYTE_AT = np.arange(8)[:, None] * 32
+_NIBBLES_HI = _NIBBLES[16:]
+# flat offset of each byte's low nibble in each position's block
+_BYTE_AT = np.arange(64)[:, None] * 256 + np.arange(8) * 32
 
 
 def _widen(tt: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Table words of cuts whose leaves sit at the positions set in the
-    6-bit masks pos among merged cuts' leaves, over the merged leaves."""
-    b = tt.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).T
-    at = pos.astype(np.int64) * 256 + _BYTE_AT
+    6-bit masks pos (of tt's shape) among merged cuts' leaves."""
+    b = tt.astype("<u8", copy=False).view(np.uint8).reshape(tt.shape + (8,))
+    at = _BYTE_AT[pos]
     return np.bitwise_or.reduce(
-        _NIBBLES[at + (b & 15)] | _NIBBLES[at + 16 + (b >> 4)], axis=0)
+        _NIBBLES[at + (b & 15)] | _NIBBLES_HI[at + (b >> 4)], axis=-1)
 
 
 # -- leaf-set masks ----------------------------------------------------
+
+# bit b of a mask word, per b
+_POW2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def _popcount(m: np.ndarray) -> np.ndarray:
@@ -134,29 +140,17 @@ def _max(a: np.ndarray) -> int:
     return int(np.maximum.reduce(a))
 
 
-def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise equality of (n, W) masks."""
-    eq = a == b
-    return eq[:, 0] if eq.shape[1] == 1 else np.logical_and.reduce(eq, 1)
-
-
-def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise inequality of (n, W) masks."""
-    ne = a != b
-    return ne[:, 0] if ne.shape[1] == 1 else np.logical_or.reduce(ne, 1)
-
-
 def _masks(valid: np.ndarray, bit: np.ndarray, width: int) -> np.ndarray:
     """(..., W) masks of a (..., k) leaf array, given the local bits of its
     valid entries in order."""
     one = np.zeros(valid.shape, np.uint64)
     if width == 1:
-        one[valid] = np.uint64(1) << bit.astype(np.uint64)
+        one[valid] = _POW2[bit]
         return np.bitwise_or.reduce(one, axis=-1)[..., None]
     out = []
+    word, b = bit >> 6, _POW2[bit & 63]
     for w in range(width):
-        one[valid] = (bit >> 6 == w).astype(np.uint64) << (
-            bit & 63).astype(np.uint64)
+        one[valid] = b * (word == w)
         out.append(np.bitwise_or.reduce(one, axis=-1))
     return np.stack(out, axis=-1)
 
@@ -168,17 +162,17 @@ def _local_bits(keys: np.ndarray, base: np.ndarray, mult: int) -> tuple:
     every key."""
     o = keys.argsort()
     keys = keys[o]
-    new = np.empty(len(keys), bool)
+    new = np.empty(keys.shape, bool)
     new[0] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     ukeys = keys[new]
     nfirst = ukeys.searchsorted(base)
-    bit = np.empty(len(keys), np.int64)
+    bit = np.empty(keys.shape, np.int64)
     bit[o] = new.cumsum() - 1 - nfirst[keys // mult]
     return ukeys, nfirst, bit
 
 
-def _merged(plan, smask, sok, sc, k) -> tuple:
+def _merged(plan, smask, sok, sc, ls, k) -> tuple:
     """The merged cuts of a level, in fanin-product order: the pairs of
     the first two fanins within k, then each with the third fanin's cuts
     (none for a level of 2-input gates, whose third fanin is node 0's one
@@ -187,9 +181,9 @@ def _merged(plan, smask, sok, sc, k) -> tuple:
     of a merged cut is its product's index within its node, over a
     (ls, ls, lc3) grid of the fanins' slots; that of a member cut is
     -1 - (its index in the level's (members, ls) grid)."""
-    n_lv, ls, width = len(plan.node_list), sok.shape[1], smask.shape[-1]
+    n_lv, width = len(plan.node_list), smask.shape[-1]
     n3 = 3 * n_lv
-    fm = smask[:n3].reshape(n_lv, 3, ls, width)
+    fm = smask[:n3 * ls].reshape(n_lv, 3, ls, width)
     fok = sok[:n3].reshape(n_lv, 3, ls)
     m = fm[:, 0, :, None] | fm[:, 1, None]
     pc = _popcount(m)
@@ -218,7 +212,7 @@ def _merged(plan, smask, sok, sc, k) -> tuple:
         pc = np.concatenate((pc[two], t_pc.ravel()[flat]))
     if plan.drop is not None:
         flat = sok[n3:].ravel().nonzero()[0]
-        mm = smask[n3:].reshape(-1, width)[flat]
+        mm = smask[n3 * ls + flat]
         own = np.concatenate((own, plan.mown[flat // ls]))
         code = np.concatenate((code, -1 - flat))
         mask = np.concatenate((mask, mm))
@@ -226,36 +220,50 @@ def _merged(plan, smask, sok, sc, k) -> tuple:
     return own, code, mask, pc, lc3
 
 
-def _first_occurrences(own: np.ndarray, mask: np.ndarray) -> tuple:
+def _first_occurrences(own: np.ndarray, mask: np.ndarray, top: int,
+                       nbits: int) -> tuple:
     """The first occurrence of each (node, mask), grouped by node: the
-    indices, their nodes and their masks."""
-    o = np.lexsort((*mask.T, own))
-    mo, oo = mask[o], own[o]
-    head = np.empty(len(o), bool)
+    indices, their nodes and their masks.  A mask over local bits up to
+    top sorts as one word with its node position (nbits bits) above it
+    when both fit."""
+    head = np.empty(own.shape, bool)
     head[:1] = True
-    head[1:] = _differ(mo[1:], mo[:-1])
-    head[1:] |= oo[1:] != oo[:-1]
-    return o[head], oo[head], mo[head]
+    if top + nbits < 64 and mask.shape[1] == 1:
+        ko = mask[:, 0] | np.left_shift(own, top + 1, dtype=np.uint64,
+                                        casting="unsafe")
+        o = ko.argsort(kind="stable")
+        ko = ko[o]
+        np.not_equal(ko[1:], ko[:-1], out=head[1:])
+    else:
+        o = np.lexsort((*mask.T, own))
+        mo, oo = mask[o], own[o]
+        head[1:] = np.logical_or.reduce(mo[1:] != mo[:-1], 1)
+        head[1:] |= oo[1:] != oo[:-1]
+    d = o[head]
+    return d, own[d], mask[d]
 
 
-def _best_undominated(m: np.ndarray, own: np.ndarray, n_lv: int,
+def _best_undominated(m: np.ndarray, own: np.ndarray, iota: np.ndarray,
                       l: Optional[int]) -> tuple:
     """The first l masks (all for None) of each node, in the given order,
     that contain no mask of their node before them: with every mask sorted
     after its subsets, the best l undominated ones.  m and own are grouped
-    by node; a prefix of each node's masks is checked pairwise, and
+    by node; iota is arange(nodes + 1).  A prefix of each node's masks is
+    checked pairwise (all of them when none holds more than 2 * l), and
     lengthened for a node while it holds fewer than l.  Returns the
     positions taken, their ranks within their nodes and the count taken
     per node."""
-    per = np.bincount(own, minlength=n_lv)
-    start = per.cumsum() - per
-    pos = np.arange(len(own)) - start[own]
+    bound = own.searchsorted(iota)
+    start = bound[:-1]
+    per = bound[1:] - start
+    longest = _max(per)
     want = per if l is None else np.minimum(per, l)
-    # every node's whole list when none is longer than 2 * l
-    reach = per if l is None or _max(per) <= 2 * l else np.minimum(per,
-                                                                   2 * l)
+    reach = per if l is None or longest <= 2 * l else np.minimum(per, 2 * l)
+    most = longest if reach is per else 2 * l      # bounds reach
     done = 0                            # prefix already checked
-    dead = np.zeros(len(own), bool)
+    dead = np.zeros(own.shape, bool)
+    if m.shape[1] == 1:
+        m = m[:, 0]
     while True:
         # the pairs (i, j), i < j, with j in [done, reach) of each node:
         # a contiguous range of the triangle
@@ -263,57 +271,63 @@ def _best_undominated(m: np.ndarray, own: np.ndarray, n_lv: int,
         npair = (reach * (reach - 1) >> 1) - lo
         pend = npair.cumsum()
         if pend[-1]:
-            ti, tj = _triangle(_max(reach))
-            loc = np.arange(pend[-1]) + (lo - pend + npair).repeat(npair)
+            ti, tj = _triangle(most)
+            loc = _iota(pend[-1]) + (lo - pend + npair).repeat(npair)
             first = start.repeat(npair)
             pi, pj = first + ti[loc], first + tj[loc]
             a = m[pi]
-            dead[pj[_same(a & m[pj], a)]] = True
-        live = ~dead
+            sub = (a & m[pj]) == a
+            if sub.ndim > 1:
+                sub = np.logical_and.reduce(sub, 1)
+            dead[pj[sub]] = True
         if reach is per:
             break
-        live &= pos < reach[own]
-        got = np.bincount(own[live], minlength=n_lv)
-        short = got < want
+        # lengthen the prefix of nodes with more masks but fewer than l
+        # live in it (every dead mask lies in it)
+        short = reach - np.bincount(own[dead], minlength=per.size) < want
         short &= reach < per
-        if not short.any():
+        if not np.count_nonzero(short):
             break
         done = reach
         reach = np.where(short, np.minimum(per, 2 * reach), reach)
+        most = min(longest, 2 * most)
+    live = ~dead
+    if reach is not per:
+        live &= _iota(own.size) < (start + reach)[own]
     # rank among the node's live masks
-    before = np.concatenate(([0], live.cumsum()))
-    rank = before[1:] - before[start][own] - 1
+    seen = live.cumsum()
+    rank = seen - (seen - live)[start[own]] - 1
     sel = (live & (rank < want[own])).nonzero()[0]
-    return sel, rank[sel], np.bincount(own[sel], minlength=n_lv)
+    return sel, rank[sel], np.bincount(own[sel], minlength=per.size)
 
 
-def _decode(msv, osv, size, ukeys, nfirst, base, top, k) -> tuple:
+def _decode(md, od, size, ukeys, nfirst, mult, top, k) -> tuple:
     """(S, k) ascending leaves, -1 padded, of masks over local bits up to
     top: a mask's set bits, in ascending order, are its leaves.  Returns
     them and their local bits."""
-    bits = np.unpackbits(msv.astype("<u8", copy=False).view(np.uint8)[
-        :, :(top >> 3) + 1], axis=1, bitorder="little")
-    r, c = bits.nonzero()
-    orow = osv[r]
-    at = (r, np.arange(len(r)) - (size.cumsum(dtype=np.int64) - size)[r])
-    leaves = np.full((len(msv), k), -1, np.int64)
-    leaves[at] = ukeys[nfirst[orow] + c] - base[orow]
-    local = np.full((len(msv), k), -1, np.int64)
-    local[at] = c
-    return leaves, local
+    bits = np.unpackbits(md.astype("<u8", copy=False).view(np.uint8)[
+        :, :(top >> 3) + 1], bitorder="little")
+    r, c = np.divmod(bits.view(bool).nonzero()[0], (top >> 3) * 8 + 8)
+    at = _iota(r.size) + (r * k - (size.cumsum(dtype=np.int64) - size)[r])
+    out = np.empty((2, md.shape[0] * k), np.int64)
+    out.fill(-1)
+    out[0, at] = ukeys[nfirst[od[r]] + c] % mult
+    out[1, at] = c
+    return out.reshape(2, -1, k)
 
 
-def _elem_hits(md, code, plan, ukeys, nfirst, width, d, od) -> tuple:
+def _elem_hits(md, code, d, od, plan, ukeys, nfirst, width) -> tuple:
     """The first merged candidate over exactly its node's fanins, per
     node that has one: candidate positions and node positions."""
-    n_lv = len(plan.node_list)
-    fan = plan.src[:3 * n_lv].reshape(n_lv, 3)
-    fan = np.where(fan > 0, fan, fan[:, :1]) + plan.base[:, None]
-    pos = ukeys.searchsorted(fan) - nfirst[:, None]
-    em = np.zeros((n_lv, width), np.uint64)
-    np.bitwise_or.at(em, (np.arange(n_lv).repeat(3), (pos >> 6).ravel()),
-                     (np.uint64(1) << (pos & 63).astype(np.uint64)).ravel())
-    hit = _same(md, em[od]) & (code[d] >= 0)
+    pos = ukeys.searchsorted(plan.efan) - nfirst[:, None]
+    b = _POW2[pos & 63]
+    if width == 1:
+        hit = md[:, 0] == (b[:, 0] | b[:, 1] | b[:, 2])[od]
+    else:
+        em = np.zeros((len(pos), width), np.uint64)
+        np.bitwise_or.at(em, (plan.iota[:-1, None], pos >> 6), b)
+        hit = np.logical_and.reduce(md == em[od], 1)
+    hit &= code[d] >= 0
     return hit.nonzero()[0], od[hit]
 
 
@@ -321,10 +335,14 @@ def _elem_hits(md, code, plan, ukeys, nfirst, width, d, od) -> tuple:
 _PART = 256
 
 _FANIN = np.arange(3)
-# bit t of a position mask, per leaf t
-_LEAF_BIT = np.arange(6, dtype=np.uint64)[:, None]
-
 _TRI = [0, np.zeros(0, np.int64), np.zeros(0, np.int64)]
+# small aranges are views of one read-only array
+_IOTA = np.arange(4096)
+_IOTA.flags.writeable = False
+
+
+def _iota(n: int) -> np.ndarray:
+    return _IOTA[:n] if n <= _IOTA.size else np.arange(n)
 
 
 def _triangle(p: int) -> list:
@@ -339,7 +357,8 @@ def _triangle(p: int) -> list:
 
 
 class _Plan(NamedTuple):
-    """The parts of one dependency level that stay the same every round.
+    """The parts of one dependency level that stay the same every round;
+    None for each kind of node the level does not hold skips its branch.
 
     A segment is the stored cut list of one source of one of the level's
     nodes: first the three fanins of every node (node 0, whose one cut is
@@ -347,7 +366,6 @@ class _Plan(NamedTuple):
     in class order."""
     nodes: np.ndarray        # the level's gates, ascending
     node_list: list
-    fanins: list             # fanin nodes of each
     src: np.ndarray          # per segment: the node whose cuts it holds
     drop: Optional[np.ndarray]   # 1 per member segment: its trivial cut
     #                              is left out; None without members
@@ -356,11 +374,14 @@ class _Plan(NamedTuple):
     maj: Optional[np.ndarray]    # which nodes are 3-input gates; None
     #                              when none is
     mown: np.ndarray         # per member segment: its node's position
-    mneg: np.ndarray         # per member segment: FULL where its phase is
-    #                          set, else 0
-    fneg: np.ndarray         # (N, 3) FULL where a fanin is complemented
-    xor: np.ndarray          # (N,) which nodes are XOR2 gates
+    sneg: np.ndarray         # per segment: FULL where its table is read
+    #                          complemented (edge or phase), else 0
+    xor: Optional[np.ndarray]    # (N,) which nodes are XOR2 gates; None
+    #                              when none is
     trivial: np.ndarray      # (N, k) the node itself, -1 padded
+    efan: np.ndarray         # (N, 3) leaf keys of each node's fanins
+    iota: np.ndarray         # arange(N + 1)
+    nbits: int               # bits of the highest node position
 
 
 class Level:
@@ -381,7 +402,7 @@ class Level:
         self.nodes, self.node_list = plan.nodes, plan.node_list
         self.key, self.owner, self.count = key, owner, count
         self.cut_owner, self.leaves, self.size, self.tt = stored
-        self._fanins, self._pools = plan.fanins, pools
+        self._plan, self._pools = plan, pools
 
     @property
     def empty(self) -> list:
@@ -392,7 +413,7 @@ class Level:
     def _own(self, j: int) -> list:
         """Node j's pool cuts in pool order, as (leaves, merged) pairs:
         its distinct cuts that contain no other."""
-        leaves, size, md, code, _, _, _, _, d, od = self._pools
+        leaves, size, md, code, d, od = self._pools[:6]
         lo, hi = od.searchsorted([j, j + 1]).tolist()
         masks = [sum(int(w) << (64 * i) for i, w in enumerate(row))
                  for row in md[lo:hi]]
@@ -412,7 +433,9 @@ class Level:
         answered even when dominated."""
         if (leaves, True) in self._own(j):
             return True
-        return (leaves == tuple(sorted(self._fanins[j]))
+        # node 0 pads a 2-input gate's fanins, and no gate reads it
+        fan = sorted(x for x in self._plan.src[3 * j:3 * j + 3].tolist() if x)
+        return (leaves == tuple(fan)
                 and j in _elem_hits(*self._pools[2:])[1].tolist())
 
 
@@ -448,75 +471,91 @@ class CutEngine:
             self._start[n], self._count[n] = i, 1
         self._base = self._nrows = 1 + len(net.pis)
         self._tts[1:self._base] = _VAR0.bits
+        # an upper bound on the length of every list stored so far
+        self._longest = 1
         # node -> (plan, position) of each gate
         self._place: dict[int, tuple] = {}
         self._plans = self._plan(net.gates() if order is None else order)
-        # per plan, the rows (position, leaves...) it stored so far and
-        # their table words, the first stored for each
-        self._stored = [(np.zeros((0, k + 1), np.int32),
-                         np.zeros(0, np.uint64))] * len(self._plans)
+        # per plan, its (position, leaves...) rows and their first words,
+        # sorted as byte keys and ended by an all -1 row, which sorts last
+        self._row = np.dtype((np.void, 4 * (k + 1)))
+        end = np.full((1, k + 1), -1, np.int32)
+        self._stored = [(end, np.zeros(1, np.uint64))] * len(self._plans)
 
     def _plan(self, order) -> list[_Plan]:
         """ASAP levels over fanins plus class members, and each level's
-        fixed arrays."""
-        net, classes = self.net, self.classes
+        fixed arrays, sliced from arrays over all gates."""
+        net, classes, mult = self.net, self.classes, self._key_mult
+        fanins, kind, get = net.fanins, net.kind, classes.get
         level = [0] * len(net)
-        gates, fans = [], []
+        info = []
         for n in order:
-            fs = tuple([f[0] for f in net.fanins(n)])
-            lv = max([level[f] for f in fs])
-            for m, _ in classes.get(n, ()):
-                lv = max(lv, level[m])
+            (a, na), (b, nb), (c, nc) = (*fanins(n), (0, False))[:3]
+            lv = max(level[a], level[b], level[c])
+            ms = get(n)
+            if ms:
+                lv = max(lv, *[level[m] for m, _ in ms])
             level[n] = lv + 1
-            gates.append(n)
-            fans.append(fs)
-        if not gates:
+            k_ = kind(n)
+            info.append((lv, n, a, b, c, na, nb, nc, k_ == XOR2, k_ == MAJ3,
+                         len(ms) if ms else 0))
+        if not info:
             return []
-        by = np.lexsort((gates, [level[n] for n in gates])).tolist()
-        gates = [gates[i] for i in by]
-        fans = [fans[i] for i in by]
-        fan = np.array([fs + (0,) * (3 - len(fs)) for fs in fans], np.int64)
+        cols = np.array(info, np.int64)
+        cols = cols[np.lexsort((cols[:, 1], cols[:, 0]))]
+        garr, fan = cols[:, 1], cols[:, 2:5]
+        gates = garr.tolist()
         # fanin phases as table masks; node 0 pads a 2-input gate
-        fneg = np.array([[f[1] for f in net.fanins(n)] + [False] * (
-            3 - len(fs)) for n, fs in zip(gates, fans)]) * np.uint64(FULL)
-        xor = np.array([net.kind(n) for n in gates]) == XOR2
-        lv_all = np.array([level[n] for n in gates])
-        cut = set((np.flatnonzero(lv_all[1:] != lv_all[:-1]) + 1).tolist())
+        fneg = np.where(cols[:, 5:8] != 0, np.uint64(FULL), np.uint64(0))
+        xor, maj = cols[:, 8] != 0, cols[:, 9] != 0
         trivial = np.full((len(gates), self.k), -1, np.int64)
-        trivial[:, 0] = gates
-        mult = self._key_mult
+        trivial[:, 0] = garr
         # a level is built in parts of at most _PART cut lists read, which
         # bounds the kernel's working arrays
-        bounds, size = [0], 0
-        for i, n in enumerate(gates):
-            reads = 3 + len(classes.get(n, ()))
-            if i in cut or size + reads > _PART and size:
+        bounds, size, prev = [0], 0, -1
+        for i, (lv, reads) in enumerate(zip(cols[:, 0].tolist(),
+                                            (cols[:, 10] + 3).tolist())):
+            if i and (lv != prev or size + reads > _PART):
                 bounds.append(i)
                 size = 0
             size += reads
+            prev = lv
         bounds.append(len(gates))
+        # per gate: its part's start and its position in its part
+        sizes = np.diff(bounds)
+        at = np.arange(len(gates)) - np.repeat(bounds[:-1], sizes)
+        base = at * mult
+        efan = np.where(fan > 0, fan, fan[:, :1]) + base[:, None]
+        fan, sbase, fneg = fan.ravel(), base.repeat(3), fneg.ravel()
+        # per part: its XOR, MAJ and member counts
+        n_xor, n_maj, n_mem = np.add.reduceat(np.stack(
+            (xor, maj, cols[:, 10])), bounds[:-1], axis=1).tolist()
+        iota = np.arange(_max(sizes) + 1)
+        self._place = dict(zip(gates, zip(
+            np.repeat(np.arange(len(sizes)), sizes).tolist(), at.tolist())))
         plans = []
-        for lo, hi in zip(bounds, bounds[1:]):
+        for lo, hi, nx, nm, nb in zip(bounds, bounds[1:], n_xor, n_maj,
+                                      n_mem):
             node_list = gates[lo:hi]
-            for j, n in enumerate(node_list):
-                self._place[n] = (len(plans), j)
-            members = [(j, m, ph) for j, n in enumerate(node_list)
-                       for m, ph in classes.get(n, ())]
-            base = np.arange(hi - lo, dtype=np.int64) * mult
-            mown = np.array([j for j, _, _ in members], np.int64)
-            msrc = [m for _, m, _ in members]
+            src, sb, sneg = fan[3 * lo:3 * hi], sbase[3 * lo:3 * hi], \
+                fneg[3 * lo:3 * hi]
+            drop = mown = None
+            if nb:
+                members = [(j, m, ph) for j, n in enumerate(node_list)
+                           for m, ph in get(n, ())]
+                mown = np.array([j for j, _, _ in members], np.int64)
+                src = np.concatenate((src, [m for _, m, _ in members]))
+                sb = np.concatenate((sb, mown * mult))
+                drop = np.array([0] * (3 * (hi - lo)) + [1] * len(members))
+                sneg = np.concatenate((sneg, np.array(
+                    [FULL if ph else 0 for _, _, ph in members], np.uint64)))
             plans.append(_Plan(
-                np.array(node_list, np.int64), node_list, fans[lo:hi],
-                np.concatenate((fan[lo:hi].ravel(), msrc)).astype(np.int64),
-                np.array([0] * (3 * (hi - lo)) + [1] * len(members))
-                if members else None,
-                base, np.concatenate((base.repeat(3), mown * mult))[
-                    :, None, None],
-                np.array([len(fs) == 3 for fs in fans[lo:hi]])
-                if any(len(fs) == 3 for fs in fans[lo:hi]) else None,
-                mown, np.array([FULL if ph else 0 for _, _, ph in members],
-                               np.uint64),
-                fneg[lo:hi], xor[lo:hi], trivial[lo:hi]))
+                garr[lo:hi], node_list, src, drop, base[lo:hi],
+                sb[:, None, None],
+                maj[lo:hi] if nm else None, mown, sneg,
+                xor[lo:hi] if nx else None,
+                trivial[lo:hi], efan[lo:hi], iota[:hi - lo + 1],
+                (hi - lo - 1).bit_length()))
         return plans
 
     def round(self, key, l: Optional[int] = None, elem: bool = False):
@@ -539,42 +578,43 @@ class CutEngine:
             lv._pools = None        # the next level is built without them
 
     def _level(self, plan: _Plan, i: int, key, l, elem: bool) -> Level:
-        k, n_lv = self.k, len(plan.node_list)
+        k, mult = self.k, self._key_mult
         # every segment's stored cuts, padded to ls slots
+        srow = self._start[plan.src]
         sc = self._count[plan.src]
         if plan.drop is not None:
             sc -= plan.drop
         ls = _max(sc)
-        slot = np.arange(ls)
+        slot = _iota(ls)
         sok = slot < sc[:, None]
-        leaves = self._rows[self._start[plan.src][:, None] + slot]
+        rowat = srow[:, None] + slot
+        leaves = self._rows[rowat]
         valid = leaves >= 0
         valid &= sok[..., None]
         ukeys, nfirst, bit = _local_bits((leaves + plan.sbase)[valid],
-                                         plan.base, self._key_mult)
+                                         plan.base, mult)
         del leaves
         top = _max(bit)
         width = (top >> 6) + 1
-        smask = _masks(valid, bit, width)
+        smask = _masks(valid, bit, width).reshape(-1, width)  # per slot
         del valid, bit
-        own, code, mask, pc, lc3 = _merged(plan, smask, sok, sc, k)
-        d, od, md = _first_occurrences(own, mask)
+        own, code, mask, pc, lc3 = _merged(plan, smask, sok, sc, ls, k)
+        d, od, md = _first_occurrences(own, mask, top, plan.nbits)
         size = pc[d]
-        leaves, local = _decode(md, od, size, ukeys, nfirst, plan.base, top,
-                                k)
+        leaves, local = _decode(md, od, size, ukeys, nfirst, mult, top, k)
         # the caller's order, ties in pool order, then the best l cuts of
         # each node that contain no other
         cols = key(leaves, size)
         order = np.lexsort((d, *cols[::-1], od))
         sown = od[order]
-        sel, rank, kept = _best_undominated(md[order], sown, n_lv, l)
+        sel, rank, kept = _best_undominated(md[order], sown, plan.iota, l)
         order, sown = order[sel], sown[sel]
 
         pick, cown, crank, count = order, sown, rank, kept
-        pools = (leaves, size, md, code, plan, ukeys, nfirst, width, d, od)
+        pools = (leaves, size, md, code, d, od, plan, ukeys, nfirst, width)
         if elem:
             ep, eo = _elem_hits(*pools[2:])
-            stored = np.zeros(len(own), bool)
+            stored = np.zeros(own.shape, bool)
             stored[d[pick]] = True
             keep = ~stored[d[ep]]
             ep, eo = ep[keep], eo[keep]
@@ -582,10 +622,10 @@ class CutEngine:
             pick = np.concatenate((pick, ep))[grp]
             cown = np.concatenate((cown, eo))[grp]
             crank = np.concatenate((crank, kept[eo]))[grp]
-            count = kept + np.bincount(eo, minlength=n_lv)
+            count = kept + np.bincount(eo, minlength=kept.size)
         crow = leaves[pick]
         ctt = self._store(plan, i, cown, crank, count, crow, (
-            code[d[pick]], local[pick], smask, ls, lc3))
+            pick, code, d, local, smask, rowat, ls, lc3))
         return Level(plan, [c[order] for c in cols], sown, kept, pools,
                      (cown, crow, size[pick], ctt))
 
@@ -594,14 +634,20 @@ class CutEngine:
         slot in crank) and its trivial cut, with their table words: a
         (node, leaves) stored before keeps its first word, the others are
         composed from src (see _fresh_words).  Returns the chosen cuts'
-        words."""
+        words.
+
+        A search of the plan's sorted rows finds those stored before; a
+        stable sort merges the fresh ones, appended, back into order."""
         total = count + 1
         start = total.cumsum()
         start += self._nrows - total
-        need = self._nrows + len(cown) + len(total)
-        # a level reads up to its longest list past a list's start
-        room = need + _max(total)
-        if room > len(self._rows):
+        n_cut = cown.shape[0]
+        need = self._nrows + n_cut + total.shape[0]
+        if n_cut >= self._longest:
+            self._longest = n_cut + 1
+        # a level reads up to the longest list past a list's start
+        room = need + self._longest
+        if room > self._rows.shape[0]:
             grown = np.full((2 * room, self.k), -1, np.int32)
             grown[:self._nrows] = self._rows[:self._nrows]
             self._rows = grown
@@ -610,95 +656,84 @@ class CutEngine:
             self._tts = tts
         at = start[cown] + crank
         self._rows[at] = crow
-        self._rows[start + count] = plan.trivial
-        self._tts[start + count] = _VAR0.bits
+        end = start + count
+        self._rows[end] = plan.trivial
+        self._tts[end] = _VAR0.bits
         self._start[plan.nodes] = start
         self._count[plan.nodes] = total
         self._nrows = need
 
-        # the (node, leaves) stored for the first time: rows not among
-        # those the level stored in earlier rounds
-        new = np.concatenate((cown[:, None], crow), axis=1,
-                             dtype=np.int32)
-        old, old_tt = self._stored[i]
-        if len(old):
-            both = np.concatenate((old, new))
-            o = np.lexsort(both.T[::-1])
-            head = np.empty(len(o), bool)
-            head[0] = True
-            head[1:] = _differ(both[o[1:]], both[o[:-1]])
-            # each row's run of equal rows starts with an old row when
-            # there is one (the sort is stable)
-            first = np.empty(len(o), np.int64)
-            first[o] = o[np.maximum.accumulate(
-                np.where(head, np.arange(len(o)), 0))]
-            first = first[len(old):]
-            fresh = (first == np.arange(len(old), len(both))).nonzero()[0]
-            ctt = old_tt[np.minimum(first, len(old) - 1)]
+        new = np.concatenate((cown[:, None], crow), axis=1, dtype=np.int32)
+        rows, words = self._stored[i]
+        if rows.shape[0] > 1:
+            p = rows.view(self._row)[:, 0].searchsorted(
+                new.view(self._row)[:, 0])
+            ctt = words[p]
+            fresh = np.logical_or.reduce(rows[p] != new, 1).nonzero()[0]
         else:
-            fresh = np.arange(len(new))
-            ctt = np.empty(len(new), np.uint64)
-        if len(fresh):
+            fresh = _iota(n_cut)
+            ctt = np.empty(n_cut, np.uint64)
+        if fresh.size:
             ctt[fresh] = self._fresh_words(plan, cown[fresh], fresh, src)
-            self._stored[i] = (np.concatenate((old, new[fresh])),
-                               np.concatenate((old_tt, ctt[fresh])))
+            rows = np.concatenate((rows, new[fresh]))
+            words = np.concatenate((words, ctt[fresh]))
+            o = rows.view(self._row)[:, 0].argsort(kind="stable")
+            self._stored[i] = rows[o], words[o]
         self._tts[at] = ctt
         return ctt
 
     def _fresh_words(self, plan, own, fresh, src) -> np.ndarray:
-        """Table words of the chosen cuts fresh (of nodes own), from
-        src = (code, local, smask, ls, lc3): per chosen cut its source
-        code and the local bits of its leaves, and the level's fanin
-        masks.  A source code is the index of a merged cut in its node's
-        fanin product, over a (ls, ls, lc3) grid of the fanins' slots, or
-        -1 - the index of a member cut in the level's (members, ls)
-        grid."""
-        code, local, smask, ls, lc3 = src
-        code, local = code[fresh], local[fresh]
-        start, seg = self._start, plan.src
-        out = np.empty(len(own), np.uint64)
-        merged = slice(None)
+        """Table words of the chosen cuts fresh (of nodes own), from src =
+        (pick, code, d, local, smask, rowat, ls, lc3), _level's arrays (the
+        codes are _merged's).  A cut composes its word from one (segment,
+        slot) per fanin, over the first two unless the level has 3-input
+        gates (node 0's one empty cut, word 0, pads a 2-input gate); a
+        member cut reads its member's slot as every fanin, which AND and
+        MAJ pass through."""
+        pick, code, d, local, smask, rowat, ls, lc3 = src
+        pick = pick[fresh]
+        code, local = code[d[pick]], local[pick]
+        nf = 2 if plan.maj is None else 3
+        seg = 3 * own + _FANIN[:nf, None]
+        slot = np.empty(seg.shape, np.int64)
+        rest = code
+        for f in range(nf - 1, 0, -1):
+            rest, slot[f] = np.divmod(rest, (ls, ls, lc3)[f])
+        slot[0] = rest
+        member = None
         if plan.drop is not None:
             member = code < 0
-            g, slot = np.divmod(-1 - code[member], ls)
-            out[member] = self._tts[start[seg[3 * len(plan.node_list) + g]]
-                                    + slot] ^ plan.mneg[g]
-            merged = ~member
-            own, code, local = own[merged], code[merged], local[merged]
-        # (3, F): each fanin's segment and slot; node 0's one empty cut
-        # pads a 2-input gate
-        c, i2 = np.divmod(code, lc3)
-        i0, i1 = np.divmod(c, ls)
-        fseg = 3 * own + _FANIN[:, None]
-        fslot = np.stack((i0, i1, i2))
+            g, at = np.divmod(-1 - code, ls)
+            seg = np.where(member, 3 * len(plan.node_list) + g, seg)
+            slot = np.where(member, at, slot)
+        flat = seg * ls + slot
         # bit t of a fanin's position mask: whether the merged cut's
         # leaf t is among the fanin cut's leaves, read from the fanin's
         # leaf mask at the leaf's local bit.  A padding leaf (-1) reads
         # the top bit of the last word: that can only add positions past
         # the cut's real leaves, which the expansion gives to variables
         # the fanin's table does not depend on.
-        local = local.T
-        fm = smask[fseg, fslot]
-        if fm.shape[-1] == 1:
-            word = fm[:, None, :, 0]
-        else:
-            word = fm[_FANIN[:, None, None], np.arange(len(own)),
-                      local >> 6]
-        hit = (word >> (local & 63).astype(np.uint64)) & np.uint64(1)
-        pos = np.bitwise_or.reduce(hit << _LEAF_BIT[:self.k], axis=1)
-        w = _widen(self._tts[start[seg[fseg]] + fslot].ravel(),
-                   pos.ravel()).reshape(3, -1)
-        w ^= plan.fneg[own].T
-        a, b, c = w
-        # an AND2's third fanin is 0, and so is MAJ(a, b, 0)
-        out[merged] = np.where(plan.xor[own], a ^ b, (a & b) | (c & (a | b)))
+        fm = smask[flat]
+        if fm.shape[-1] > 1:
+            fm = fm[_FANIN[:nf, None, None], _iota(own.size)[:, None],
+                    local >> 6]
+        pos = np.packbits((fm & _POW2[local & 63]) != 0, axis=-1,
+                          bitorder="little")[..., 0]
+        w = _widen(self._tts[rowat.take(flat)], pos)
+        w ^= plan.sneg[seg]
+        # MAJ(a, b, 0) is an AND2's table
+        a, b = w[0], w[1]
+        out = a & b if nf == 2 else (a & b) | (w[2] & (a | b))
+        if plan.xor is not None:
+            xor = plan.xor[own] if member is None else plan.xor[own] & ~member
+            out = np.where(xor, a ^ b, out)
         return out
 
     def cuts(self, n: int) -> list[tuple]:
         """Leaf tuples of n's stored list in the current round, the trivial
         cut last for a gate."""
         s = self._start[n]
-        return [tuple(x for x in r if x >= 0)
+        return [tuple(r[:r.index(-1)]) if r[-1] < 0 else tuple(r)
                 for r in self._rows[s:s + self._count[n]].tolist()]
 
     def words(self, n: int) -> list[int]:
@@ -712,20 +747,20 @@ class CutEngine:
         (n, leaves) is stored, from n's pool in that round: a later pool
         may derive the same leaves from another fanin combination or a
         member, whose table can differ where the leaves cannot take
-        independent values."""
+        independent values.  A binary search of its plan's rows finds it."""
         if leaves == (n,):
             return _VAR0
         if n == 0:
             return _CONST0
         i, j = self._place[n]
-        rows, tts = self._stored[i]
-        want = np.full((1, self.k + 1), -1, np.int32)
-        want[0, 0] = j
-        want[0, 1:len(leaves) + 1] = leaves
-        hit = _same(rows, want).nonzero()[0]
-        if not len(hit):
+        rows, words = self._stored[i]
+        want = np.array((j, *leaves) + (-1,) * (self.k - len(leaves)),
+                        np.int32)
+        p = int(rows.view(self._row)[:, 0].searchsorted(
+            want.view(self._row))[0])
+        if (rows[p] != want).any():
             raise KeyError((n, leaves))
-        return TruthTable(int(tts[hit[0]]), len(leaves))
+        return TruthTable(int(words[p]), len(leaves))
 
 
 def enumerate_cuts(net, k: int, l: Optional[int] = None
@@ -755,14 +790,14 @@ def enumerate_cuts(net, k: int, l: Optional[int] = None
     # leaves as the network's own node ints, shared by every tuple
     ints = np.array(range(len(net)), object)
     for lv in eng.round(key, l):
-        cuts = zip(ints[lv.leaves].tolist(), lv.size.tolist(),
-                   lv.key[1].tolist(), lv.tt.tolist())
+        cuts = [Cut(tuple(row[:z]), sig, TruthTable(tt, z))
+                for row, z, sig, tt in zip(
+                    ints[lv.leaves].tolist(), lv.size.tolist(),
+                    lv.key[1].tolist(), lv.tt.tolist())]
+        at = 0
         for n, cnt in zip(lv.node_list, lv.count.tolist()):
-            own = out[n] = []
-            for _ in range(cnt):
-                row, z, sig, tt = next(cuts)
-                own.append(Cut(tuple(row[:z]), sig, TruthTable(tt, z)))
-            own.append(Cut((n,), leaf_sig(n), _VAR0))
+            out[n] = cuts[at:at + cnt] + [Cut((n,), leaf_sig(n), _VAR0)]
+            at += cnt
     return {n: out[n] for n in (0, *net.pis, *net.gates())}
 
 

@@ -72,10 +72,14 @@ def graph_map(cn: ChoiceNetwork, tl: GraphTargetLibrary,
 
 def network_metrics(net: LogicNetwork) -> tuple:
     """(gate count, depth) of the live part of a network."""
-    c = net.compact()
-    lm = c.compute_levels()
-    level = max((lm.level[s.node] for s in c.outputs), default=0)
-    return c.num_gates(), level
+    return _metrics(net.compact())
+
+
+def _metrics(net: LogicNetwork) -> tuple:
+    """(gate count, depth) of a network without dead logic (compacted)."""
+    lm = net.compute_levels()
+    level = max((lm.level[s.node] for s in net.outputs), default=0)
+    return net.num_gates(), level
 
 
 @dataclass
@@ -122,7 +126,7 @@ def optimize_iterate(net: LogicNetwork, target: str,
     slib = lib if lib is not None else default_library()
 
     cur = net.compact()
-    cur_cost = _cost(params.mode, *network_metrics(cur))
+    cur_cost = _cost(params.mode, *_metrics(cur))
     report = OptLoopReport()
     for it in range(1, max_iters + 1):
         used = {cur.kind(g) for g in cur.gates()}
@@ -131,7 +135,7 @@ def optimize_iterate(net: LogicNetwork, target: str,
         nxt = graph_map(cn, tl, params).compact()
         if cec(cur, nxt).status == NOT_EQUIVALENT:
             raise MapError(f"iteration {it} broke equivalence")
-        nodes, level = network_metrics(nxt)
+        nodes, level = _metrics(nxt)
         cost = _cost(params.mode, nodes, level)
         accepted = cost < cur_cost
         report.steps.append(OptStep(it, nodes, level, accepted))

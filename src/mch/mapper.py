@@ -157,23 +157,25 @@ def _dep_order(cn: ChoiceNetwork):
     """Gate order where all cut leaves of a node, including leaves inside
     member cones, come before the node itself."""
     net = cn.base
-    state: dict[int, int] = {}
+    fanins, members = net.fanins, cn.classes.get
+    # 1 while a gate's dependencies are pending, 2 once it is ordered
+    state = [0 if net.is_gate(n) else 2 for n in range(len(net))]
     order: list[int] = []
-    for start in net.gates():
-        if state.get(start) == 2:
+    for start in range(len(net)):
+        if state[start] == 2:
             continue
         stack = [start]
         while stack:
             n = stack[-1]
-            if state.get(n) == 2 or not net.is_gate(n):
+            if state[n] == 2:
                 stack.pop()
                 continue
-            deps = [f.node for f in net.fanins(n)] + cn.members(n)
-            pend = [d for d in deps
-                    if net.is_gate(d) and state.get(d) != 2]
+            pend = [f[0] for f in fanins(n) if state[f[0]] != 2]
+            ms = members(n)
+            if ms:
+                pend += [d for d in ms if state[d] != 2]
             if pend:
-                if state.get(n) == 1 and any(state.get(d) == 1
-                                             for d in pend):
+                if state[n] == 1 and any(state[d] == 1 for d in pend):
                     raise MapError("cyclic choice dependencies")
                 state[n] = 1
                 stack.extend(pend)
@@ -229,8 +231,8 @@ class _Rounds:
         limit = INF if p.mode == AREA else delay0
         for rnd in range(1, p.rounds):
             self.required(limit)
-            self.est[:] = [max(1.0, float(r or b))
-                           for r, b in zip(refs, self.base_est)]
+            est = [float(r or b) for r, b in zip(refs, self.base_est)]
+            self.est[:] = [e if e > 1.0 else 1.0 for e in est]
             if rnd == p.rounds - 1 and p.rounds >= 3:
                 self.exact_round(refs, delay_pri)
             else:
@@ -380,7 +382,7 @@ class _LutCover(_Rounds):
         self.arr = [0.0] * size
         self.flow = [0.0] * size
         self.base_est = self.fouts
-        self.est = [max(1.0, f) for f in self.fouts]
+        self.est = [f if f > 1.0 else 1.0 for f in self.fouts]
 
     def own_area(self, c: tuple) -> int:
         return 1
@@ -420,7 +422,7 @@ class _LutCover(_Rounds):
         slack = np.array(self.req) + _EPS
 
         def key(leaves, size):
-            a = 1.0 + arr[leaves].max(axis=1)
+            a = 1.0 + np.maximum.reduce(arr[leaves], axis=1)
             fl = 1.0 + _column_sum(share[leaves])
             return (a, fl, size) if delay_pri else (fl, a, size)
 
@@ -428,18 +430,18 @@ class _LutCover(_Rounds):
         for lv in eng.round(key, self.p.l):
             a, fl = lv.key[:2] if delay_pri else lv.key[1::-1]
             nodes, count = lv.nodes, lv.count
-            live = count > 0
-            if not live.all():
+            if np.count_nonzero(count) < count.size:
                 failed.update((n, self.no_cut(n)) for n in lv.empty)
+                live = count > 0
                 nodes, count = nodes[live], count[live]
             first = count.cumsum() - count
             pick = first
             if constrained:
                 # the first cut meeting the required time, else the best
-                at = np.where(a <= slack[lv.nodes[lv.owner]],
-                              np.arange(len(a)), len(a))
+                n = a.size
+                at = np.where(a <= slack[lv.nodes[lv.owner]], np.arange(n), n)
                 met = np.minimum.reduceat(at, first)
-                pick = np.where(met < len(a), met, first)
+                pick = np.where(met < n, met, first)
             arr[nodes], flow[nodes] = a[pick], fl[pick]
             share[nodes] = fl[pick] / est[nodes]
             # no tables here: _extract_lut reads those of the cover
@@ -832,7 +834,7 @@ class _CellCover(_Rounds):
         best_flow = np.append(np.minimum(flow[0::2], flow[1::2]), 0.0)
 
         def score(leaves, size):
-            a = best_arr[leaves].max(axis=1)
+            a = np.maximum.reduce(best_arr[leaves], axis=1)
             f = _column_sum(best_flow[leaves])
             return (a, f, size) if delay_pri else (f, a, size)
 
@@ -841,21 +843,23 @@ class _CellCover(_Rounds):
         # primitive is always matchable; without it a budgeted list can
         # end up with only functions the library cannot realize
         for lv in eng.round(score, self.p.l, elem=True):
-            failed.update((n, self.no_cut(n)) for n in lv.empty)
-            if not len(lv.tt):
+            n_lv = lv.count.size
+            if np.count_nonzero(lv.count) < n_lv:
+                failed.update((n, self.no_cut(n)) for n in lv.empty)
+            if not lv.tt.size:
                 continue
             # one row per (stored cut, match), grouped by cut
             tid = cl.templates(lv.tt.tolist(), lv.size.tolist())
             cnt = cl.tpl_count[tid]
-            row = np.arange(len(tid)).repeat(cnt)
-            mi = np.arange(len(row)) + (cl.tpl_first[tid] - cnt.cumsum()
+            row = np.arange(tid.size).repeat(cnt)
+            mi = np.arange(row.size) + (cl.tpl_first[tid] - cnt.cumsum()
                                         + cnt).repeat(cnt)
             # pin keys, 2 * node + complement: a cut leaf, the constant
             # node or the padding node
-            node = np.empty((len(tid), lv.leaves.shape[1] + 2), np.int64)
+            node = np.empty((tid.size, lv.leaves.shape[1] + 2), np.int64)
             node[:, :-2], node[:, -2], node[:, -1] = lv.leaves, 0, pad
             pk = 2 * node[row[:, None], cl.match_pin[mi]] + cl.match_comp[mi]
-            a = (arr[pk] + cl.match_delay[mi]).max(axis=1)
+            a = np.maximum.reduce(arr[pk] + cl.match_delay[mi], axis=1)
             f = cl.match_area[mi] + _column_sum(share[pk])
             j = lv.cut_owner[row]
             key = 2 * lv.nodes[j] + cl.match_phase[mi]
@@ -866,20 +870,17 @@ class _CellCover(_Rounds):
                 cols = cols[:2] + (a > slack[key], key)
             o = np.lexsort(cols)
             ko = key[o]
-            head = np.empty(len(o), bool)
+            head = np.empty(o.shape, bool)
             head[:1] = True
             np.not_equal(ko[1:], ko[:-1], out=head[1:])
             pick = o[head]
             # per node and phase: the pick's row, arrival and flow
-            n_lv = len(lv.node_list)
             jp = j[pick], ko[head] & 1
             at = np.full((n_lv, 2), -1)
             at[jp] = pick
             has = at >= 0
-            pa = np.full((n_lv, 2), INF)
-            pa[jp] = a[pick]
-            pf = np.full((n_lv, 2), INF)
-            pf[jp] = f[pick]
+            pa, pf = val = np.full((2, n_lv, 2), INF)
+            val[:, jp[0], jp[1]] = a[pick], f[pick]
             # realize a missing or costlier phase through an inverter
             ia, iff = pa[:, ::-1] + invd, inv.area + pf[:, ::-1]
             if delay_pri:
@@ -888,8 +889,8 @@ class _CellCover(_Rounds):
                 better = (iff < pf) | ((iff == pf) & (ia < pa))
             use = has[:, ::-1] & (~has | better)
             fa, ff = np.where(use, ia, pa), np.where(use, iff, pf)
-            ok = has.any(axis=1)
-            if not ok.all():
+            ok = has[:, 0] | has[:, 1]
+            if np.count_nonzero(ok) < n_lv:
                 for n in lv.nodes[~ok & (lv.count > 0)].tolist():
                     failed[n] = LibraryError(
                         f"no cell matches any cut function of node {n}")
@@ -898,8 +899,8 @@ class _CellCover(_Rounds):
             keys = 2 * nodes[:, None] + _PHASES
             arr[keys], flow[keys] = fa, ff
             share[keys] = ff / est[keys]
-            best_arr[nodes] = fa.min(axis=1)
-            best_flow[nodes] = ff.min(axis=1)
+            best_arr[nodes] = np.minimum(fa[:, 0], fa[:, 1])
+            best_flow[nodes] = np.minimum(ff[:, 0], ff[:, 1])
             # match objects for the picks only
             at = at.ravel()
             cut = row[at]

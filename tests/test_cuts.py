@@ -539,3 +539,116 @@ def test_a_cut_stored_again_from_another_source_keeps_its_first_table():
     assert eng.table(rep.node, leaves) == want
     # and the stored row carries that first table
     assert eng.words(rep.node)[0] == want.bits
+
+
+# -- table(): one search of a plan's sorted row index ------------------
+
+
+def _index_rows(eng):
+    """(node, leaves, word) of every row of every plan's row index, in
+    index order, without the row that ends each index."""
+    out = []
+    for i, plan in enumerate(eng._plans):
+        rows, words = eng._stored[i]
+        out.append([(plan.node_list[r[0]], tuple(x for x in r[1:] if x >= 0),
+                     w) for r, w in zip(rows[:-1].tolist(),
+                                        words[:-1].tolist())])
+    return out
+
+
+def test_table_finds_the_first_and_the_last_row_of_each_index():
+    # two rounds with different keys, so later rows are merged into the
+    # index the first round built
+    from mch.cuts import CutEngine
+    from mch.tt import cut_truth
+
+    rng = random.Random(12)
+    net = random_network(6, 60, 5, tag=nw.XMG)
+    eng = CutEngine(net, 4)
+    for l in (3, 2):
+        key, _ = _weight_key(rng, len(net))
+        for _ in eng.round(key, l):
+            pass
+    checked = 0
+    for rows in _index_rows(eng):
+        assert rows
+        for n, leaves, word in {rows[0], rows[-1]}:
+            tt = eng.table(n, leaves)
+            assert tt.bits == word
+            assert tt == cut_truth(net, n, list(leaves))
+            checked += 1
+    assert checked > len(eng._plans)
+
+
+def test_table_of_leaves_never_stored_raises_key_error():
+    import itertools
+
+    import pytest
+
+    from mch.cuts import CutEngine
+
+    net = random_network(6, 40, 9)
+    eng = CutEngine(net, 4)
+    for _ in eng.round(_structural_key, 2):
+        pass
+    stored = {(n, leaves) for rows in _index_rows(eng)
+              for n, leaves, _ in rows}
+    misses = 0
+    for n in net.gates():
+        for z in (1, 2, 3):
+            for leaves in itertools.combinations(net.pis, z):
+                if (n, leaves) in stored:
+                    assert eng.table(n, leaves).var_count == z
+                else:
+                    with pytest.raises(KeyError):
+                        eng.table(n, leaves)
+                    misses += 1
+    assert misses > 0
+
+
+def test_table_over_a_plan_with_two_word_masks():
+    # a representative whose pool reads 73 distinct leaves: its level's
+    # masks take two words, and every row its plan stored is found again
+    from mch.cuts import Cut, CutEngine, leaf_sig
+    from mch.tt import TruthTable
+
+    net = LogicNetwork(nw.AIG)
+    pis = [net.add_pi() for _ in range(72)]
+    rep = net.add_and(pis[0], pis[1])
+    members = [(net.add_and(pis[2 * i], ~pis[2 * i + 1]).node, i % 2 == 0)
+               for i in range(1, 35)]
+    inner = net.add_and(pis[70], pis[71])
+    members.append((net.add_and(inner, pis[3]).node, True))
+    net.add_po(rep)
+    classes = {rep.node: members}
+    order = [m for m, _ in members[:-1]] + [inner.node, members[-1][0],
+                                            rep.node]
+    eng, ref = CutEngine(net, 4, classes, order), _RefPools(net, 4, classes)
+    for lv in eng.round(_structural_key, None):
+        for n in lv.node_list:
+            ref.pool(n)
+            ref.cutsets[n] = [Cut(c, 0, ref.table(n, c))
+                              for c in eng.cuts(n)[:-1]] + [
+                Cut((n,), leaf_sig(n), TruthTable.var(0, 1))]
+    assert len({x for c in eng.cuts(rep.node) for x in c}) > 64
+    i, _ = eng._place[rep.node]
+    rows = _index_rows(eng)[i]
+    assert {n for n, _, _ in rows} == {rep.node}
+    for n, leaves, word in rows:
+        assert eng.table(n, leaves).bits == word
+        assert eng.table(n, leaves) == ref.table(n, leaves)
+    assert eng.words(rep.node)[:-1] == [
+        eng.table(rep.node, c).bits for c in eng.cuts(rep.node)[:-1]]
+
+
+def test_table_of_a_trivial_cut_and_of_the_constant():
+    from mch.cuts import CutEngine
+    from mch.tt import TruthTable
+
+    net = random_network(4, 10, 3)
+    eng = CutEngine(net, 4)
+    for _ in eng.round(_structural_key, 2):
+        pass
+    for n in (*net.pis, *net.gates()):
+        assert eng.table(n, (n,)) == TruthTable.var(0, 1)
+    assert eng.table(0, ()) == TruthTable.const(False)

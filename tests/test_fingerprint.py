@@ -100,3 +100,23 @@ DEC_SUITE = {
 
 def test_fingerprint_of_decs_suite_operations_is_pinned(tmp_path):
     assert _matches_pins(DEC_SUITE, "suite", "dec", tmp_path) == 0
+
+
+# priority's suite outputs.  Its mapping has the most one- to four-node
+# dependency levels per second of any bundled design, where the cut
+# kernel's fixed cost per level weighs most.  Recorded before the kernel's
+# stored rows were kept in a sorted index.
+PRIORITY_SUITE = {
+    "priority/cell-area":
+        "0f10b8cd2c41620632e7ae817c708641771722b4827ad746807555b2e53b8568",
+    "priority/lut-area":
+        "66c7b64f4f76a63f2209b76bfb629d77e36d8820fba945ed24b90511ab037aa5",
+    "priority/lut-base":
+        "82de759f8838d71a1cb57aa113c1814275e86926fd17dcf3c88581f574d1f24f",
+    "priority/lut-delay":
+        "4e58270c6b969fe594236b1120d546f4dafadec24da6ee72ad56521060f9cc1f",
+}
+
+
+def test_fingerprint_of_prioritys_suite_operations_is_pinned(tmp_path):
+    assert _matches_pins(PRIORITY_SUITE, "suite", "priority", tmp_path) == 0

@@ -103,3 +103,26 @@ def test_report_csv_rows():
     rows = report.csv_rows()
     assert rows[0] == "iteration,nodes,level,accepted"
     assert len(rows) == len(report.steps) + 1
+
+
+def test_optimize_iterate_compacts_each_network_once(monkeypatch):
+    # the input and each iteration's mapped network are compacted once;
+    # their costs are read from those copies, and each step's cost is
+    # still network_metrics of the network it reports
+    made = []
+    compact = LogicNetwork.compact
+
+    def counted(self):
+        out = compact(self)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(LogicNetwork, "compact", counted)
+    net = random_network(6, 30, 7)
+    out, report = optimize_iterate(net, nw.XMG, params=MapParams(mode=AREA),
+                                   max_iters=3)
+    assert len(made) == 1 + len(report.steps)
+    monkeypatch.setattr(LogicNetwork, "compact", compact)
+    for step, got in zip(report.steps, made[1:]):
+        assert (step.nodes, step.level) == network_metrics(got)
+    assert cec(net, out).status == "equivalent"

@@ -419,3 +419,43 @@ def test_cell_round_matches_reference_picks(cl):
             Checked(cn, cl, p).run()
     assert seen["rounds"] == 6 * 3 * 2 and seen["constrained"] == 6 * 3
     assert seen["dropped"] > 0 and seen["inverters"] > 0
+
+
+def _ref_dep_order(cn):
+    """The dependency DFS over dicts and LogicNetwork queries that
+    `_dep_order` must reproduce exactly: `exact_round` visits keys in
+    its order."""
+    net = cn.base
+    state, order = {}, []
+    for start in net.gates():
+        if state.get(start) == 2:
+            continue
+        stack = [start]
+        while stack:
+            n = stack[-1]
+            if state.get(n) == 2 or not net.is_gate(n):
+                stack.pop()
+                continue
+            deps = [f.node for f in net.fanins(n)] + cn.members(n)
+            pend = [d for d in deps if net.is_gate(d) and state.get(d) != 2]
+            if pend:
+                state[n] = 1
+                stack.extend(pend)
+                continue
+            stack.pop()
+            state[n] = 2
+            order.append(n)
+    return order
+
+
+def test_dependency_order_matches_the_reference_dfs():
+    from mch.mapper import _dep_order
+
+    rng = random.Random(31)
+    for i in range(6):
+        net = random_network(rng.randint(5, 8), rng.randint(30, 60),
+                             rng.randint(0, 10**9), n_pos=2)
+        cn = build_mch(net, default_library(), MchParams(r=0.8),
+                       mix_target=(nw.XMG, nw.XAG, nw.AIG)[i % 3])
+        assert cn.classes
+        assert _dep_order(cn) == _ref_dep_order(cn)

@@ -4,10 +4,12 @@ Builds a choice network from a single input network: candidates generated
 per node by level-oriented (critical path) or area-oriented (everything
 else) synthesis strategies are installed alongside the original structure
 and marked as choices of their representative node.  A candidate is a
-small network over its cut or MFFC leaves; installing it is one
-`LogicNetwork.insert` into the arena, whose strash dedupes any gate the
-arena already has.  External choices (`add_external_choices`) are
-inserted the same way, over the arena's PIs.
+small network over its cut or MFFC leaves, and a query returns its cached,
+structurally distinct candidates.  Installing one runs the strash walk
+compiled when the query built it (`Candidate.walk`) over the spec's leaves
+(`LogicNetwork.run`); strash dedupes any gate the arena already has.
+External choices (`add_external_choices`) are inserted over the arena's
+PIs.
 
 Every member is proven where it is installed.  A candidate's member is
 kept only when its table over the spec's leaves (`cut_truth`) equals the
@@ -183,18 +185,23 @@ def multi_strategy_choices(netp: LogicNetwork, critical: set[int],
                     specs.append(_Spec(n, cut.leaves, cut.tt, cand))
         else:
             stats.other_nodes += 1
+            cut_leaves = set()
             for cut in cutsets.get(n, []):
                 if len(cut.leaves) < 2 or cut.tt is None:
                     continue
+                cut_leaves.add(cut.leaves)
                 for cand in area_oriented_candidates(lib, cut.tt, host):
                     specs.append(_Spec(n, cut.leaves, cut.tt, cand))
             cone = netp.mffc(n, K, fanouts)
-            leaves = netp.mffc_leaves(cone)
+            leaves = tuple(netp.mffc_leaves(cone))
             gates_in_cone = sum(1 for m in cone if netp.is_gate(m))
-            if 2 <= len(leaves) <= MAX_VARS and gates_in_cone >= 2:
+            # an MFFC over one of n's cuts has that cut's table, so its
+            # specs would repeat the cut's exactly
+            if 2 <= len(leaves) <= MAX_VARS and gates_in_cone >= 2 \
+                    and leaves not in cut_leaves:
                 tt = cut_truth(netp, n, leaves)
                 for cand in area_oriented_candidates(lib, tt, host):
-                    specs.append(_Spec(n, tuple(leaves), tt, cand))
+                    specs.append(_Spec(n, leaves, tt, cand))
 
     _install_specs(cn, specs, params)
     stats.classes = len(cn.classes)
@@ -204,9 +211,10 @@ def multi_strategy_choices(netp: LogicNetwork, critical: set[int],
 
 def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
                    params: MchParams) -> None:
-    """Insert each candidate over its spec's leaves and install the new
-    member when its table over those leaves is the spec's table (phase 0)
-    or its complement (phase 1); any other member counts as failed."""
+    """Run each candidate's precompiled walk over its spec's leaves and
+    install the new member when its table over those leaves is the spec's
+    table (phase 0) or its complement (phase 1); any other member counts
+    as failed, and a root strash already held counts as deduped."""
     net = cn.base
     stats = cn.stats
     count: dict[int, int] = {}  # members installed per node
@@ -215,12 +223,11 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
             continue
         stats.generated += 1
         before = len(net)
-        root = net.insert(cand.net,
-                          [(leaves[j], False) for j in cand.support])[0]
-        if root.node < before:
+        member = net.run(cand.walk,
+                         [(leaves[j], False) for j in cand.support])[0][0]
+        if member < before:
             stats.deduped += 1
             continue
-        member = root.node
         got = cut_truth(net, member, leaves).bits
         if got != tt.bits and got != tt.bits ^ FULL:
             stats.failed += 1

@@ -75,8 +75,10 @@ def cmd_mch(args) -> int:
     cn = build_mch(net, default_library(), p, mix_target=mix)
     cn.check_invariants()
     write_mch(cn, args.output)
+    s = cn.stats
     print(f"wrote {args.output}: {len(cn.class_reprs())} classes, "
-          f"{len(cn.repr_of)} choice members, "
+          f"{len(cn.repr_of)} choice members ({s.generated} generated, "
+          f"{s.deduped} deduped, {s.verified} verified, {s.failed} failed), "
           f"{cn.base.num_gates()} arena nodes")
     return 0
 

@@ -62,8 +62,8 @@ def graph_map(cn: ChoiceNetwork, tl: GraphTargetLibrary,
             s = leaf if small.value_at(1) else ~leaf
         else:
             cand = tl.best(inst.tt, p.mode)
-            s = out.insert(cand.net,
-                           [sigs[inst.ins[j]] for j in cand.support])[0]
+            s = Signal(*out.run(cand.walk,
+                                [sigs[inst.ins[j]] for j in cand.support])[0])
         sigs[inst.out] = s
     for oid, negd in m.outputs:
         out.add_po(sigs[oid].with_neg(negd))

@@ -7,9 +7,10 @@ gate kinds may appear, so the same arena type hosts all four graph flavors.
 Every gate enters the arena through one strash core, `_strash_gate`, which
 simplifies, canonicalizes and dedupes a gate over plain (node, neg) pairs.
 It has two entry points, each validating its input once: `add` (one gate)
-and `insert` (a whole network over given leaves: construction, embedding,
-`compact`, template placement).  Signals are made only at that API edge
-and for the fanins of stored nodes.
+and `run` (a whole network over given leaves, as a `Walk` that `compile`
+made once: construction, embedding, `compact`, template placement;
+`insert` compiles and runs in one call).  Signals are made only at that
+API edge and for the fanins of stored nodes.
 """
 
 from __future__ import annotations
@@ -336,67 +337,64 @@ class LogicNetwork:
                gates: Optional[Iterable[int]] = None) -> list[Signal]:
         """Rebuild src's gates here through strash, reading src's i-th PI
         as leaves[i], a Signal or a plain (node, neg) pair; returns the
-        images of src's outputs.
+        images of src's outputs: `run` over `src.compile(gates)`."""
+        return [Signal(*s) for s in self.run(src.compile(gates), leaves)]
 
-        Gates are rebuilt in ascending id order: all of them, or only
-        `gates` (ascending src ids covering the cone of every output).
-        The leaf count, every leaf's node, that `gates` covers every
-        fanin and output it needs, and the gate kinds to rebuild
-        (UnsupportedConversion when this tag does not allow one) are
-        checked before the arena changes; then each gate runs the
-        strash core on (node, neg) pairs, and only the returned outputs
-        become Signals.
-        """
-        leaves = list(leaves)
-        if len(leaves) != len(src.pis):
-            raise NetworkError(f"{len(leaves)} leaves for "
-                               f"{len(src.pis)} inputs")
-        for s in leaves:
-            self._check_signal(s)
-        nodes = src._nodes
-        if gates is None:
-            order = range(len(nodes))
-        else:
-            order = list(gates)
-            built = [False] * len(nodes)
-            built[0] = True
-            for pi in src.pis:
-                built[pi] = True
-            for g in order:
-                for f in nodes[g].fanins:
-                    if not built[f[0]]:
-                        raise NetworkError(
-                            f"gate {g} reads node {f[0]}, which is neither "
-                            f"an input nor among the gates to rebuild")
-                built[g] = True
-            for s in src.outputs:
-                if not built[s[0]]:
-                    raise NetworkError(
-                        f"output node {s[0]} is neither an input nor among "
-                        f"the gates to rebuild")
-        allowed = ALLOWED_KINDS[self.tag]
-        if not ALLOWED_KINDS[src.tag] <= allowed:
-            for g in order:
-                kind = nodes[g].kind
-                if kind in GATE_KINDS and kind not in allowed:
-                    raise UnsupportedConversion(
-                        f"cannot embed {src.tag} {kind} gates into "
-                        f"{self.tag}")
-        xlat: list = [None] * len(nodes)
-        xlat[0] = _FALSE
-        for pi, s in zip(src.pis, leaves):
-            xlat[pi] = s
-        core = self._strash_gate
-        for g in order:
+    def compile(self, gates: Optional[Iterable[int]] = None) -> "Walk":
+        """This network's gates as a straight-line strash walk: all of them
+        in ascending id order, or only `gates` (ascending ids covering the
+        cone of every output; a NetworkError names a fanin or output they
+        miss)."""
+        nodes = self._nodes
+        slot: list = [None] * len(nodes)
+        slot[0] = 0
+        for i, pi in enumerate(self.pis):
+            slot[pi] = i + 1
+        nxt = len(self.pis) + 1
+        steps, kinds = [], {}
+        for g in range(len(nodes)) if gates is None else gates:
             kind, fanins = nodes[g]
-            if fanins:  # a gate: CONST0 and PIs have none
-                fs = []
-                for n, neg in fanins:
-                    x = xlat[n]
-                    fs.append((x[0], not x[1]) if neg else x)
-                xlat[g] = core(kind, fs)
-        return [Signal(xlat[s[0]][0], xlat[s[0]][1] ^ s[1])
-                for s in src.outputs]
+            if not fanins:  # CONST0 or a PI
+                continue
+            for n, _ in fanins:
+                if slot[n] is None:
+                    raise NetworkError(
+                        f"gate {g} reads node {n}, which is neither an "
+                        f"input nor among the gates to rebuild")
+            steps.append((kind, tuple((slot[n], neg) for n, neg in fanins)))
+            kinds[kind] = None
+            slot[g] = nxt
+            nxt += 1
+        for n, _ in self.outputs:
+            if slot[n] is None:
+                raise NetworkError(f"output node {n} is neither an input nor "
+                                   f"among the gates to rebuild")
+        return Walk(self.tag, tuple(kinds), len(self.pis), tuple(steps),
+                    tuple((slot[n], neg) for n, neg in self.outputs))
+
+    def run(self, walk: "Walk", leaves: Iterable[tuple]) -> list[tuple]:
+        """Run a compiled walk here through the strash core over one leaf
+        per walk input, a Signal or a plain (node, neg) pair, and return
+        the (node, neg) image of each of its outputs.  The leaf count,
+        every leaf's node and the walk's gate kinds (UnsupportedConversion
+        when this tag does not allow one) are checked before the arena
+        changes."""
+        vals = [_FALSE, *leaves]
+        if len(vals) != walk.inputs + 1:
+            raise NetworkError(f"{len(vals) - 1} leaves for "
+                               f"{walk.inputs} inputs")
+        for s in vals:
+            self._check_signal(s)
+        allowed = ALLOWED_KINDS[self.tag]
+        for kind in walk.kinds:
+            if kind not in allowed:
+                raise UnsupportedConversion(f"cannot embed {walk.tag} {kind} "
+                                            f"gates into {self.tag}")
+        core = self._strash_gate
+        for kind, fanins in walk.gates:
+            vals.append(core(kind, [(vals[s][0], not vals[s][1]) if neg
+                                    else vals[s] for s, neg in fanins]))
+        return [(vals[s][0], vals[s][1] ^ neg) for s, neg in walk.outputs]
 
     def one_to_one_map(self, target: str) -> "LogicNetwork":
         """Node-for-node copy into a (weakly more expressive) representation.
@@ -451,6 +449,18 @@ class LogicNetwork:
         width = 1 << n
         pats = exhaustive_patterns(self.pis)
         return self.output_values(pats, width)
+
+
+class Walk(NamedTuple):
+    """A network's gates as a straight-line program for the strash core:
+    slot 0 is constant 0, slots 1..inputs the inputs, and each gate, a
+    (kind, fanins) step, fills the next slot; a fanin or an output is a
+    (slot, neg) pair."""
+    tag: str             # the compiled network's representation
+    kinds: tuple         # gate kinds among the steps, first use first
+    inputs: int
+    gates: tuple
+    outputs: tuple
 
 
 class LevelMap(NamedTuple):

@@ -314,7 +314,7 @@ class StrategyLibrary:
             tag: {} for tag in self.enabled}
         self.lines: dict[str, dict[int, list[tuple]]] = {
             tag: {} for tag in self.enabled}
-        self.query_cache: dict[tuple, list] = {}
+        self.query_cache: dict[tuple, tuple] = {}
 
     def classes(self, tag: str) -> list[int]:
         return sorted(self.npn4[tag].keys() | self.lines[tag].keys())
@@ -424,6 +424,7 @@ class Candidate(NamedTuple):
     size: int
     depth: int
     support: tuple         # original variable indices, in PI order
+    walk: nw.Walk          # net compiled once, for LogicNetwork.run
 
 
 def _candidate(host_tag: str, sup, strategy: str, build) -> Candidate:
@@ -432,7 +433,18 @@ def _candidate(host_tag: str, sup, strategy: str, build) -> Candidate:
     net = LogicNetwork(host_tag)
     net.add_po(build(net, [net.add_pi() for _ in sup]))
     return Candidate(net, strategy, net.num_gates(),
-                     net.compute_levels().network_level, tuple(sup))
+                     net.compute_levels().network_level, tuple(sup),
+                     net.compile())
+
+
+def _distinct(cands: list, order) -> tuple:
+    """cands sorted by `order`, keeping the first of each group with the
+    same gates, outputs and support: inserting a later one over the same
+    leaves rebuilds only what strash already holds."""
+    first: dict = {}
+    for c in sorted(cands, key=order):
+        first.setdefault((c.walk, c.support), c)
+    return tuple(first.values())
 
 
 class _NpnBinding(NamedTuple):
@@ -460,15 +472,16 @@ def _npn_binding(table: TruthTable, n_inputs: int) -> _NpnBinding:
 
 
 def level_oriented_candidates(lib: StrategyLibrary, tt: TruthTable,
-                              host_tag: str = nw.XMG) -> list[Candidate]:
-    """NPN4-database candidates, ordered by (depth, size).
+                              host_tag: str = nw.XMG) -> tuple[Candidate, ...]:
+    """NPN4-database candidates, ordered by (depth, size) and structurally
+    distinct (`_distinct`); built once per query and cached in the library.
 
     Functions whose support exceeds 4 variables yield no candidates.
     """
     ckey = ("lvl", tt.bits, tt.var_count, host_tag)
     hit = lib.query_cache.get(ckey)
     if hit is not None:
-        return list(hit)
+        return hit
     small, sup = tt.shrink_to_support()
     out = []
     if len(sup) <= 4:
@@ -480,18 +493,19 @@ def level_oriented_candidates(lib: StrategyLibrary, tt: TruthTable,
                 out.append(_candidate(
                     host_tag, sup, f"npn4-{tag}",
                     lambda net, pis: b.place(net, tpl, pis)))
-        out.sort(key=lambda c: (c.depth, c.size, c.strategy))
-    lib.query_cache[ckey] = out
-    return list(out)
+    out = lib.query_cache[ckey] = _distinct(
+        out, lambda c: (c.depth, c.size, c.strategy))
+    return out
 
 
 def area_oriented_candidates(lib: StrategyLibrary, tt: TruthTable,
-                             host_tag: str = nw.XMG) -> list[Candidate]:
-    """ISOP-factoring and DSD-lowering candidates, ordered by (size, depth)."""
+                             host_tag: str = nw.XMG) -> tuple[Candidate, ...]:
+    """ISOP-factoring and DSD-lowering candidates, ordered by (size, depth)
+    and structurally distinct; built once per query and cached."""
     ckey = ("area", tt.bits, tt.var_count, host_tag)
     hit = lib.query_cache.get(ckey)
     if hit is not None:
-        return list(hit)
+        return hit
     small, sup = tt.shrink_to_support()
     out = [_candidate(host_tag, sup, "isop-factor",
                       lambda net, pis: _factor(net, isop(small), pis))]
@@ -499,9 +513,9 @@ def area_oriented_candidates(lib: StrategyLibrary, tt: TruthTable,
     if isinstance(dsd, DsdNode):
         out.append(_candidate(host_tag, sup, "dsd",
                               lambda net, pis: _build_dsd(net, dsd, pis, lib)))
-    out.sort(key=lambda c: (c.size, c.depth, c.strategy))
-    lib.query_cache[ckey] = out
-    return list(out)
+    out = lib.query_cache[ckey] = _distinct(
+        out, lambda c: (c.size, c.depth, c.strategy))
+    return out
 
 
 # -- lowering helpers ------------------------------------------------------

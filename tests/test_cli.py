@@ -122,3 +122,16 @@ def test_map_lut_verdict_follows_the_exhaustive_pi_limit(
     for cmd in ("map-lut", "map-cell"):
         assert cli_run([cmd, str(path)]) == 0
         assert f"verified {verdict}" in capsys.readouterr().out
+
+
+def test_mch_prints_install_counts(p8, tmp_path, capsys):
+    import re
+
+    assert cli_run(["mch", p8, "-o", str(tmp_path / "p8c.mch")]) == 0
+    out = capsys.readouterr().out
+    got = re.search(r"(\d+) choice members \((\d+) generated, (\d+) deduped, "
+                    r"(\d+) verified, (\d+) failed\)", out)
+    assert got, out
+    members, generated, deduped, verified, failed = map(int, got.groups())
+    assert members > 0 and verified >= members and failed == 0
+    assert generated == deduped + verified + failed

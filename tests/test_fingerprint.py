@@ -120,3 +120,9 @@ PRIORITY_SUITE = {
 
 def test_fingerprint_of_prioritys_suite_operations_is_pinned(tmp_path):
     assert _matches_pins(PRIORITY_SUITE, "suite", "priority", tmp_path) == 0
+
+
+def test_all_workloads_run_in_one_call_under_prefixed_names(tmp_path):
+    pins = {**{f"suite:{op}": d for op, d in ROUTER_SUITE.items()},
+            **{f"iterate:{op}": d for op, d in ROUTER_ITERATE.items()}}
+    assert _matches_pins(pins, "all", "router", tmp_path) == 0

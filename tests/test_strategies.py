@@ -156,3 +156,36 @@ def test_bad_db_line_fails_on_first_query(tmp_path, field, value, message):
     lib = load_db(path)     # lines are only split on load
     with pytest.raises(ValueError, match=f"bad.db:2.*{message}"):
         lib.templates_for(nw.AIG, 0x0001)
+
+
+def _structure(cand):
+    net = cand.net
+    return (tuple((net.kind(n), net.fanins(n)) for n in range(len(net))),
+            tuple(net.outputs), cand.support)
+
+
+def _assert_distinct_and_sorted(cands, order):
+    assert [order(c) for c in cands] == sorted(order(c) for c in cands)
+    structures = [_structure(c) for c in cands]
+    assert len(set(structures)) == len(structures)
+
+
+def test_query_results_are_structurally_distinct(lib):
+    # the NPN4 templates of a class often come out identical from several
+    # databases, and ISOP factoring and DSD lowering often agree; a query
+    # keeps the first of each structure in its order
+    hosts = (nw.AIG, nw.XAG, nw.MIG, nw.XMG)
+    for rep in lib.classes(nw.XMG):
+        tt = TruthTable.create(rep, 4)
+        for host in hosts:
+            _assert_distinct_and_sorted(
+                level_oriented_candidates(lib, tt, host),
+                lambda c: (c.depth, c.size, c.strategy))
+    rng = random.Random(13)
+    for i in range(200):
+        v = (4, 6)[i % 2]
+        tt = TruthTable.create(rng.getrandbits(1 << v), v)
+        for host in hosts:
+            _assert_distinct_and_sorted(
+                area_oriented_candidates(lib, tt, host),
+                lambda c: (c.size, c.depth, c.strategy))

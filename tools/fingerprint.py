@@ -3,6 +3,7 @@ leaves the program's results byte-identical.
 
     python3 tools/fingerprint.py --workload suite --seed 1 --json base.json
     python3 tools/fingerprint.py --workload suite --seed 1 --against base.json
+    python3 tools/fingerprint.py --workload all --seed 1 --json base.json
 
 Run the first command with `--root` naming a checkout of the old code (or
 from inside one) and the second in the new one.  The workloads and the
@@ -12,6 +13,8 @@ pass each: the `suite` netlists, the `iterate` networks and the `ladder`
 per operation (design and flow); with `--against`, the run exits 1 when
 any operation's digest differs from, or is missing in, the given file.
 `--design` restricts the run to the operations of one design.
+`--workload all` runs the three workloads in one call and names each
+operation `workload:design/flow`, in one file.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("suite", "iterate", "ladder")
 
 
 def fingerprints(workload: str, seed: int, design=None,
@@ -45,7 +49,7 @@ def fingerprints(workload: str, seed: int, design=None,
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True,
-                    choices=("suite", "iterate", "ladder"))
+                    choices=WORKLOADS + ("all",))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--design", help="only this design's operations")
     ap.add_argument("--root", type=Path, default=ROOT,
@@ -55,8 +59,12 @@ def main(argv=None) -> int:
     ap.add_argument("--against", help="compare with a file from --json")
     args = ap.parse_args(argv)
 
-    got = fingerprints(args.workload, args.seed, args.design,
-                       args.root.resolve())
+    got = {}
+    for name in WORKLOADS if args.workload == "all" else (args.workload,):
+        prefix = f"{name}:" if args.workload == "all" else ""
+        for op, digest in fingerprints(name, args.seed, args.design,
+                                       args.root.resolve()).items():
+            got[prefix + op] = digest
     if not got:
         print(f"no operations for design {args.design}", file=sys.stderr)
         return 2
@@ -64,12 +72,13 @@ def main(argv=None) -> int:
     if args.against:
         base = json.loads(Path(args.against).read_text())["fingerprints"]
     bad = 0
+    width = max(map(len, got))
     for op, digest in got.items():
         mark = ""
         if base is not None and base.get(op) != digest:
             mark = "  MISMATCH" if op in base else "  MISSING"
             bad += 1
-        print(f"{op:24s} {digest}{mark}")
+        print(f"{op:{width}s} {digest}{mark}")
     if args.json:
         Path(args.json).write_text(json.dumps(
             {"workload": args.workload, "seed": args.seed,

@@ -23,8 +23,7 @@ from .graphmap import GraphTargetLibrary, graph_map, network_metrics
 from .mapper import (AREA, BALANCED, CELL, DELAY, CellLibrary, MapParams,
                      cover_check, default_cell_library, map_cells, map_lut)
 from .strategies import default_library
-from .verify import (EQUIVALENT, EXHAUSTIVE_PI_LIMIT, NOT_EQUIVALENT,
-                     UNKNOWN, cec)
+from .verify import EQUIVALENT, cec
 
 CSV_HEADER = "benchmark,flow,area,delay,time_s,verified"
 
@@ -59,14 +58,6 @@ def parse_flow(flow: str):
     return kind, preset
 
 
-def cover_verdict(m, src) -> str:
-    """Verdict of cover_check: a pass is a proof only when it simulated
-    exhaustively."""
-    if not cover_check(m, src):
-        return NOT_EQUIVALENT
-    return EQUIVALENT if len(src.pis) <= EXHAUSTIVE_PI_LIMIT else UNKNOWN
-
-
 def cell_baseline_portfolio(net, cl, k: int = 6) -> list:
     """The three plain-network cell schedules, as (netlist, mode) pairs."""
     out = []
@@ -93,33 +84,32 @@ def run_flow(net, flow: str, cell_lib: Optional[CellLibrary] = None,
         mix, r, mode = PRESETS[preset]
         cn = build_mch(net, slib, MchParams(r=r), mix_target=mix)
 
+    if kind.startswith("gm-"):
+        # graph-mapping flows report node count as area and depth as delay
+        out = graph_map(cn, GraphTargetLibrary(kind[3:], slib),
+                        MapParams(mode=mode))
+        nodes, level = network_metrics(out)
+        return float(nodes), float(level), cec(net, out).status
+    src = cn.base
     if kind == "lut":
-        m = map_lut(cn, MapParams(k=k, mode=mode))
-        return m.stats["area"], m.stats["delay"], cover_verdict(m, cn.base)
-    if kind == "cell":
+        pick = map_lut(cn, MapParams(k=k, mode=mode))
+    else:
         cl = cell_lib if cell_lib is not None else default_cell_library()
-        m = map_cells(cn, cl, MapParams(k=k, mode=mode, target=CELL,
-                                        rounds=3))
-        if preset == "base":
-            return m.stats["area"], m.stats["delay"], cover_verdict(m, cn.base)
-        if baseline is None:
-            baseline = cell_baseline_portfolio(net, cl, k)
-        # round so accumulated float noise cannot flip a tie
-        objective = (lambda s: (round(s["delay"], 6), round(s["area"], 6))) \
-            if mode != AREA \
-            else (lambda s: (round(s["area"], 6), round(s["delay"], 6)))
-        pick, src = m, cn.base
-        for b in baseline:
-            if objective(b.stats) < objective(pick.stats):
-                pick, src = b, net
-        return (pick.stats["area"], pick.stats["delay"],
-                cover_verdict(pick, src))
-    # graph-mapping flows report node count as area and depth as delay
-    target = kind[3:]
-    out = graph_map(cn, GraphTargetLibrary(target, slib),
-                    MapParams(mode=mode))
-    nodes, level = network_metrics(out)
-    return float(nodes), float(level), cec(net, out).status
+        pick = map_cells(cn, cl, MapParams(k=k, mode=mode, target=CELL,
+                                           rounds=3))
+        if preset != "base":
+            if baseline is None:
+                baseline = cell_baseline_portfolio(net, cl, k)
+
+            def objective(s):
+                # round so accumulated float noise cannot flip a tie
+                d, a = round(s["delay"], 6), round(s["area"], 6)
+                return (a, d) if mode == AREA else (d, a)
+            for b in baseline:
+                if objective(b.stats) < objective(pick.stats):
+                    pick, src = b, net
+    return (pick.stats["area"], pick.stats["delay"],
+            cover_check(pick, src).status)
 
 
 def geomean(vals: list) -> float:

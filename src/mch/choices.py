@@ -21,17 +21,16 @@ count.  External choices are kept only when `cec` proves the two networks
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .network import LogicNetwork, Signal, exhaustive_patterns
+from .network import LogicNetwork, Signal
 from .cuts import Cut, enumerate_cuts
 from .strategies import (Candidate, StrategyLibrary,
                          area_oriented_candidates,
                          level_oriented_candidates)
 from .tt import FULL, MAX_VARS, TruthTable, cut_truth
-from .verify import EQUIVALENT, EXHAUSTIVE_PI_LIMIT, cec
+from .verify import EQUIVALENT, cec, compare
 
 
 class MchParams(NamedTuple):
@@ -58,12 +57,6 @@ class ChoiceError(Exception):
     def __init__(self, message: str, member: Optional[int] = None):
         super().__init__(message)
         self.member = member  # the offending choice member, when there is one
-
-
-# check_invariants simulates at most 2^_RUN_VARS patterns at a time, so a
-# run holds 512 bytes per node however many PIs the network has
-_RUN_VARS = 12
-SIM_WIDTH = 256
 
 
 @dataclass
@@ -108,46 +101,35 @@ class ChoiceNetwork:
 
         `build_mch` and `add_external_choices` prove each member when
         they install it; this check is for classes made any other way
-        (`add_choice`, `read_mch`).  Up to EXHAUSTIVE_PI_LIMIT PIs it
-        simulates every input pattern, so a pass is a proof.  Above it,
-        it simulates SIM_WIDTH random patterns, which can only reject: a
-        pass there proves nothing.
+        (`add_choice`, `read_mch`).  It compares each member with its
+        representative over `verify.input_runs`, so a pass is a proof up
+        to EXHAUSTIVE_PI_LIMIT PIs and proves nothing above it, where
+        the sampled patterns can only reject.
         """
         net = self.base
+        pairs = [(r, m) for r in self.class_reprs() for m in self.members(r)]
         seen: set[int] = set()
-        for r in self.class_reprs():
-            for m in self.members(r):
-                if m in seen:
-                    raise ChoiceError(f"node {m} appears in two classes", m)
-                seen.add(m)
-                if r in net.tfi([m]):
-                    raise ChoiceError(
-                        f"representative {r} in TFI of choice {m}", m)
-        for width, pats in _input_runs(net.pis):
-            vals = net.simulate(pats, width)
-            mask = (1 << width) - 1
-            for r in self.class_reprs():
-                for m in self.members(r):
-                    if vals[m] != vals[r] ^ (mask if self.phase[m] else 0):
-                        raise ChoiceError(f"choice {m} not equivalent to "
-                                          f"representative {r}", m)
+        for r, m in pairs:
+            if m in seen:
+                raise ChoiceError(f"node {m} appears in two classes", m)
+            seen.add(m)
+            if r in net.tfi([m]):
+                raise ChoiceError(f"representative {r} in TFI of choice {m}",
+                                  m)
 
+        def sides(words: list, width: int) -> tuple:
+            vals = net.simulate(dict(zip(net.pis, words)), width)
+            flip = (1 << width) - 1
+            return ([vals[m] for _, m in pairs],
+                    [vals[r] ^ (flip if self.phase[m] else 0)
+                     for r, m in pairs])
 
-def _input_runs(pis: list[int]):
-    """(width, PI words) per simulation run of check_invariants: every
-    input pattern up to EXHAUSTIVE_PI_LIMIT PIs, else SIM_WIDTH random
-    ones."""
-    npi = len(pis)
-    if npi > EXHAUSTIVE_PI_LIMIT:
-        rng = random.Random(99)
-        yield SIM_WIDTH, {n: rng.getrandbits(SIM_WIDTH) for n in pis}
-        return
-    low = min(npi, _RUN_VARS)
-    words = exhaustive_patterns(pis[:low])
-    for high in range(1 << (npi - low)):
-        # -1 is an all-ones word once simulate masks it
-        yield 1 << low, {**words, **{
-            n: -((high >> i) & 1) for i, n in enumerate(pis[low:])}}
+        cex = compare(len(net.pis), sides).counterexample
+        if cex is not None:
+            got, want = sides(cex, 1)
+            r, m = next(p for p, g, w in zip(pairs, got, want) if g != w)
+            raise ChoiceError(f"choice {m} not equivalent to "
+                              f"representative {r}", m)
 
 
 # -- candidate generation (pure phase) --------------------------------
@@ -161,7 +143,7 @@ class _Spec(NamedTuple):
 
 
 def multi_strategy_choices(netp: LogicNetwork, critical: set[int],
-                           cutsets: dict[int, list[Cut]], K: int,
+                           cutsets: dict[int, list[Cut]],
                            lib: StrategyLibrary,
                            params: MchParams = MchParams()) -> ChoiceNetwork:
     """Generate candidates per node and assemble the choice network.
@@ -192,7 +174,7 @@ def multi_strategy_choices(netp: LogicNetwork, critical: set[int],
                 cut_leaves.add(cut.leaves)
                 for cand in area_oriented_candidates(lib, cut.tt, host):
                     specs.append(_Spec(n, cut.leaves, cut.tt, cand))
-            cone = netp.mffc(n, K, fanouts)
+            cone = netp.mffc(n, params.K, fanouts)
             leaves = tuple(netp.mffc_leaves(cone))
             gates_in_cone = sum(1 for m in cone if netp.is_gate(m))
             # an MFFC over one of n's cuts has that cut's table, so its
@@ -247,8 +229,7 @@ def build_mch(net: LogicNetwork, lib: StrategyLibrary,
     netp = net.one_to_one_map(mix_target or net.tag)
     critical = netp.critical_path_nodes(params.r)
     cutsets = enumerate_cuts(netp, params.k, params.l)
-    return multi_strategy_choices(netp, critical, cutsets, params.K, lib,
-                                  params)
+    return multi_strategy_choices(netp, critical, cutsets, lib, params)
 
 
 def add_external_choices(cn: ChoiceNetwork,

@@ -7,12 +7,13 @@ from pathlib import Path
 
 from . import network as nw
 from .aiger import AigerError, read_aiger, write_aiger
-from .bench import CSV_HEADER, PRESETS, cover_verdict, run_suite, write_csv
+from .bench import CSV_HEADER, PRESETS, run_suite, write_csv
 from .blif import write_blif, write_verilog_structural
 from .choices import ChoiceNetwork, MchParams, build_mch
 from .graphmap import optimize_iterate
 from .mapper import (AREA, BALANCED, CELL, DELAY, CellLibrary, MapError,
-                     MapParams, default_cell_library, map_cells, map_lut)
+                     MapParams, cover_check, default_cell_library, map_cells,
+                     map_lut)
 from .mchfile import MchFileError, read_mch, write_mch, write_net
 from .strategies import default_library
 from .verify import EQUIVALENT, NOT_EQUIVALENT, InterfaceMismatch, cec
@@ -42,7 +43,7 @@ def _write_network(net, path: str) -> None:
 
 
 def _verify_or_die(m, base, label: str) -> str:
-    verdict = cover_verdict(m, base)
+    verdict = cover_check(m, base).status
     if verdict == NOT_EQUIVALENT:
         raise CliError(f"{label}: mapped netlist failed verification")
     return verdict

@@ -39,7 +39,7 @@ from .choices import ChoiceNetwork
 from .cuts import CutEngine
 from .npn import apply_npn, compose, npn_canonize
 from .tt import TruthTable
-from .verify import EXHAUSTIVE_PI_LIMIT
+from .verify import NOT_EQUIVALENT, Verdict, compare
 
 DELAY = "delay"
 AREA = "area"
@@ -118,36 +118,18 @@ def _check_structure(m: MappedNetlist) -> bool:
     return all(i in defined for i, _ in m.outputs)
 
 
-def cover_check(m: MappedNetlist, src) -> bool:
-    """Legal-cover plus functional-equivalence check against the source.
-
-    Exhaustive up to EXHAUSTIVE_PI_LIMIT inputs; above that, 256 patterns:
-    254 random ones plus the all-0 and all-1 corners, so a pass on wide
-    networks is evidence, not proof.
-    """
-    import random
-
-    from .network import exhaustive_patterns
-
-    if not _check_structure(m):
-        return False
-    if m.n_pis != len(src.pis) or len(m.outputs) != len(src.outputs):
-        return False
-    npi = len(src.pis)
-    if npi <= EXHAUSTIVE_PI_LIMIT:
-        width = 1 << max(npi, 1)
-        pats = exhaustive_patterns(src.pis)
-        words = [pats[p] for p in src.pis]
-    else:
-        width = 256
-        rng = random.Random(0xC07E)
-        # pattern 0 is the all-zeros corner, the top pattern all-ones
-        words = [(rng.getrandbits(width) & ~1) | (1 << (width - 1))
-                 for _ in range(npi)]
-    got = m.simulate(words, width)
-    want = src.output_values({p: words[i] for i, p in enumerate(src.pis)},
-                             width)
-    return got == want
+def cover_check(m: MappedNetlist, src) -> Verdict:
+    """Legal-cover plus functional-equivalence check against the source,
+    as a `verify.compare` verdict: `equivalent` (a proof) up to
+    EXHAUSTIVE_PI_LIMIT inputs, at most `unknown` above.  A cover that
+    is not a legal netlist over the source's interface is
+    `not-equivalent`."""
+    if not _check_structure(m) or m.n_pis != len(src.pis) \
+            or len(m.outputs) != len(src.outputs):
+        return Verdict(NOT_EQUIVALENT, None, 0)
+    return compare(m.n_pis, lambda words, width: (
+        m.simulate(words, width),
+        src.output_values(dict(zip(src.pis, words)), width)))
 
 
 # -- round driver ------------------------------------------------------
@@ -546,7 +528,6 @@ class CellLibrary:
         self.const1: Optional[Cell] = None
         self._table: dict = {}
         self._queries: dict = {}
-        self._shrunk: dict = {}
         # match templates of cut functions, see templates()
         self._pins = max([len(c.pin_delays) for c in self.cells] + [1])
         self._tpl: dict = {}
@@ -616,14 +597,6 @@ class CellLibrary:
         with open(path) as fh:
             return CellLibrary.loads(fh.read())
 
-    def shrink(self, tt: TruthTable) -> tuple:
-        """tt.shrink_to_support(), kept for every later mapping."""
-        key = (tt.bits, tt.var_count)
-        hit = self._shrunk.get(key)
-        if hit is None:
-            hit = self._shrunk[key] = tt.shrink_to_support()
-        return hit
-
     def matches(self, tt: TruthTable):
         """(cell, pin binding, phase) triples realizing tt or its inverse.
 
@@ -666,7 +639,7 @@ class CellLibrary:
         return t
 
     def _matches_of(self, tt: TruthTable) -> list:
-        tt_s, sup = self.shrink(tt)
+        tt_s, sup = tt.shrink_to_support()
         v = len(sup)
         if v == 0:
             one = 1 if tt_s.is_const1() else 0

@@ -5,7 +5,9 @@ each `gate` line defines the next id.  Literals are 2*node+neg, as in
 AIGER.  A file with no `class` lines is a plain network.  `read_mch`
 runs `ChoiceNetwork.check_invariants` on what it loads, so a member that
 does not compute its representative's function fails with its `class`
-line.
+line.  That check simulates `verify.input_runs`: every input pattern up
+to 16 PIs, so a loaded class is proven; above that, sampled patterns
+that include the all-0 and all-1 vectors and can only reject.
 """
 
 from . import network as nw

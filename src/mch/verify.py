@@ -1,14 +1,20 @@
-"""Combinational equivalence checking oracle.
+"""Simulation verdicts: combinational equivalence checking, and the one
+input-pattern policy every functional check in the package runs on.
 
-Exhaustive (and therefore exact) up to 16 PIs; beyond that a budgeted
-random-plus-corner simulation that can only ever report UNKNOWN or find a
-counterexample.
+`input_runs` yields the patterns and `compare` turns two sides' output
+words into a `Verdict`; `cec`, `mapper.cover_check` and
+`ChoiceNetwork.check_invariants` all run through them.  Up to
+EXHAUSTIVE_PI_LIMIT PIs every input pattern is simulated, so
+`equivalent` is a proof.  Above it, one run of fixed-seed random patterns
+that holds the all-0 and all-1 input vectors can only find a
+counterexample or report `unknown`.  A run holds at most 2^12
+patterns, 512 bytes per simulated node however many PIs there are.
 """
 
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .network import LogicNetwork, exhaustive_patterns
 
@@ -17,6 +23,7 @@ NOT_EQUIVALENT = "not-equivalent"
 UNKNOWN = "unknown"
 
 EXHAUSTIVE_PI_LIMIT = 16
+_RUN_VARS = 12
 
 
 class Verdict(NamedTuple):
@@ -32,50 +39,49 @@ class InterfaceMismatch(Exception):
     pass
 
 
-def cec(a: LogicNetwork, b: LogicNetwork, budget: int = 4096) -> Verdict:
+def input_runs(npi: int) -> Iterator[tuple[int, list[int]]]:
+    """(width, one word per PI) per simulation run.  Up to
+    EXHAUSTIVE_PI_LIMIT PIs, every input pattern: the low _RUN_VARS PIs in
+    minterm order within a run, the others constant across it.  Above it,
+    one run of random patterns whose first is all-0 and last all-1."""
+    if npi > EXHAUSTIVE_PI_LIMIT:
+        width = 1 << _RUN_VARS
+        rng = random.Random(0xC0FFEE)
+        yield width, [(rng.getrandbits(width) & ~1) | (1 << (width - 1))
+                      for _ in range(npi)]
+        return
+    low = min(npi, _RUN_VARS)
+    words = list(exhaustive_patterns(list(range(low))).values())
+    for high in range(1 << (npi - low)):
+        # -1 is an all-ones word once the simulator masks it
+        yield 1 << low, words + [-((high >> i) & 1)
+                                 for i in range(npi - low)]
+
+
+def compare(npi: int, sides: Callable[[list[int], int], tuple]) -> Verdict:
+    """Verdict over the runs of input_runs(npi), where sides(words,
+    width) simulates one run and returns the two sides' output words."""
+    done = 0
+    for width, words in input_runs(npi):
+        done += width
+        for va, vb in zip(*sides(words, width)):
+            diff = va ^ vb
+            if diff:
+                bit = (diff & -diff).bit_length() - 1
+                return Verdict(NOT_EQUIVALENT,
+                               [(w >> bit) & 1 for w in words], done)
+    return Verdict(EQUIVALENT if npi <= EXHAUSTIVE_PI_LIMIT else UNKNOWN,
+                   None, done)
+
+
+def cec(a: LogicNetwork, b: LogicNetwork) -> Verdict:
     if len(a.pis) != len(b.pis) or len(a.outputs) != len(b.outputs):
         raise InterfaceMismatch(
             f"interface mismatch: {len(a.pis)}/{len(a.outputs)} PIs/POs vs "
             f"{len(b.pis)}/{len(b.outputs)}")
-    npi = len(a.pis)
-    if npi <= EXHAUSTIVE_PI_LIMIT:
-        width = 1 << npi
-        pa = exhaustive_patterns(a.pis)
-        pb = {nb: pa[na] for na, nb in zip(a.pis, b.pis)}
-        oa = a.output_values(pa, width)
-        ob = b.output_values(pb, width)
-        for i, (va, vb) in enumerate(zip(oa, ob)):
-            diff = va ^ vb
-            if diff:
-                m = (diff & -diff).bit_length() - 1
-                cex = [(m >> j) & 1 for j in range(npi)]
-                return Verdict(NOT_EQUIVALENT, cex, width)
-        return Verdict(EQUIVALENT, None, width)
-
-    rng = random.Random(0xC0FFEE)
-    width = 256
-    done = 0
-    corner_words = [0, (1 << width) - 1]
-    while done < budget:
-        pa = {}
-        pb = {}
-        for idx, (na, nb) in enumerate(zip(a.pis, b.pis)):
-            if done == 0 and idx < 2:
-                w = corner_words[idx]
-            else:
-                w = rng.getrandbits(width)
-            pa[na] = w
-            pb[nb] = w
-        oa = a.output_values(pa, width)
-        ob = b.output_values(pb, width)
-        for va, vb in zip(oa, ob):
-            diff = va ^ vb
-            if diff:
-                m = (diff & -diff).bit_length() - 1
-                cex = [(pa[na] >> m) & 1 for na in a.pis]
-                return Verdict(NOT_EQUIVALENT, cex, done + width)
-        done += width
-    return Verdict(UNKNOWN, None, done)
+    return compare(len(a.pis), lambda words, width: (
+        a.output_values(dict(zip(a.pis, words)), width),
+        b.output_values(dict(zip(b.pis, words)), width)))
 
 
 def check_counterexample(a: LogicNetwork, b: LogicNetwork,

@@ -140,6 +140,23 @@ def test_invariants_simulate_every_pattern_up_to_16_pis():
     assert e.value.member == member.node
 
 
+def test_invariants_sample_the_corner_inputs_above_16_pis():
+    # (x0&x1)&(~x0&x2) is constant 0: it differs from a 20-input AND only
+    # on the all-1 input vector
+    net = LogicNetwork(nw.AIG)
+    xs = [net.add_pi() for _ in range(20)]
+    rep = and_tree(net, xs)
+    member = net.add_and(net.add_and(xs[0], xs[1]),
+                         net.add_and(~xs[0], xs[2]))
+    net.add_po(rep)
+    assert net.is_gate(member.node)
+    cn = ChoiceNetwork(net)
+    assert cn.add_choice(rep.node, member.node, member.neg)
+    with pytest.raises(ChoiceError, match="not equivalent") as e:
+        cn.check_invariants()
+    assert e.value.member == member.node
+
+
 def test_a_candidate_off_by_one_minterm_is_never_installed(monkeypatch, lib):
     def off_by_one(real):
         def make(lib, tt, host):

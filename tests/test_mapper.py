@@ -310,7 +310,7 @@ def _ref_matches(cl, leaves, tt):
     from mch.tt import TruthTable
 
     out = [[], []]
-    tt_s, sup = cl.shrink(tt)
+    tt_s, sup = tt.shrink_to_support()
     v = len(sup)
     if v == 0:
         one = 1 if tt_s.is_const1() else 0

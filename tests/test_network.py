@@ -242,7 +242,7 @@ def test_choice_generation_builds_one_fanout_map(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(LogicNetwork, "fanouts", counted)
-    cn = multi_strategy_choices(net, critical, cutsets, params.K,
-                                default_library(), params)
+    cn = multi_strategy_choices(net, critical, cutsets, default_library(),
+                                params)
     assert cn.stats.other_nodes > 1
     assert calls == [net]

@@ -5,6 +5,8 @@ from mch.network import LogicNetwork
 from mch.verify import EQUIVALENT, NOT_EQUIVALENT, UNKNOWN, \
     InterfaceMismatch, cec, check_counterexample
 
+from mch.gen import and_tree
+
 from fixtures import parity10, aig_xor
 
 
@@ -49,7 +51,7 @@ def test_wide_equivalent_is_unknown_not_failed():
             acc = net.add_and(acc, x)
         net.add_po(acc)
         return net
-    v = cec(wide(), wide(), budget=256)
+    v = cec(wide(), wide())
     assert v.status == UNKNOWN
 
 
@@ -62,8 +64,35 @@ def test_wide_not_equivalent_found_by_sampling():
             acc = aig_xor(net, acc, x)
         net.add_po(~acc if broken else acc)
         return net
-    v = cec(wide(False), wide(True), budget=256)
+    v = cec(wide(False), wide(True))
     assert v.status == NOT_EQUIVALENT
+
+
+def _wide_gate(op: str, n: int = 20) -> LogicNetwork:
+    net = LogicNetwork(nw.AIG)
+    xs = [net.add_pi() for _ in range(n)]
+    net.add_po(and_tree(net, xs) if op == "and"
+               else ~and_tree(net, [~x for x in xs]))
+    return net
+
+
+def _constant(value: int, n: int = 20) -> LogicNetwork:
+    net = LogicNetwork(nw.AIG)
+    for _ in range(n):
+        net.add_pi()
+    net.add_po(net.const1 if value else net.const0)
+    return net
+
+
+@pytest.mark.parametrize("op, value, corner", [("and", 0, 1), ("or", 1, 0)])
+def test_wide_difference_on_a_corner_input_is_found(op, value, corner):
+    # above the exhaustive limit the two networks differ only on the
+    # all-1 (AND) or the all-0 (OR) input vector
+    a, b = _wide_gate(op), _constant(value)
+    v = cec(a, b)
+    assert v.status == NOT_EQUIVALENT
+    assert v.counterexample == [corner] * 20
+    assert check_counterexample(a, b, v.counterexample)
 
 
 def test_cross_representation():

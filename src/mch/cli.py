@@ -74,7 +74,6 @@ def cmd_mch(args) -> int:
         r = args.r
     p = MchParams(k=args.k, l=args.l, K=args.K, r=r)
     cn = build_mch(net, default_library(), p, mix_target=mix)
-    cn.check_invariants()
     write_mch(cn, args.output)
     s = cn.stats
     print(f"wrote {args.output}: {len(cn.class_reprs())} classes, "

@@ -14,17 +14,20 @@ over it (`_LutCover`, `_CellCover`).  Each hands the engine a vectorized
 sort key over per-node values kept current level by level (LUTs: arrival
 and area flow per fanout estimate; cells: the better phase's arrival and
 area flow), and the engine stores each node's best `l` cuts.  Both then
-pick a whole level at once.  The LUT mapper reads tables only for the
-final cover (`_extract_lut`).  The cell mapper looks up each stored cut's
-word in the library's match templates (one per function: each match's
-phase, cell and pin-to-leaf binding), scores every (cut, match) row of
-the level on arrays, and picks per node phase the first best match
-meeting the required time, with an inverter where the other phase is
-cheaper; it keeps a host gate's elementary fanin cut stored so that the
-gate is always matchable.  Match objects are made only for the picks and
-for the alternatives the exact-area round reads.  A round that meets a
-node it cannot cover finishes, then reports the failing node that comes
-first in dependency order.
+pick a whole level at once.  The cover's area, its required times and
+both netlist extractions walk the chosen cover one way (`_Rounds.walk`);
+the exact-area round compares a key's old choice with its alternatives
+by value.  The LUT mapper reads tables only for the final cover.  The
+cell mapper looks up each stored cut's word in the library's match
+templates (one per function: each match's phase, cell and pin-to-leaf
+binding), scores every (cut, match) row of the level on arrays, and
+picks per node phase the first best match meeting the required time,
+with an inverter where the other phase is cheaper; it keeps a host
+gate's elementary fanin cut stored so that the gate is always matchable.
+Match objects are made only for the picks and for the alternatives the
+exact-area round reads.  A round that meets a node it cannot cover
+finishes, then reports the failing node that comes first in dependency
+order.
 """
 
 from __future__ import annotations
@@ -179,7 +182,9 @@ class _Rounds:
     in `keys`, and supplies enum_round (re-enumerate cuts and pick per
     key), plus, per choice: own_area, children (keys it references),
     edges ((child, delay) pairs), arrival, tie, and cands (the alternatives
-    of a key).
+    of a key, which exact_round compares with the old choice by value).
+    `walk` lists the chosen cover for its area, required times and both
+    netlist extractions.
     """
 
     def __init__(self, cn: ChoiceNetwork, p: MapParams, width: int):
@@ -233,26 +238,42 @@ class _Rounds:
                 refs, area0, delay0 = self.cover()
         return area0, delay0
 
+    def walk(self, roots, seen: set) -> list:
+        """The cover's keys under roots that are not in seen, each after
+        the keys its choice references, in the order a depth-first walk
+        from each root in turn finishes them (a choice's children last to
+        first); adds them to seen.  An explicit stack keeps a deep cover
+        off the Python stack."""
+        chosen, children = self.chosen, self.children
+        out = []
+        for root in roots:
+            if root in seen:
+                continue
+            seen.add(root)
+            stack = [(root, reversed(children(chosen[root])))]
+            while stack:
+                key, rest = stack[-1]
+                for ck in rest:
+                    if ck not in seen:
+                        seen.add(ck)
+                        stack.append((ck, reversed(children(chosen[ck]))))
+                        break
+                else:
+                    stack.pop()
+                    out.append(key)
+        return out
+
     def cover(self) -> tuple:
         """(reference count per key, area, delay) of the chosen cover."""
         refs = [0] * len(self.chosen)
-        stack = []
         for key in self.roots:
             refs[key] += 1
-            if refs[key] == 1:
-                stack.append(key)
-        seen = set()
         area = 0
-        while stack:
-            key = stack.pop()
-            if key in seen:
-                continue
-            seen.add(key)
+        for key in self.walk(self.roots, set()):
             m = self.chosen[key]
             area += self.own_area(m)
             for ck in self.children(m):
                 refs[ck] += 1
-                stack.append(ck)
         delay = max((self.arr[key] for key in self.roots), default=0.0)
         return refs, area, delay
 
@@ -262,19 +283,7 @@ class _Rounds:
         req[:] = [INF] * len(req)
         for key in self.roots:
             req[key] = limit
-        post = []
-        marks = set()
-        stack = [(key, False) for key in self.roots]
-        while stack:
-            key, expanded = stack.pop()
-            if expanded:
-                post.append(key)
-            elif key not in marks:
-                marks.add(key)
-                stack.append((key, True))
-                stack.extend((ck, False)
-                             for ck in self.children(self.chosen[key]))
-        for key in reversed(post):
+        for key in reversed(self.walk(self.roots, set())):
             r = req[key]
             if math.isinf(r):
                 continue
@@ -307,7 +316,12 @@ class _Rounds:
 
     def exact_round(self, refs: list, delay_pri: bool) -> None:
         """Re-pick each referenced key by the area its choice adds to the
-        cover (reference and dereference its exclusive cone)."""
+        cover (reference and dereference its exclusive cone), among the
+        alternatives that meet its required time.  The old choice is
+        compared by value like any other; it meets the required time,
+        since required times follow the cover's edge delays and a child
+        changes only to a choice meeting its own.  A key with no such
+        alternative keeps its old choice."""
         chosen = self.chosen
         for key in self.keys:
             if refs[key] <= 0:
@@ -317,7 +331,7 @@ class _Rounds:
             bk = bm = None
             for m in self.cands(key):
                 a = self.arrival(m)
-                if a > self.req[key] + _EPS and m is not old:
+                if a > self.req[key] + _EPS:
                     continue
                 chosen[key] = m
                 ea = self.cone_area(refs, key, 1)
@@ -360,7 +374,6 @@ class _LutCover(_Rounds):
         self.keys = self.order
         self.roots = [s.node for s in net.outputs if net.is_gate(s.node)]
         self.chosen: list = [None] * size
-        self.picked: list = [None] * size   # the last round's picks
         self.arr = [0.0] * size
         self.flow = [0.0] * size
         self.base_est = self.fouts
@@ -382,14 +395,8 @@ class _LutCover(_Rounds):
         return len(c)
 
     def cands(self, n: int) -> list:
-        """n's stored cuts but the trivial one.  The cut the last round
-        picked is the very object chosen holds unless a rollback replaced
-        it, which is how exact_round tells the old choice."""
-        cuts = self.engine.cuts(n)[:-1]
-        old = self.chosen[n]
-        if old is self.picked[n]:
-            cuts[cuts.index(old)] = old
-        return cuts
+        """n's stored cuts but the trivial one."""
+        return self.engine.cuts(n)[:-1]
 
     def enum_round(self, delay_pri: bool, constrained: bool) -> None:
         """Re-enumerate priority cuts with this round's cost key and pick
@@ -426,12 +433,11 @@ class _LutCover(_Rounds):
                 pick = np.where(met < n, met, first)
             arr[nodes], flow[nodes] = a[pick], fl[pick]
             share[nodes] = fl[pick] / est[nodes]
-            # no tables here: _extract_lut reads those of the cover
+            # no tables here: map_lut reads those of the cover
             for n, row, z in zip(nodes.tolist(), lv.leaves[pick].tolist(),
                                  lv.size[pick].tolist()):
                 chosen[n] = tuple(row[:z])
         self.fail_first(failed)
-        self.picked = chosen[:]
         self.arr[:] = arr[:-1].tolist()
         self.flow[:] = flow.tolist()
 
@@ -451,55 +457,26 @@ def map_lut(cn: ChoiceNetwork, p: MapParams = MapParams()) -> MappedNetlist:
     if not 2 <= p.k <= 6:
         raise MapError("LUT size must be in [2, 6]")
     m = _LutCover(cn, p)
-    m.run()
-    return _extract_lut(m.net, m.chosen, m.engine.table, m.arr, m.roots)
-
-
-def _extract_lut(net, best, table, arrival, po_gates) -> MappedNetlist:
+    _, delay = m.run()
+    net, chosen = m.net, m.chosen
     n_pis = len(net.pis)
-    id_of: dict[int, int] = {pi: i for i, pi in enumerate(net.pis)}
-    m = MappedNetlist(LUT, n_pis)
-    counter = [n_pis]
-
-    def emit(node: int) -> None:
-        stack = [node]
-        while stack:
-            n = stack[-1]
-            if n in id_of:
-                stack.pop()
-                continue
-            pend = [x for x in best[n] if x not in id_of]
-            if pend:
-                stack.extend(pend)
-                continue
-            stack.pop()
-            ins = tuple(id_of[x] for x in best[n])
-            m.instances.append(Instance(counter[0], "lut", 1.0,
-                                        table(n, best[n]), ins))
-            id_of[n] = counter[0]
-            counter[0] += 1
-
-    def const_id() -> int:
-        if 0 not in id_of:
-            m.instances.append(Instance(counter[0], "lut", 1.0,
-                                        TruthTable.const(False), ()))
-            id_of[0] = counter[0]
-            counter[0] += 1
-        return id_of[0]
-
+    out = MappedNetlist(LUT, n_pis)
+    id_of = {pi: i for i, pi in enumerate(net.pis)}
+    seen = set(id_of) | {0}
     for s in net.outputs:
-        if net.is_const(s.node):
-            m.outputs.append((const_id(), s.neg))
-        else:
-            if net.is_gate(s.node):
-                emit(s.node)
-            m.outputs.append((id_of[s.node], s.neg))
-    m.stats = {
-        "area": float(len(m.instances)),
-        "delay": max((arrival[n] for n in po_gates), default=0.0),
-        "edges": sum(len(i.ins) for i in m.instances),
-    }
-    return m
+        if net.is_const(s.node) and 0 not in id_of:
+            id_of[0] = n_pis + len(out.instances)
+            out.instances.append(Instance(id_of[0], "lut", 1.0,
+                                          TruthTable.const(False), ()))
+        for n in m.walk([s.node], seen):
+            id_of[n] = n_pis + len(out.instances)
+            out.instances.append(Instance(
+                id_of[n], "lut", 1.0, m.engine.table(n, chosen[n]),
+                tuple(id_of[x] for x in chosen[n])))
+        out.outputs.append((id_of[s.node], s.neg))
+    out.stats = {"area": float(len(out.instances)), "delay": delay,
+                 "edges": sum(len(i.ins) for i in out.instances)}
+    return out
 
 
 # -- cell library ------------------------------------------------------
@@ -526,8 +503,9 @@ class CellLibrary:
         self.inv: Optional[Cell] = None
         self.const0: Optional[Cell] = None
         self.const1: Optional[Cell] = None
+        # per arity, the cells of each NPN class: canonical table -> list
+        # of (cell, transform)
         self._table: dict = {}
-        self._queries: dict = {}
         # match templates of cut functions, see templates()
         self._pins = max([len(c.pin_delays) for c in self.cells] + [1])
         self._tpl: dict = {}
@@ -559,8 +537,8 @@ class CellLibrary:
                     self.inv = cell
                 continue
             canon = npn_canonize(cell.tt)
-            key = (canon.tt.bits, v)
-            self._table.setdefault(key, []).append((cell, canon.transform))
+            self._table.setdefault(v, {}).setdefault(
+                canon.tt.bits, []).append((cell, canon.transform))
         if self.inv is None:
             raise LibraryError("library has no inverter")
         if self.const0 is None or self.const1 is None:
@@ -604,15 +582,12 @@ class CellLibrary:
         complemented when bit i of t.neg is set.  phase False realizes tt
         itself, True its complement.
         """
-        v = tt.var_count
-        span = 1 << v
-        qkey = (tt.bits & ((1 << span) - 1), v)
-        hit = self._queries.get(qkey)
-        if hit is not None:
-            return hit
+        by_class = self._table.get(tt.var_count)
+        if by_class is None:
+            return []
         canon = npn_canonize(tt)
         out = []
-        for cell, tg in self._table.get((canon.tt.bits, v), []):
+        for cell, tg in by_class.get(canon.tt.bits, []):
             t = compose(canon.transform.inverse(), tg)
             # the physical cell computes its function without t's output
             # negation, so fold t.out_neg into the provided phase
@@ -621,9 +596,7 @@ class CellLibrary:
                 out.append((cell, t, bool(t.out_neg)))
             elif realized == ~tt:
                 out.append((cell, t, not t.out_neg))
-        self._queries[qkey] = out
         return out
-
 
     def template(self, bits: int, v: int) -> int:
         """Id of the match template of the function with table word bits
@@ -659,8 +632,7 @@ class CellLibrary:
         Template t's matches are rows tpl_first[t] .. tpl_first[t] +
         tpl_count[t] - 1 of the match_* arrays: phase, cell area, and per
         pin (padded with _PIN_PAD) the cut leaf, complement and delay;
-        match_info holds each row's kind, cell, pin count and index in
-        its template."""
+        match_info holds each row's kind, cell and pin count."""
         get = self._tpl.get
         ids = [get(key) for key in zip(words, sizes)]
         if None in ids:
@@ -678,8 +650,8 @@ class CellLibrary:
         pin = np.full((len(rows), self._pins), _PIN_PAD, np.int64)
         comp = np.zeros((len(rows), self._pins), np.int64)
         delay = np.zeros((len(rows), self._pins))
-        self.match_info += [(kind, cell, len(pins), i) for ms in new
-                            for i, (_, kind, cell, pins) in enumerate(ms)]
+        self.match_info += [(kind, cell, len(pins))
+                            for _, kind, cell, pins in rows]
         for r, (_, _, cell, pins) in enumerate(rows):
             pin[r, :len(pins)] = [x for x, _ in pins]
             comp[r, :len(pins)] = [c for _, c in pins]
@@ -717,10 +689,6 @@ class _CMatch(NamedTuple):
     kind: str                # "cell" | "inv" | "wire" | "pi" | "const"
     cell: Optional[Cell]     # None for "wire" and "pi"
     pins: tuple              # keys 2 * node + phase, in cell pin order
-    # a cut's match: (cut leaves, index in the cut function's template);
-    # the same for every round that stores the cut, so exact_round knows
-    # the old choice among a key's alternatives
-    src: Optional[tuple] = None
 
 
 class _CellCover(_Rounds):
@@ -769,20 +737,13 @@ class _CellCover(_Rounds):
         last round read them, then an inverter from the other phase; never
         an inverter when the other phase already is one."""
         n, phase = key >> 1, key & 1
-        old = self.chosen[key]
         out = []
         eng = self.engine
         for leaves, word in zip(eng.cuts(n)[:-1], eng.words(n)[:-1]):
             ms = self.cl.tpl_matches[self.cl.template(word, len(leaves))]
-            for i, (ph, kind, cell, pins) in enumerate(ms):
-                if ph != phase:
-                    continue
-                if old.src == (leaves, i):
-                    out.append(old)
-                    continue
-                out.append(_CMatch(kind, cell, tuple(
-                    2 * (leaves[x] if x >= 0 else 0) + c for x, c in pins),
-                    (leaves, i)))
+            out += [_CMatch(kind, cell, tuple(
+                2 * (leaves[x] if x >= 0 else 0) + c for x, c in pins))
+                for ph, kind, cell, pins in ms if ph == phase]
         other = self.chosen[key ^ 1]
         if other is None or other.kind != "inv":
             out.append(_CMatch("inv", self.cl.inv, (key ^ 1,)))
@@ -876,17 +837,14 @@ class _CellCover(_Rounds):
             best_flow[nodes] = np.minimum(ff[:, 0], ff[:, 1])
             # match objects for the picks only
             at = at.ravel()
-            cut = row[at]
-            for key, inv_, m, lvs, z, pins in zip(
+            for key, inv_, m, pins in zip(
                     keys.ravel().tolist(), use.ravel().tolist(),
-                    mi[at].tolist(), lv.leaves[cut].tolist(),
-                    lv.size[cut].tolist(), pk[at].tolist()):
+                    mi[at].tolist(), pk[at].tolist()):
                 if inv_:
                     chosen[key] = _CMatch("inv", inv, (key ^ 1,))
                 else:
-                    kind, cell, npins, i = cl.match_info[m]
-                    chosen[key] = _CMatch(kind, cell, tuple(pins[:npins]),
-                                          (tuple(lvs[:z]), i))
+                    kind, cell, npins = cl.match_info[m]
+                    chosen[key] = _CMatch(kind, cell, tuple(pins[:npins]))
         self.fail_first(failed)
         self.arr[:] = arr[:-1].tolist()
         self.flow[:] = flow.tolist()
@@ -900,43 +858,19 @@ def map_cells(cn: ChoiceNetwork, cl: CellLibrary,
         raise MapError("cut size must be in [2, 6]")
     m = _CellCover(cn, cl, p)
     _, delay = m.run()
-    return _extract_cells(m.net, m.chosen, m.roots, delay)
-
-
-def _extract_cells(net, chosen, roots, delay) -> MappedNetlist:
-    n_pis = len(net.pis)
+    n_pis = len(m.net.pis)
     out = MappedNetlist(CELL, n_pis)
-    id_of: dict = {2 * pi: i for i, pi in enumerate(net.pis)}
-    counter = [n_pis]
-
-    def realize(key) -> int:
-        stack = [key]
-        while stack:
-            k = stack[-1]
-            if k in id_of:
-                stack.pop()
-                continue
-            m = chosen[k]
-            pend = [ck for ck in m.pins if ck not in id_of]
-            if pend:
-                stack.extend(pend)
-                continue
-            stack.pop()
-            if m.kind == "wire":
-                id_of[k] = id_of[m.pins[0]]
-                continue
-            ins = tuple(id_of[ck] for ck in m.pins)
-            out.instances.append(Instance(counter[0], m.cell.name,
-                                          m.cell.area, m.cell.tt, ins))
-            id_of[k] = counter[0]
-            counter[0] += 1
-        return id_of[key]
-
-    for key in roots:
-        out.outputs.append((realize(key), False))
-    out.stats = {
-        "area": sum(i.area for i in out.instances),
-        "delay": delay,
-        "edges": sum(len(i.ins) for i in out.instances),
-    }
+    id_of = {2 * pi: i for i, pi in enumerate(m.net.pis)}
+    for key in m.walk(m.roots, set(id_of)):
+        c = m.chosen[key]
+        if c.kind == "wire":
+            id_of[key] = id_of[c.pins[0]]
+            continue
+        id_of[key] = n_pis + len(out.instances)
+        out.instances.append(Instance(id_of[key], c.cell.name, c.cell.area,
+                                      c.cell.tt,
+                                      tuple(id_of[ck] for ck in c.pins)))
+    out.outputs = [(id_of[key], False) for key in m.roots]
+    out.stats = {"area": sum(i.area for i in out.instances), "delay": delay,
+                 "edges": sum(len(i.ins) for i in out.instances)}
     return out

@@ -7,9 +7,10 @@ representative; a Candidate's network has one PI per support variable of
 the function it was generated for.  `LogicNetwork.insert` places either
 into a host network.
 
-The database is built by bounded exhaustive enumeration of primitive trees
-(up to 7 gates) over each enabled representation's gate set; classes the
-enumeration cannot reach within the bound are filled by ISOP factoring.
+The database is built (`build_npn4_db`) by bounded exhaustive enumeration
+of primitive trees (up to 7 gates) over each enabled representation's gate
+set; classes the enumeration cannot reach within the bound are filled by
+ISOP factoring.  The package ships it as `data/npn4.db` and only reads it.
 A database file is parsed lazily: a class's lines become template networks
 on its first query, each checked against its class representative and its
 recorded depth and gate count.
@@ -17,6 +18,7 @@ recorded depth and gate count.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -394,24 +396,16 @@ def load_db(path) -> StrategyLibrary:
     return lib
 
 
+DB_PATH = Path(__file__).parent / "data" / "npn4.db"
 _default_lib: Optional[StrategyLibrary] = None
 
 
 def default_library() -> StrategyLibrary:
-    """The bundled all-representation database (built on first use)."""
+    """The bundled all-representation database at DB_PATH, read on first
+    use; `build_npn4_db` generates its templates."""
     global _default_lib
     if _default_lib is None:
-        from pathlib import Path
-
-        path = Path(__file__).parent / "data" / "npn4.db"
-        if path.exists():
-            _default_lib = load_db(path)
-        else:
-            _default_lib = build_npn4_db()
-            try:
-                save_db(_default_lib, path)
-            except OSError:
-                pass
+        _default_lib = load_db(DB_PATH)
     return _default_lib
 
 

@@ -198,46 +198,12 @@ class DsdNode:
 
     def __init__(self, op: str, children: Optional[list] = None,
                  var: Optional[int] = None, neg: bool = False,
-                 table: Optional[TruthTable] = None,
-                 leaf_vars: Optional[list[int]] = None):
+                 table: Optional[TruthTable] = None):
         self.op = op
         self.children = children or []
         self.var = var
         self.neg = neg
         self.table = table          # PRIME residual function
-        self.leaf_vars = leaf_vars  # PRIME child variable order
-
-    def evaluate(self, var_count: int) -> TruthTable:
-        if self.op == "LIT":
-            t = TruthTable.var(self.var, var_count)
-        elif self.op == "AND":
-            t = TruthTable.const(True, var_count)
-            for c in self.children:
-                t = t & c.evaluate(var_count)
-        elif self.op == "OR":
-            t = TruthTable.const(False, var_count)
-            for c in self.children:
-                t = t | c.evaluate(var_count)
-        elif self.op == "XOR":
-            t = TruthTable.const(False, var_count)
-            for c in self.children:
-                t = t ^ c.evaluate(var_count)
-        elif self.op == "MAJ":
-            a, b, c = (ch.evaluate(var_count) for ch in self.children)
-            t = maj_tt(a, b, c)
-        elif self.op == "PRIME":
-            kids = [c.evaluate(var_count) for c in self.children]
-            t = TruthTable.const(False, var_count)
-            span = 1 << self.table.var_count
-            for m in range(span):
-                if self.table.value_at(m):
-                    term = TruthTable.const(True, var_count)
-                    for j, kv in enumerate(kids):
-                        term = term & (kv if (m >> j) & 1 else ~kv)
-                    t = t | term
-        else:
-            raise ValueError(self.op)
-        return ~t if self.neg else t
 
     def is_prime_over_all(self) -> bool:
         return self.op == "PRIME" and all(c.op == "LIT" for c in self.children)

@@ -135,3 +135,15 @@ def test_mch_prints_install_counts(p8, tmp_path, capsys):
     members, generated, deduped, verified, failed = map(int, got.groups())
     assert members > 0 and verified >= members and failed == 0
     assert generated == deduped + verified + failed
+
+
+def test_mch_proves_each_member_once(p8, tmp_path, monkeypatch):
+    # build_mch proves every member where it installs it; only read_mch,
+    # whose input comes from outside, checks a whole network again
+    from mch.choices import ChoiceError, ChoiceNetwork
+
+    def second_proof(self):
+        raise ChoiceError("members proved a second time")
+
+    monkeypatch.setattr(ChoiceNetwork, "check_invariants", second_proof)
+    assert cli_run(["mch", p8, "-o", str(tmp_path / "p8c.mch")]) == 0

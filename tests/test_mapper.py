@@ -149,6 +149,21 @@ def test_library_matches_both_phases(cl):
         assert physical == (~want if phase else want)
 
 
+def test_a_query_wider_than_every_cell_is_not_canonized(monkeypatch):
+    from mch import mapper
+    from mch.tt import TruthTable
+
+    cl = default_cell_library()       # canonizes its own cells
+    calls = []
+    canonize = mapper.npn_canonize
+    monkeypatch.setattr(mapper, "npn_canonize",
+                        lambda tt: calls.append(tt) or canonize(tt))
+    xs = [TruthTable.var(i, 5) for i in range(5)]
+    # no tiny.lib cell has more than three inputs
+    assert cl.matches(xs[0] & xs[1] & xs[2] & xs[3] & xs[4]) == []
+    assert calls == []
+
+
 def test_mapped_netlist_simulate(cl):
     net = adder3()
     m = map_cells(wrap(net), cl, MapParams(target=CELL))
@@ -419,6 +434,55 @@ def test_cell_round_matches_reference_picks(cl):
             Checked(cn, cl, p).run()
     assert seen["rounds"] == 6 * 3 * 2 and seen["constrained"] == 6 * 3
     assert seen["dropped"] > 0 and seen["inverters"] > 0
+
+
+@pytest.mark.parametrize("target", ["lut", CELL])
+def test_exact_round_old_choices_meet_their_required_times(target, cl):
+    """exact_round compares a key's old choice by value, so the old choice
+    must meet the key's required time, also after a rolled-back round."""
+    from mch.mapper import _EPS, _CellCover, _LutCover
+
+    seen = {"keys": 0, "after_rollback": 0}
+
+    class Checked(_CellCover if target == CELL else _LutCover):
+        fresh = rolled_back = False
+
+        def enum_round(self, delay_pri, constrained):
+            super().enum_round(delay_pri, constrained)
+            self.fresh = True
+
+        def cover(self):
+            # run() covers again after a round only to roll it back
+            self.rolled_back |= not self.fresh
+            self.fresh = False
+            return super().cover()
+
+        def exact_round(self, refs, delay_pri):
+            seen["after_rollback"] += self.rolled_back
+            super().exact_round(refs, delay_pri)
+            self.fresh = True
+
+        def cands(self, key):
+            # asked once per key exact_round visits, before it re-picks
+            assert self.arrival(self.chosen[key]) <= self.req[key] + _EPS, key
+            seen["keys"] += 1
+            return super().cands(key)
+
+    # four outputs and small cuts: some area-flow round makes the cover
+    # worse, so run() rolls it back before the exact round of rounds=4
+    rng = random.Random(23)
+    for i in range(6):
+        net = random_network(rng.randint(5, 8), rng.randint(40, 60),
+                             rng.randint(0, 10**9), n_pos=4)
+        cn = build_mch(net, default_library(), MchParams(r=0.8),
+                       mix_target=(nw.XMG, nw.XAG)[i % 2])
+        for mode in (DELAY, AREA, BALANCED):
+            for rounds in (3, 4):
+                p = MapParams(k=(3, 4)[i % 2], mode=mode, rounds=rounds,
+                              target=target)
+                (Checked(cn, cl, p) if target == CELL
+                 else Checked(cn, p)).run()
+    assert seen["keys"] > 0 and seen["after_rollback"] > 0, seen
 
 
 def _ref_dep_order(cn):

@@ -5,8 +5,8 @@ import pytest
 
 from mch import network as nw
 from mch.tt import TruthTable
-from mch.strategies import default_library, save_db, load_db, \
-    level_oriented_candidates, area_oriented_candidates
+from mch.strategies import build_npn4_db, default_library, save_db, \
+    load_db, level_oriented_candidates, area_oriented_candidates
 
 DB_PATH = Path(__file__).resolve().parents[1] / "src" / "mch" / "data" / \
     "npn4.db"
@@ -143,6 +143,34 @@ def test_every_db_line_is_a_checked_template_network():
         assert tpl.num_gates() <= gate_tokens
     assert len(lines) == 888
     assert sum(len(lib.templates_for(t, r)) for t, r in seen) == 888
+
+
+def test_the_generator_reproduces_the_bundled_aig_and_xag_templates(lib):
+    built = build_npn4_db((nw.AIG, nw.XAG))
+
+    def shapes(db, tag, rep):
+        return [([(t.kind(n), t.fanins(n)) for n in range(len(t))],
+                 t.outputs) for t in db.templates_for(tag, rep)]
+
+    for tag in (nw.AIG, nw.XAG):
+        assert built.classes(tag) == lib.classes(tag)
+        for rep in built.classes(tag):
+            assert shapes(built, tag, rep) == shapes(lib, tag, rep), \
+                (tag, hex(rep))
+
+
+def test_a_missing_bundled_database_is_an_error_naming_it(tmp_path,
+                                                          monkeypatch):
+    import re
+
+    from mch import strategies
+
+    missing = tmp_path / "npn4.db"
+    monkeypatch.setattr(strategies, "DB_PATH", missing)
+    monkeypatch.setattr(strategies, "_default_lib", None)
+    with pytest.raises(OSError, match=re.escape(str(missing))):
+        default_library()
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("field, value, message", [

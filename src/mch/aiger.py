@@ -130,14 +130,36 @@ def read_aiger(path) -> LogicNetwork:
                 lhs, r0, r1 = (int(x) for x in row[:3])
             except (IndexError, ValueError):
                 raise AigerError(f"line {ln}: bad AND line")
-            if lhs & 1 or lhs // 2 in vars_seen or lhs == 0:
+            if lhs & 1 or lhs // 2 in vars_seen or lhs == 0 \
+                    or lhs > 2 * m:
                 raise AigerError(f"line {ln}: invalid AND literal {lhs}")
             vars_seen.add(lhs // 2)
             and_rows.append((ln, lhs, r0, r1))
-        for ln, lhs, r0, r1 in and_rows:
-            a = by_lit(r0, f"line {ln}")
-            b = by_lit(r1, f"line {ln}")
-            sig_of[lhs // 2] = net.add_and(a, b)
+        # the ascii format leaves the order of AND lines free: each row is
+        # added after the rows that define its inputs, by a depth-first
+        # walk that meets a row on its own stack only through a cycle
+        row_of = {row[1] // 2: row for row in and_rows}
+        pending = set()
+        for row in and_rows:
+            stack = [row]
+            while stack:
+                ln, lhs, r0, r1 = stack[-1]
+                if sig_of[lhs // 2] is not None:
+                    stack.pop()
+                    continue
+                pending.add(lhs // 2)
+                dep = [row_of[v] for v in (r0 // 2, r1 // 2)
+                       if v in row_of and sig_of[v] is None]
+                if dep:
+                    if dep[0][1] // 2 in pending:
+                        raise AigerError(f"line {ln}: AND literal {lhs} "
+                                         f"depends on itself")
+                    stack.append(dep[0])
+                    continue
+                stack.pop()
+                pending.discard(lhs // 2)
+                sig_of[lhs // 2] = net.add_and(by_lit(r0, f"line {ln}"),
+                                               by_lit(r1, f"line {ln}"))
     else:
         for _ in range(n_in):
             v = len(net.pis) + 1

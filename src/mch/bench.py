@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from . import network as nw
 from .choices import ChoiceNetwork, MchParams, build_mch
-from .graphmap import GraphTargetLibrary, graph_map, network_metrics
+from .graphmap import graph_map, network_metrics
 from .mapper import (AREA, BALANCED, CELL, DELAY, CellLibrary, MapParams,
                      cover_check, default_cell_library, map_cells, map_lut)
 from .strategies import default_library
@@ -86,8 +86,7 @@ def run_flow(net, flow: str, cell_lib: Optional[CellLibrary] = None,
 
     if kind.startswith("gm-"):
         # graph-mapping flows report node count as area and depth as delay
-        out = graph_map(cn, GraphTargetLibrary(kind[3:], slib),
-                        MapParams(mode=mode))
+        out = graph_map(cn, kind[3:], MapParams(mode=mode), slib)
         nodes, level = network_metrics(out)
         return float(nodes), float(level), cec(net, out).status
     src = cn.base

@@ -51,10 +51,9 @@ def _verify_or_die(m, base, label: str) -> str:
 
 def cmd_stats(args) -> int:
     net = _load_net(args.input)
-    lm = net.compute_levels()
-    depth = max((lm.level[s.node] for s in net.outputs), default=0)
     print(f"pis {len(net.pis)}  pos {len(net.outputs)}  "
-          f"nodes {net.num_gates()}  levels {depth}  tag {net.tag}")
+          f"nodes {net.num_gates()}  levels "
+          f"{net.compute_levels().network_level}  tag {net.tag}")
     return 0
 
 

@@ -24,15 +24,14 @@ Per level, on numpy arrays:
   stored, followed by the trivial cut.
 
 Every stored cut carries its truth table as one 64-bit word (`tt.py`
-tables: a function over v leaves, padded by replication).  The first time
-a (node, leaves) is stored, the level composes its word on arrays: each
-fanin cut's word is expanded to the merged leaves by nibble lookups keyed
-by the positions of its leaves among them, complemented by the fanin's
-phase and combined by AND, XOR or MAJ3; a member cut reads its member's
-word as every fanin, complemented by its phase.  A (node, leaves) stored
-again keeps its first word: each level keeps the rows it stored sorted,
-so one search finds its repeated rows and `table()` is a binary search.
-A level's fixed cost in numpy calls is held to a budget by
+tables: a function over v leaves, padded by replication), which the level
+composes on arrays from the source it stored the cut from: each fanin
+cut's word is expanded to the merged leaves by nibble lookups keyed by the
+positions of its leaves among them, complemented by the fanin's phase and
+combined by AND, XOR or MAJ3; a member cut reads its member's word as
+every fanin, complemented by its phase.  A round reads nothing an earlier
+round stored but the lists it overwrites, so every round is the same as a
+first one.  A level's fixed cost in numpy calls is held to a budget by
 `tests/test_call_budget.py`.
 """
 
@@ -395,48 +394,18 @@ class Level:
     order (with `elem`, a node's elementary merge follows its pool cuts),
     `cut_owner` is each one's node position, `leaves` its ascending leaf
     row (-1 padded), `size` its leaf count and `tt` its table word.
-    Without `elem` both lists are the same.  `pool` and `merged` describe
-    the pools themselves while the round is at this level."""
+    Without `elem` both lists are the same."""
 
-    def __init__(self, plan, key, owner, count, pools, stored):
+    def __init__(self, plan, key, owner, count, stored):
         self.nodes, self.node_list = plan.nodes, plan.node_list
         self.key, self.owner, self.count = key, owner, count
         self.cut_owner, self.leaves, self.size, self.tt = stored
-        self._plan, self._pools = plan, pools
 
     @property
     def empty(self) -> list:
         """The nodes whose pool is empty."""
         return [n for n, c in zip(self.node_list, self.count.tolist())
                 if not c]
-
-    def _own(self, j: int) -> list:
-        """Node j's pool cuts in pool order, as (leaves, merged) pairs:
-        its distinct cuts that contain no other."""
-        leaves, size, md, code, d, od = self._pools[:6]
-        lo, hi = od.searchsorted([j, j + 1]).tolist()
-        masks = [sum(int(w) << (64 * i) for i, w in enumerate(row))
-                 for row in md[lo:hi]]
-        return [(tuple(leaves[i, :size[i]].tolist()), code[d[i]] >= 0)
-                for i in sorted(range(lo, hi), key=d.__getitem__)
-                if not any(o != masks[i - lo] and o & masks[i - lo] == o
-                           for o in masks)]
-
-    def pool(self, j: int) -> list[tuple]:
-        """Leaf tuples of node j's pool cuts, in pool order: merged cuts
-        in fanin-product order, then member cuts not already present."""
-        return [lv for lv, _ in self._own(j)]
-
-    def merged(self, j: int, leaves: tuple) -> bool:
-        """True when leaves come from node j's own fanin merge: a merged
-        pool cut, or the elementary merge of its fanins, which is
-        answered even when dominated."""
-        if (leaves, True) in self._own(j):
-            return True
-        # node 0 pads a 2-input gate's fanins, and no gate reads it
-        fan = sorted(x for x in self._plan.src[3 * j:3 * j + 3].tolist() if x)
-        return (leaves == tuple(fan)
-                and j in _elem_hits(*self._pools[2:])[1].tolist())
 
 
 class CutEngine:
@@ -448,7 +417,9 @@ class CutEngine:
     the phase is set.  `order` lists the gates so that every fanin and
     class member of a node comes before it (default: ascending ids, which
     holds without classes).  PIs and the constant hold their trivial cut;
-    every gate's stored list ends with its trivial cut.
+    every gate's stored list ends with its trivial cut.  Between rounds
+    the engine holds only the current round's stored lists (`cuts`,
+    `words`), which the next round overwrites.
     """
 
     def __init__(self, net, k: int, classes: Optional[dict] = None,
@@ -473,14 +444,7 @@ class CutEngine:
         self._tts[1:self._base] = _VAR0.bits
         # an upper bound on the length of every list stored so far
         self._longest = 1
-        # node -> (plan, position) of each gate
-        self._place: dict[int, tuple] = {}
         self._plans = self._plan(net.gates() if order is None else order)
-        # per plan, its (position, leaves...) rows and their first words,
-        # sorted as byte keys and ended by an all -1 row, which sorts last
-        self._row = np.dtype((np.void, 4 * (k + 1)))
-        end = np.full((1, k + 1), -1, np.int32)
-        self._stored = [(end, np.zeros(1, np.uint64))] * len(self._plans)
 
     def _plan(self, order) -> list[_Plan]:
         """ASAP levels over fanins plus class members, and each level's
@@ -531,8 +495,6 @@ class CutEngine:
         n_xor, n_maj, n_mem = np.add.reduceat(np.stack(
             (xor, maj, cols[:, 10])), bounds[:-1], axis=1).tolist()
         iota = np.arange(_max(sizes) + 1)
-        self._place = dict(zip(gates, zip(
-            np.repeat(np.arange(len(sizes)), sizes).tolist(), at.tolist())))
         plans = []
         for lo, hi, nx, nm, nb in zip(bounds, bounds[1:], n_xor, n_maj,
                                       n_mem):
@@ -572,12 +534,10 @@ class CutEngine:
         even when it is dominated or cut off, so a host primitive always
         has its own cut."""
         self._nrows = self._base
-        for i, plan in enumerate(self._plans):
-            lv = self._level(plan, i, key, l, elem)
-            yield lv
-            lv._pools = None        # the next level is built without them
+        for plan in self._plans:
+            yield self._level(plan, key, l, elem)
 
-    def _level(self, plan: _Plan, i: int, key, l, elem: bool) -> Level:
+    def _level(self, plan: _Plan, key, l, elem: bool) -> Level:
         k, mult = self.k, self._key_mult
         # every segment's stored cuts, padded to ls slots
         srow = self._start[plan.src]
@@ -611,9 +571,8 @@ class CutEngine:
         order, sown = order[sel], sown[sel]
 
         pick, cown, crank, count = order, sown, rank, kept
-        pools = (leaves, size, md, code, d, od, plan, ukeys, nfirst, width)
         if elem:
-            ep, eo = _elem_hits(*pools[2:])
+            ep, eo = _elem_hits(md, code, d, od, plan, ukeys, nfirst, width)
             stored = np.zeros(own.shape, bool)
             stored[d[pick]] = True
             keep = ~stored[d[ep]]
@@ -624,20 +583,16 @@ class CutEngine:
             crank = np.concatenate((crank, kept[eo]))[grp]
             count = kept + np.bincount(eo, minlength=kept.size)
         crow = leaves[pick]
-        ctt = self._store(plan, i, cown, crank, count, crow, (
+        ctt = self._store(plan, cown, crank, count, crow, (
             pick, code, d, local, smask, rowat, ls, lc3))
-        return Level(plan, [c[order] for c in cols], sown, kept, pools,
+        return Level(plan, [c[order] for c in cols], sown, kept,
                      (cown, crow, size[pick], ctt))
 
-    def _store(self, plan, i, cown, crank, count, crow, src) -> np.ndarray:
+    def _store(self, plan, cown, crank, count, crow, src) -> np.ndarray:
         """Store each level node's chosen cuts (grouped by node, each at its
-        slot in crank) and its trivial cut, with their table words: a
-        (node, leaves) stored before keeps its first word, the others are
-        composed from src (see _fresh_words).  Returns the chosen cuts'
-        words.
-
-        A search of the plan's sorted rows finds those stored before; a
-        stable sort merges the fresh ones, appended, back into order."""
+        slot in crank) and its trivial cut, with their table words, the
+        chosen cuts' composed from src (see _compose).  Returns the chosen
+        cuts' words."""
         total = count + 1
         start = total.cumsum()
         start += self._nrows - total
@@ -662,36 +617,18 @@ class CutEngine:
         self._start[plan.nodes] = start
         self._count[plan.nodes] = total
         self._nrows = need
-
-        new = np.concatenate((cown[:, None], crow), axis=1, dtype=np.int32)
-        rows, words = self._stored[i]
-        if rows.shape[0] > 1:
-            p = rows.view(self._row)[:, 0].searchsorted(
-                new.view(self._row)[:, 0])
-            ctt = words[p]
-            fresh = np.logical_or.reduce(rows[p] != new, 1).nonzero()[0]
-        else:
-            fresh = _iota(n_cut)
-            ctt = np.empty(n_cut, np.uint64)
-        if fresh.size:
-            ctt[fresh] = self._fresh_words(plan, cown[fresh], fresh, src)
-            rows = np.concatenate((rows, new[fresh]))
-            words = np.concatenate((words, ctt[fresh]))
-            o = rows.view(self._row)[:, 0].argsort(kind="stable")
-            self._stored[i] = rows[o], words[o]
-        self._tts[at] = ctt
+        ctt = self._tts[at] = self._compose(plan, cown, src)
         return ctt
 
-    def _fresh_words(self, plan, own, fresh, src) -> np.ndarray:
-        """Table words of the chosen cuts fresh (of nodes own), from src =
-        (pick, code, d, local, smask, rowat, ls, lc3), _level's arrays (the
-        codes are _merged's).  A cut composes its word from one (segment,
-        slot) per fanin, over the first two unless the level has 3-input
-        gates (node 0's one empty cut, word 0, pads a 2-input gate); a
-        member cut reads its member's slot as every fanin, which AND and
-        MAJ pass through."""
+    def _compose(self, plan, own, src) -> np.ndarray:
+        """Table words of the chosen cuts (of nodes own), from src = (pick,
+        code, d, local, smask, rowat, ls, lc3), _level's arrays (the codes
+        are _merged's).  A cut composes its word from one (segment, slot)
+        per fanin, over the first two unless the level has 3-input gates
+        (node 0's one empty cut, word 0, pads a 2-input gate); a member
+        cut reads its member's slot as every fanin, which AND and MAJ pass
+        through."""
         pick, code, d, local, smask, rowat, ls, lc3 = src
-        pick = pick[fresh]
         code, local = code[d[pick]], local[pick]
         nf = 2 if plan.maj is None else 3
         seg = 3 * own + _FANIN[:nf, None]
@@ -740,27 +677,6 @@ class CutEngine:
         """Table words of n's stored list, as `cuts(n)` lists them."""
         s = self._start[n]
         return self._tts[s:s + self._count[n]].tolist()
-
-    def table(self, n: int, leaves: tuple) -> TruthTable:
-        """Function of n over leaves, a cut ever stored for n; the same
-        table for every later request.  It is fixed the first time
-        (n, leaves) is stored, from n's pool in that round: a later pool
-        may derive the same leaves from another fanin combination or a
-        member, whose table can differ where the leaves cannot take
-        independent values.  A binary search of its plan's rows finds it."""
-        if leaves == (n,):
-            return _VAR0
-        if n == 0:
-            return _CONST0
-        i, j = self._place[n]
-        rows, words = self._stored[i]
-        want = np.array((j, *leaves) + (-1,) * (self.k - len(leaves)),
-                        np.int32)
-        p = int(rows.view(self._row)[:, 0].searchsorted(
-            want.view(self._row))[0])
-        if (rows[p] != want).any():
-            raise KeyError((n, leaves))
-        return TruthTable(int(words[p]), len(leaves))
 
 
 def enumerate_cuts(net, k: int, l: Optional[int] = None

@@ -22,34 +22,33 @@ FIXPOINT = "fixpoint"
 MAX_ITERS = "max-iters"
 
 
-class GraphTargetLibrary:
-    """Structure templates usable when rebuilding into one representation."""
-
-    def __init__(self, target: str, lib: Optional[StrategyLibrary] = None):
-        if target not in nw.ALLOWED_KINDS:
-            raise MapError(f"unknown representation tag {target!r}")
-        self.target = target
-        self.lib = lib if lib is not None else default_library()
-
-    def best(self, tt, mode: str):
-        """Pick the template candidate for tt under the given mode; the
-        query keeps the templates whose kinds the target allows."""
-        cands = level_oriented_candidates(self.lib, tt, host_tag=self.target)
-        if not cands:
-            raise MapError(
-                f"no {self.target} template for function 0x{tt.bits:x}")
-        if mode == DELAY:
-            return min(cands, key=lambda c: (c.depth, c.size))
-        return min(cands, key=lambda c: (c.size, c.depth))
+def _check_target(target: str) -> None:
+    if target not in nw.ALLOWED_KINDS:
+        raise MapError(f"unknown representation tag {target!r}")
 
 
-def graph_map(cn: ChoiceNetwork, tl: GraphTargetLibrary,
-              params: MapParams = MapParams()) -> LogicNetwork:
-    """Cover the choice network with 4-cuts and rebuild in tl.target."""
+def _template(lib: StrategyLibrary, target: str, tt, mode: str):
+    """The template candidate for tt in target under the given mode; the
+    query keeps the templates whose kinds the target allows."""
+    cands = level_oriented_candidates(lib, tt, host_tag=target)
+    if not cands:
+        raise MapError(f"no {target} template for function 0x{tt.bits:x}")
+    if mode == DELAY:
+        return min(cands, key=lambda c: (c.depth, c.size))
+    return min(cands, key=lambda c: (c.size, c.depth))
+
+
+def graph_map(cn: ChoiceNetwork, target: str,
+              params: MapParams = MapParams(),
+              lib: Optional[StrategyLibrary] = None) -> LogicNetwork:
+    """Cover the choice network with 4-cuts and rebuild it in the target
+    representation from lib's templates (default: the bundled ones)."""
+    _check_target(target)
+    lib = lib if lib is not None else default_library()
     p = params._replace(k=4, target=LUT)
     m = map_lut(cn, p)
 
-    out = LogicNetwork(tl.target)
+    out = LogicNetwork(target)
     sigs: dict[int, Signal] = {}
     for i in range(m.n_pis):
         sigs[i] = out.add_pi()
@@ -61,7 +60,7 @@ def graph_map(cn: ChoiceNetwork, tl: GraphTargetLibrary,
             leaf = sigs[inst.ins[sup[0]]]
             s = leaf if small.value_at(1) else ~leaf
         else:
-            cand = tl.best(inst.tt, p.mode)
+            cand = _template(lib, target, inst.tt, p.mode)
             s = Signal(*out.run(cand.walk,
                                 [sigs[inst.ins[j]] for j in cand.support])[0])
         sigs[inst.out] = s
@@ -77,9 +76,7 @@ def network_metrics(net: LogicNetwork) -> tuple:
 
 def _metrics(net: LogicNetwork) -> tuple:
     """(gate count, depth) of a network without dead logic (compacted)."""
-    lm = net.compute_levels()
-    level = max((lm.level[s.node] for s in net.outputs), default=0)
-    return net.num_gates(), level
+    return net.num_gates(), net.compute_levels().network_level
 
 
 @dataclass
@@ -122,7 +119,8 @@ def optimize_iterate(net: LogicNetwork, target: str,
     cost strictly improves; otherwise the loop stops at a fixpoint.
     """
     mix = mix or target
-    tl = GraphTargetLibrary(target, lib)
+    _check_target(target)
+    _check_target(mix)
     slib = lib if lib is not None else default_library()
 
     cur = net.compact()
@@ -132,7 +130,7 @@ def optimize_iterate(net: LogicNetwork, target: str,
         used = {cur.kind(g) for g in cur.gates()}
         mix_eff = mix if used <= nw.ALLOWED_KINDS[mix] else target
         cn = build_mch(cur, slib, mch_params, mix_target=mix_eff)
-        nxt = graph_map(cn, tl, params).compact()
+        nxt = graph_map(cn, target, params, slib).compact()
         if cec(cur, nxt).status == NOT_EQUIVALENT:
             raise MapError(f"iteration {it} broke equivalence")
         nodes, level = _metrics(nxt)

@@ -4,20 +4,21 @@ The mapper covers a choice network with K-input LUTs or library cells.
 Cut pools, member-cut pooling with the phase folded into the table, and
 truth-table composition all belong to `cuts.CutEngine`, which builds the
 pools of a whole dependency level at once on numpy arrays and stores each
-cut with its table as a 64-bit word, so a representative sees its own
-cuts plus every class member's cuts and the dynamic program picks
-whichever structure maps cheapest.  This module holds one round driver
-(`_Rounds`): a delay round establishes optimal arrivals, then area-flow
-and exact-area rounds recover area under required times, each kept only
-if the cover does not get worse.  LUT and cell mapping are two cost models
-over it (`_LutCover`, `_CellCover`).  Each hands the engine a vectorized
+cut with the table its round derived, as a 64-bit word, so a
+representative sees its own cuts plus every class member's cuts and the
+dynamic program picks whichever structure maps cheapest.  This module
+holds one round driver (`_Rounds`): a delay round establishes optimal
+arrivals, then area-flow and exact-area rounds recover area under
+required times, each kept only if the cover does not get worse.  LUT and
+cell mapping are two cost models over it (`_LutCover`, `_CellCover`).  Each hands the engine a vectorized
 sort key over per-node values kept current level by level (LUTs: arrival
 and area flow per fanout estimate; cells: the better phase's arrival and
 area flow), and the engine stores each node's best `l` cuts.  Both then
 pick a whole level at once.  The cover's area, its required times and
 both netlist extractions walk the chosen cover one way (`_Rounds.walk`);
 the exact-area round compares a key's old choice with its alternatives
-by value.  The LUT mapper reads tables only for the final cover.  The
+by value.  A LUT pick is a stored cut with its table word, so a cover
+carries its own tables, also one restored from an earlier round.  The
 cell mapper looks up each stored cut's word in the library's match
 templates (one per function: each match's phase, cell and pin-to-leaf
 binding), scores every (cut, match) row of the level on arrays, and
@@ -365,7 +366,8 @@ class _Rounds:
 
 
 class _LutCover(_Rounds):
-    """K-LUT cost model: key = node, choice = cut, unit area and delay."""
+    """K-LUT cost model: key = node, choice = (leaves, table word) of a
+    stored cut, unit area and delay."""
 
     def __init__(self, cn: ChoiceNetwork, p: MapParams):
         super().__init__(cn, p, 1)
@@ -383,20 +385,21 @@ class _LutCover(_Rounds):
         return 1
 
     def children(self, c: tuple) -> list:
-        return [x for x in c if self.net.is_gate(x)]
+        return [x for x in c[0] if self.net.is_gate(x)]
 
     def edges(self, c: tuple) -> list:
         return [(x, 1.0) for x in self.children(c)]
 
     def arrival(self, c: tuple) -> float:
-        return 1.0 + max((self.arr[x] for x in c), default=-1.0)
+        return 1.0 + max((self.arr[x] for x in c[0]), default=-1.0)
 
     def tie(self, c: tuple) -> int:
-        return len(c)
+        return len(c[0])
 
     def cands(self, n: int) -> list:
-        """n's stored cuts but the trivial one."""
-        return self.engine.cuts(n)[:-1]
+        """n's stored cuts but the trivial one, with their words."""
+        eng = self.engine
+        return list(zip(eng.cuts(n), eng.words(n)))[:-1]
 
     def enum_round(self, delay_pri: bool, constrained: bool) -> None:
         """Re-enumerate priority cuts with this round's cost key and pick
@@ -433,10 +436,10 @@ class _LutCover(_Rounds):
                 pick = np.where(met < n, met, first)
             arr[nodes], flow[nodes] = a[pick], fl[pick]
             share[nodes] = fl[pick] / est[nodes]
-            # no tables here: map_lut reads those of the cover
-            for n, row, z in zip(nodes.tolist(), lv.leaves[pick].tolist(),
-                                 lv.size[pick].tolist()):
-                chosen[n] = tuple(row[:z])
+            for n, row, z, w in zip(nodes.tolist(), lv.leaves[pick].tolist(),
+                                    lv.size[pick].tolist(),
+                                    lv.tt[pick].tolist()):
+                chosen[n] = (tuple(row[:z]), w)
         self.fail_first(failed)
         self.arr[:] = arr[:-1].tolist()
         self.flow[:] = flow.tolist()
@@ -469,10 +472,11 @@ def map_lut(cn: ChoiceNetwork, p: MapParams = MapParams()) -> MappedNetlist:
             out.instances.append(Instance(id_of[0], "lut", 1.0,
                                           TruthTable.const(False), ()))
         for n in m.walk([s.node], seen):
+            leaves, word = chosen[n]
             id_of[n] = n_pis + len(out.instances)
             out.instances.append(Instance(
-                id_of[n], "lut", 1.0, m.engine.table(n, chosen[n]),
-                tuple(id_of[x] for x in chosen[n])))
+                id_of[n], "lut", 1.0, TruthTable(word, len(leaves)),
+                tuple(id_of[x] for x in leaves)))
         out.outputs.append((id_of[s.node], s.neg))
     out.stats = {"area": float(len(out.instances)), "delay": delay,
                  "edges": sum(len(i.ins) for i in out.instances)}

@@ -413,12 +413,11 @@ def default_library() -> StrategyLibrary:
 
 
 class Candidate(NamedTuple):
-    net: LogicNetwork      # PIs are the support leaves; one PO
     strategy: str
     size: int
     depth: int
-    support: tuple         # original variable indices, in PI order
-    walk: nw.Walk          # net compiled once, for LogicNetwork.run
+    support: tuple         # original variable indices, in input order
+    walk: nw.Walk          # one input per support leaf, one output
 
 
 def _candidate(host_tag: str, sup, strategy: str, build) -> Candidate:
@@ -426,7 +425,7 @@ def _candidate(host_tag: str, sup, strategy: str, build) -> Candidate:
     emits."""
     net = LogicNetwork(host_tag)
     net.add_po(build(net, [net.add_pi() for _ in sup]))
-    return Candidate(net, strategy, net.num_gates(),
+    return Candidate(strategy, net.num_gates(),
                      net.compute_levels().network_level, tuple(sup),
                      net.compile())
 

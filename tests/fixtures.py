@@ -11,6 +11,24 @@ from mch import network as nw
 from mch.network import LogicNetwork, Signal
 
 
+def candidate_function(cand, var_count: int) -> int:
+    """Output word of a strategy candidate's walk run over var_count fresh
+    inputs, its support leaves among them, in exhaustive order."""
+    net = LogicNetwork(cand.walk.tag)
+    pis = [net.add_pi() for _ in range(var_count)]
+    net.add_po(Signal(*net.run(cand.walk, [pis[j] for j in cand.support])[0]))
+    return net.exhaustive_outputs()[0]
+
+
+def candidate_network(cand) -> LogicNetwork:
+    """A strategy candidate's structure as a network: one PI per input of
+    its walk, the walk's output as its one PO."""
+    net = LogicNetwork(cand.walk.tag)
+    pis = [net.add_pi() for _ in range(cand.walk.inputs)]
+    net.add_po(Signal(*net.run(cand.walk, pis)[0]))
+    return net
+
+
 # -- gate helpers over a raw AIG --------------------------------------
 
 

@@ -14,13 +14,13 @@ import time
 import pytest
 
 from mch import network as nw
-from mch.network import LogicNetwork, exhaustive_patterns
+from mch.network import exhaustive_patterns
 from mch.aiger import read_aiger, write_aiger
 from mch.blif import read_blif, write_blif
 from mch.choices import ChoiceNetwork, MchParams, add_external_choices, \
     build_mch
 from mch.cuts import all_cuts_bruteforce, enumerate_cuts
-from mch.graphmap import GraphTargetLibrary, graph_map, network_metrics, \
+from mch.graphmap import graph_map, network_metrics, \
     optimize_iterate
 from mch.mapper import AREA, BALANCED, CELL, DELAY, MapParams, cover_check, \
     default_cell_library, map_cells, map_lut
@@ -31,7 +31,8 @@ from mch.tt import TruthTable
 from mch.gen import random_network
 from mch.verify import EQUIVALENT, cec
 
-from fixtures import DOMINANCE_FIXTURES, ESCAPE_FIXTURES, parity10
+from fixtures import DOMINANCE_FIXTURES, ESCAPE_FIXTURES, parity10, \
+    candidate_function
 
 BENCH_DIR = __file__.rsplit("/", 2)[0] + "/benchmarks"
 
@@ -54,7 +55,6 @@ def test_criterion_1_equivalence_suite(lib, cl):
                            rng.randint(0, 10**9),
                            n_pos=rng.randint(1, 3))
             for _ in range(50)]
-    tl = {t: GraphTargetLibrary(t, lib) for t in nw.ALLOWED_KINDS}
     for i, net in enumerate(nets):
         ref = net.exhaustive_outputs()
         # embedding into every representation
@@ -68,7 +68,7 @@ def test_criterion_1_equivalence_suite(lib, cl):
         assert cover_check(
             map_cells(cn, cl, MapParams(target=CELL, rounds=3)), net)
         # graph mapping and the iterated optimization loop
-        out = graph_map(cn, tl[nw.XMG], MapParams())
+        out = graph_map(cn, nw.XMG, MapParams(), lib)
         assert cec(net, out).status == EQUIVALENT
         if i < 10:
             opt, _ = optimize_iterate(net, nw.XMG, lib=lib)
@@ -114,11 +114,8 @@ def test_criterion_3_npn_kernel():
 
 
 def _candidate_function(cand, var_count: int) -> TruthTable:
-    """Truth table of a candidate inserted over var_count fresh inputs."""
-    net = LogicNetwork(cand.net.tag)
-    pis = [net.add_pi() for _ in range(var_count)]
-    net.add_po(net.insert(cand.net, [pis[j] for j in cand.support])[0])
-    return TruthTable.create(net.exhaustive_outputs()[0], var_count)
+    """Truth table of a candidate run over var_count fresh inputs."""
+    return TruthTable.create(candidate_function(cand, var_count), var_count)
 
 
 def test_criterion_4_strategy_soundness(lib):

@@ -108,3 +108,26 @@ def test_truncated_ascii_and_section_names_its_line(tmp_path):
     path.write_text("aag 3 2 0 1 1\n2\n4\n6")
     with pytest.raises(AigerError, match=r"line 5: bad AND line"):
         read_aiger(path)
+
+
+def test_ascii_and_lines_may_come_in_any_order(tmp_path):
+    # AND 8 reads AND 6, defined on the line after it
+    ordered, reordered = tmp_path / "o.aag", tmp_path / "r.aag"
+    ordered.write_text("aag 4 2 0 1 2\n2\n4\n8\n6 2 4\n8 6 2\n")
+    reordered.write_text("aag 4 2 0 1 2\n2\n4\n8\n8 6 2\n6 2 4\n")
+    assert read_aiger(reordered).exhaustive_outputs() == \
+        read_aiger(ordered).exhaustive_outputs()
+
+
+def test_an_and_cycle_names_one_of_its_lines(tmp_path):
+    path = tmp_path / "c.aag"
+    path.write_text("aag 4 2 0 1 2\n2\n4\n8\n6 8 2\n8 6 4\n")
+    with pytest.raises(AigerError, match=r"line [56]: .*depends on itself"):
+        read_aiger(path)
+
+
+def test_an_and_literal_past_the_header_bound_names_its_line(tmp_path):
+    path = tmp_path / "b.aag"
+    path.write_text("aag 2 1 0 1 1\n2\n6\n6 2 2\n")
+    with pytest.raises(AigerError, match=r"line 4: invalid AND literal 6"):
+        read_aiger(path)

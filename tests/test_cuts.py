@@ -196,8 +196,8 @@ class _RefPools:
     """Cut pools as the engine built them before leaf sets were masks:
     the product merge of the fanin cut sets over sorted tuples, member cuts
     pooled with the phase folded into the table and duplicates dropped, a
-    naive dominance filter, and one table per (node, leaves), first request
-    wins."""
+    naive dominance filter, and each cut's table derived from the source
+    its node's latest pool took it from."""
 
     def __init__(self, net, k, classes):
         from mch.cuts import Cut, leaf_sig
@@ -207,7 +207,7 @@ class _RefPools:
         self.cutsets = {0: [Cut((), 0, TruthTable.const(False))]}
         for n in net.pis:
             self.cutsets[n] = [Cut((n,), leaf_sig(n), TruthTable.var(0, 1))]
-        self.combo_of, self.member_tt, self.tables = {}, {}, {}
+        self.combo_of, self.member_tt = {}, {}
 
     def pool(self, n):
         import itertools
@@ -234,19 +234,16 @@ class _RefPools:
     def table(self, n, leaves):
         from mch.tt import maj_tt
 
-        if (n, leaves) not in self.tables:
-            tt = self.member_tt[n].get(leaves)
-            if tt is None:
-                ins = [_ref_expand(c.tt, c.leaves, leaves)
-                       for c in self.combo_of[n][leaves]]
-                ins = [~t if f.neg else t
-                       for f, t in zip(self.net.fanins(n), ins)]
-                kind = self.net.kind(n)
-                tt = (ins[0] & ins[1] if kind == nw.AND2
-                      else ins[0] ^ ins[1] if kind == nw.XOR2
-                      else maj_tt(*ins))
-            self.tables[(n, leaves)] = tt
-        return self.tables[(n, leaves)]
+        tt = self.member_tt[n].get(leaves)
+        if tt is not None:
+            return tt
+        ins = [_ref_expand(c.tt, c.leaves, leaves)
+               for c in self.combo_of[n][leaves]]
+        ins = [~t if f.neg else t for f, t in zip(self.net.fanins(n), ins)]
+        kind = self.net.kind(n)
+        return (ins[0] & ins[1] if kind == nw.AND2
+                else ins[0] ^ ins[1] if kind == nw.XOR2
+                else maj_tt(*ins))
 
 
 # the table word of a trivial cut
@@ -273,12 +270,10 @@ def _weight_key(rng, size):
     return key, ref_key
 
 
-def _choice_engines(rng, i):
-    """A choice network's engine and reference pools, with members of
-    both phases (XMG or XAG mix, k = 4 or 6)."""
+def _choice_network(rng, i):
+    """A choice network with members of both phases (XMG or XAG mix),
+    its engine classes and the cut size (4 or 6)."""
     from mch.choices import MchParams, build_mch
-    from mch.cuts import CutEngine
-    from mch.mapper import _dep_order
     from mch.strategies import default_library
 
     net = random_network(rng.randint(4, 6), rng.randint(15, 30),
@@ -287,9 +282,14 @@ def _choice_engines(rng, i):
                    mix_target=(nw.XMG, nw.XAG)[i % 2])
     classes = {r: [(m, cn.phase[m]) for m in cn.members(r)]
                for r in cn.classes}
-    base, k = cn.base, (4, 6)[i % 2]
-    return (cn, classes, CutEngine(base, k, classes, _dep_order(cn)),
-            _RefPools(base, k, classes))
+    return cn, classes, (4, 6)[i % 2]
+
+
+def _engine(cn, classes, k):
+    from mch.cuts import CutEngine
+    from mch.mapper import _dep_order
+
+    return CutEngine(cn.base, k, classes, _dep_order(cn))
 
 
 def test_engine_pools_with_members_match_reference():
@@ -299,30 +299,25 @@ def test_engine_pools_with_members_match_reference():
     rng = random.Random(6)
     phases, from_members, changed, levels = set(), 0, 0, 0
     for i in range(6):
-        cn, classes, eng, ref = _choice_engines(rng, i)
+        cn, classes, k = _choice_network(rng, i)
+        eng, ref = _engine(cn, classes, k), _RefPools(cn.base, k, classes)
         base = cn.base
         phases |= {ph for pairs in classes.values() for _, ph in pairs}
         # each round stores an arbitrary slice of every pool: all of it,
-        # then the best 3 and the best 2 under random keys, so the fanin
-        # and member cut lists change from round to round
+        # then the best 3, 2 and 4 under random keys, so the fanin and
+        # member cut lists change from round to round and cuts an earlier
+        # round dropped are stored again
         last: dict = {}
-        for l in (None, 3, 2):
+        for l in (None, 3, 2, 4):
             key, ref_key = _weight_key(rng, len(base))
             for lv in eng.round(key, l):
                 levels += 1
-                for j, n in enumerate(lv.node_list):
-                    got = lv.pool(j)
-                    assert got == ref.pool(n), n
-                    from_members += sum(c in ref.member_tt[n] for c in got)
-                    elem = tuple(sorted({f.node for f in base.fanins(n)}))
-                    for c in [elem] + got:
-                        assert lv.merged(j, c) == (c in ref.combo_of[n])
-                    keep = sorted(got, key=ref_key)[:l]
+                for n in lv.node_list:
+                    keep = sorted(ref.pool(n), key=ref_key)[:l]
                     assert eng.cuts(n) == keep + [(n,)], n
-                    for c in keep:
-                        assert eng.table(n, c) == ref.table(n, c), (n, c)
                     assert eng.words(n) == [ref.table(n, c).bits
                                             for c in keep] + [VAR0], n
+                    from_members += sum(c in ref.member_tt[n] for c in keep)
                     changed += last.get(n, keep) != keep
                     last[n] = keep
                     ref.cutsets[n] = [Cut(c, sig_of(c), ref.table(n, c))
@@ -330,38 +325,6 @@ def test_engine_pools_with_members_match_reference():
                         Cut((n,), leaf_sig(n), TruthTable.var(0, 1))]
     assert phases == {False, True}
     assert from_members > 0 and changed > 0 and levels > 0
-
-
-def test_tables_of_cuts_stored_without_one_come_from_their_first_pool():
-    # the engine stores cuts without tables (as the LUT mapper reads
-    # them); each gets the table of the pool it was first stored from,
-    # however the pools change before the table is read
-    from mch.cuts import Cut
-    from mch.tt import TruthTable
-
-    rng = random.Random(8)
-    stored = 0
-    for i in range(4):
-        cn, _, eng, ref = _choice_engines(rng, i)
-        kept = set()
-        for l in (3, 2, 4):
-            key, ref_key = _weight_key(rng, len(cn.base))
-            for lv in eng.round(key, l):
-                for j, n in enumerate(lv.node_list):
-                    got = lv.pool(j)
-                    assert got == ref.pool(n)
-                    keep = sorted(got, key=ref_key)[:l]
-                    assert eng.cuts(n) == keep + [(n,)]
-                    assert eng.words(n) == [ref.table(n, c).bits
-                                            for c in keep] + [VAR0]
-                    ref.cutsets[n] = [Cut(c, 0, ref.table(n, c))
-                                      for c in keep] + [
-                        Cut((n,), 0, TruthTable.var(0, 1))]
-                    kept |= {(n, c) for c in keep}
-        for n, c in sorted(kept, reverse=True):
-            assert eng.table(n, c) == ref.table(n, c), (n, c)
-        stored += len(kept)
-    assert stored > 0
 
 
 def _structural_key(leaves, size):
@@ -377,26 +340,23 @@ def test_engine_answers_the_elementary_merge_when_it_is_dominated():
     rep = net.add_maj(a, b, c)
     member = net.add_and(a, b)
     net.add_po(rep)
-    # the member's cut {a, b} dominates the elementary merge {a, b, c}
+    # the member's cut {a, b} dominates the elementary merge {a, b, c},
+    # which the cell mapper's round stores after the pool's cuts
     eng = CutEngine(net, 4, {rep.node: [(member.node, False)]},
                     [member.node, rep.node])
     elem = (a.node, b.node, c.node)
-    for lv in eng.round(_structural_key, None, elem=True):
-        for j, n in enumerate(lv.node_list):
-            if n == rep.node:
-                assert lv.pool(j) == [(a.node, b.node)]
-                assert lv.merged(j, elem)
-                assert not lv.merged(j, (a.node, b.node))
-    # the cell mapper's round stores it after the pool's cuts
+    for _ in eng.round(_structural_key, None, elem=True):
+        pass
     assert eng.cuts(rep.node) == [(a.node, b.node), elem, (rep.node,)]
-    assert eng.table(rep.node, elem) == cut_truth(net, rep.node, list(elem))
-    assert eng.table(rep.node, (a.node, b.node)) == \
-        cut_truth(net, member.node, [a.node, b.node])
+    assert eng.words(rep.node) == [
+        cut_truth(net, member.node, [a.node, b.node]).bits,
+        cut_truth(net, rep.node, list(elem)).bits, VAR0]
 
 
 def test_a_member_with_only_its_trivial_cut_adds_nothing_to_the_pool():
     # at k=2 the MAJ3 member has no cut but its trivial one
     from mch.cuts import CutEngine
+    from mch.tt import cut_truth
 
     net = LogicNetwork(nw.XMG)
     a, b, c = net.add_pi(), net.add_pi(), net.add_pi()
@@ -408,12 +368,11 @@ def test_a_member_with_only_its_trivial_cut_adds_nothing_to_the_pool():
     empty = []
     for lv in eng.round(_structural_key, 8):
         empty += lv.empty
-        for j, n in enumerate(lv.node_list):
-            if n == rep.node:
-                assert lv.pool(j) == [(a.node, b.node)]
     assert empty == [member.node]
     assert eng.cuts(member.node) == [(member.node,)]
     assert eng.cuts(rep.node) == [(a.node, b.node), (rep.node,)]
+    assert eng.words(rep.node) == [
+        cut_truth(net, rep.node, [a.node, b.node]).bits, VAR0]
 
 
 def test_maj3_at_k2_keeps_its_two_leaf_cut():
@@ -458,19 +417,15 @@ def test_pool_over_more_than_64_leaves():
     order = [m for m, _ in members[:-1]] + [inner.node, members[-1][0],
                                             rep.node]
     eng, ref = CutEngine(net, 4, classes, order), _RefPools(net, 4, classes)
-    pool = None
     for lv in eng.round(_structural_key, None):
-        for j, n in enumerate(lv.node_list):
-            got = lv.pool(j)
-            assert got == ref.pool(n)
-            if n == rep.node:
-                pool = got
-            ref.cutsets[n] = [Cut(c, 0, ref.table(n, c))
-                              for c in sorted(got, key=lambda c: (len(c), c))
-                              ] + [Cut((n,), leaf_sig(n),
-                                       TruthTable.var(0, 1))]
-            for c in got:
-                assert eng.table(n, c) == ref.table(n, c)
+        for n in lv.node_list:
+            keep = sorted(ref.pool(n), key=lambda c: (len(c), c))
+            assert eng.cuts(n) == keep + [(n,)]
+            assert eng.words(n) == [ref.table(n, c).bits
+                                    for c in keep] + [VAR0]
+            ref.cutsets[n] = [Cut(c, 0, ref.table(n, c)) for c in keep] + [
+                Cut((n,), leaf_sig(n), TruthTable.var(0, 1))]
+    pool = eng.cuts(rep.node)[:-1]
     assert len({x for c in pool for x in c}) > 64
     assert len(pool) == 1 + 34 + 2
 
@@ -490,25 +445,25 @@ def test_pool_of_exactly_64_leaves():
     net.add_po(rep)
     eng = CutEngine(net, 4, {rep.node: members},
                     [m for m, _ in members] + [rep.node])
-    for lv in eng.round(_structural_key, None):
-        for j, n in enumerate(lv.node_list):
-            if n == rep.node:
-                assert len({x for c in lv.pool(j) for x in c}) == 64
+    for _ in eng.round(_structural_key, None):
+        pass
+    # with no limit every pool cut is stored
+    pool = eng.cuts(rep.node)[:-1]
+    assert len({x for c in pool for x in c}) == 64
     own = (pis[62].node, pis[63].node)
-    assert own in eng.cuts(rep.node)
-    assert eng.table(rep.node, own) == cut_truth(net, rep.node, list(own))
-    assert eng.words(rep.node)[eng.cuts(rep.node).index(own)] == \
+    assert eng.words(rep.node)[pool.index(own)] == \
         cut_truth(net, rep.node, list(own)).bits
 
 
-def test_a_cut_stored_again_from_another_source_keeps_its_first_table():
-    # {y, b, c} is first stored for rep as its own merge, y & b & c; in
-    # the second round x no longer stores {y, b}, and the same leaves come
-    # from the (deliberately different) member's cut, y | b | c
+def _two_source_cut():
+    """A representative whose cut {y, b, c} comes from its own merge,
+    y & b & c, while x stores {y, b}, and otherwise from the
+    (deliberately different) member's cut, y | b | c.  Returns the
+    network, a new engine over it, the leaves, a key under which x stores
+    only {a, b, d} at l=1, and the nodes x, rep and member."""
     import numpy as np
 
     from mch.cuts import CutEngine
-    from mch.tt import cut_truth
 
     net = LogicNetwork(nw.AIG)
     a, b, c, d = (net.add_pi() for _ in range(4))
@@ -518,12 +473,11 @@ def test_a_cut_stored_again_from_another_source_keeps_its_first_table():
     t = net.add_or(y, c)
     member = net.add_or(t, b)
     net.add_po(rep)
-    eng = CutEngine(net, 4, {rep.node: [(member.node, member.neg)]},
-                    [y.node, x.node, t.node, member.node, rep.node])
-    leaves = tuple(sorted((y.node, b.node, c.node)))
-    for _ in eng.round(_structural_key, None):
-        pass
-    assert leaves in eng.cuts(rep.node)
+
+    def engine():
+        return CutEngine(net, 4, {rep.node: [(member.node, member.neg)]},
+                         [y.node, x.node, t.node, member.node, rep.node])
+
     wa, wb = np.zeros(len(net) + 1, int), np.zeros(len(net) + 1, int)
     wa[[y.node, c.node, x.node, t.node]] = 5, 9, 9, 9
     wb[[y.node, a.node, d.node, x.node, t.node]] = 1, 1, 1, 9, 9
@@ -531,124 +485,65 @@ def test_a_cut_stored_again_from_another_source_keeps_its_first_table():
     def key(lv, size):
         return wa[lv].max(axis=1), wb[lv].sum(axis=1), size
 
+    leaves = tuple(sorted((y.node, b.node, c.node)))
+    return net, engine, leaves, key, (a, b, d, x, rep, member)
+
+
+def test_a_cut_stored_again_from_another_source_takes_that_sources_table():
+    from mch.tt import cut_truth
+
+    net, engine, leaves, key, (a, b, d, x, rep, member) = _two_source_cut()
+    eng = engine()
+    for _ in eng.round(_structural_key, None):
+        pass
+    cuts = eng.cuts(rep.node)
+    assert eng.words(rep.node)[cuts.index(leaves)] == \
+        cut_truth(net, rep.node, list(leaves)).bits
     for _ in eng.round(key, 1):
         pass
     assert eng.cuts(x.node) == [(a.node, b.node, d.node), (x.node,)]
     assert eng.cuts(rep.node) == [leaves, (rep.node,)]
-    want = cut_truth(net, rep.node, list(leaves))
-    assert eng.table(rep.node, leaves) == want
-    # and the stored row carries that first table
-    assert eng.words(rep.node)[0] == want.bits
+    # the member's function, its phase folded in
+    tt = cut_truth(net, member.node, list(leaves))
+    assert eng.words(rep.node)[0] == (~tt if member.neg else tt).bits
+    assert eng.words(rep.node)[0] != \
+        cut_truth(net, rep.node, list(leaves)).bits
 
 
-# -- table(): one search of a plan's sorted row index ------------------
+def test_a_round_does_not_depend_on_earlier_rounds():
+    # after a round A, a round B stores the lists and words of a new
+    # engine that runs only B
+    def stored(eng):
+        return [(eng.cuts(n), eng.words(n)) for n in range(len(eng.net))]
 
-
-def _index_rows(eng):
-    """(node, leaves, word) of every row of every plan's row index, in
-    index order, without the row that ends each index."""
-    out = []
-    for i, plan in enumerate(eng._plans):
-        rows, words = eng._stored[i]
-        out.append([(plan.node_list[r[0]], tuple(x for x in r[1:] if x >= 0),
-                     w) for r, w in zip(rows[:-1].tolist(),
-                                        words[:-1].tolist())])
-    return out
-
-
-def test_table_finds_the_first_and_the_last_row_of_each_index():
-    # two rounds with different keys, so later rows are merged into the
-    # index the first round built
-    from mch.cuts import CutEngine
-    from mch.tt import cut_truth
-
-    rng = random.Random(12)
-    net = random_network(6, 60, 5, tag=nw.XMG)
-    eng = CutEngine(net, 4)
-    for l in (3, 2):
-        key, _ = _weight_key(rng, len(net))
-        for _ in eng.round(key, l):
+    _, engine, _, key, _ = _two_source_cut()
+    cases = [(engine, (_structural_key, None, False), (key, 1, False))]
+    rng = random.Random(14)
+    for i in range(3):
+        cn, classes, k = _choice_network(rng, i)
+        size = len(cn.base)
+        cases.append(((lambda cn=cn, classes=classes, k=k:
+                       _engine(cn, classes, k)),
+                      (_weight_key(rng, size)[0], 3, False),
+                      (_weight_key(rng, size)[0], 2, i == 1)))
+    for engine, first, then in cases:
+        eng, fresh = engine(), engine()
+        for args in (first, then):
+            for _ in eng.round(*args):
+                pass
+        for _ in fresh.round(*then):
             pass
-    checked = 0
-    for rows in _index_rows(eng):
-        assert rows
-        for n, leaves, word in {rows[0], rows[-1]}:
-            tt = eng.table(n, leaves)
-            assert tt.bits == word
-            assert tt == cut_truth(net, n, list(leaves))
-            checked += 1
-    assert checked > len(eng._plans)
-
-
-def test_table_of_leaves_never_stored_raises_key_error():
-    import itertools
-
-    import pytest
-
-    from mch.cuts import CutEngine
-
-    net = random_network(6, 40, 9)
-    eng = CutEngine(net, 4)
-    for _ in eng.round(_structural_key, 2):
-        pass
-    stored = {(n, leaves) for rows in _index_rows(eng)
-              for n, leaves, _ in rows}
-    misses = 0
-    for n in net.gates():
-        for z in (1, 2, 3):
-            for leaves in itertools.combinations(net.pis, z):
-                if (n, leaves) in stored:
-                    assert eng.table(n, leaves).var_count == z
-                else:
-                    with pytest.raises(KeyError):
-                        eng.table(n, leaves)
-                    misses += 1
-    assert misses > 0
-
-
-def test_table_over_a_plan_with_two_word_masks():
-    # a representative whose pool reads 73 distinct leaves: its level's
-    # masks take two words, and every row its plan stored is found again
-    from mch.cuts import Cut, CutEngine, leaf_sig
-    from mch.tt import TruthTable
-
-    net = LogicNetwork(nw.AIG)
-    pis = [net.add_pi() for _ in range(72)]
-    rep = net.add_and(pis[0], pis[1])
-    members = [(net.add_and(pis[2 * i], ~pis[2 * i + 1]).node, i % 2 == 0)
-               for i in range(1, 35)]
-    inner = net.add_and(pis[70], pis[71])
-    members.append((net.add_and(inner, pis[3]).node, True))
-    net.add_po(rep)
-    classes = {rep.node: members}
-    order = [m for m, _ in members[:-1]] + [inner.node, members[-1][0],
-                                            rep.node]
-    eng, ref = CutEngine(net, 4, classes, order), _RefPools(net, 4, classes)
-    for lv in eng.round(_structural_key, None):
-        for n in lv.node_list:
-            ref.pool(n)
-            ref.cutsets[n] = [Cut(c, 0, ref.table(n, c))
-                              for c in eng.cuts(n)[:-1]] + [
-                Cut((n,), leaf_sig(n), TruthTable.var(0, 1))]
-    assert len({x for c in eng.cuts(rep.node) for x in c}) > 64
-    i, _ = eng._place[rep.node]
-    rows = _index_rows(eng)[i]
-    assert {n for n, _, _ in rows} == {rep.node}
-    for n, leaves, word in rows:
-        assert eng.table(n, leaves).bits == word
-        assert eng.table(n, leaves) == ref.table(n, leaves)
-    assert eng.words(rep.node)[:-1] == [
-        eng.table(rep.node, c).bits for c in eng.cuts(rep.node)[:-1]]
+        assert stored(eng) == stored(fresh)
 
 
 def test_table_of_a_trivial_cut_and_of_the_constant():
     from mch.cuts import CutEngine
-    from mch.tt import TruthTable
 
     net = random_network(4, 10, 3)
     eng = CutEngine(net, 4)
     for _ in eng.round(_structural_key, 2):
         pass
     for n in (*net.pis, *net.gates()):
-        assert eng.table(n, (n,)) == TruthTable.var(0, 1)
-    assert eng.table(0, ()) == TruthTable.const(False)
+        assert eng.cuts(n)[-1] == (n,)
+        assert eng.words(n)[-1] == VAR0
+    assert eng.cuts(0) == [()] and eng.words(0) == [0]

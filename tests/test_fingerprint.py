@@ -126,3 +126,20 @@ def test_all_workloads_run_in_one_call_under_prefixed_names(tmp_path):
     pins = {**{f"suite:{op}": d for op, d in ROUTER_SUITE.items()},
             **{f"iterate:{op}": d for op, d in ROUTER_ITERATE.items()}}
     assert _matches_pins(pins, "all", "router", tmp_path) == 0
+
+
+def test_a_file_from_another_workload_or_seed_is_refused(tmp_path, capsys):
+    saved = sys.path[:]
+    try:
+        main = runpy.run_path(str(TOOL), run_name="fingerprint_tool")["main"]
+        base = tmp_path / "all.json"
+        for workload, seed in (("all", 1), ("suite", 2)):
+            base.write_text(json.dumps({"workload": workload, "seed": seed,
+                                        "fingerprints": {}}))
+            assert main(["--workload", "suite", "--seed", "1", "--design",
+                         "router", "--against", str(base)]) == 2
+    finally:
+        sys.path[:] = saved
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"{base} has workload all, this run suite",
+                   f"{base} has seed 2, this run 1"]

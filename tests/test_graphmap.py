@@ -4,7 +4,7 @@ from mch import network as nw
 from mch.network import LogicNetwork
 from mch.choices import ChoiceNetwork, MchParams, build_mch
 from mch.mapper import MapParams, DELAY, AREA
-from mch.graphmap import GraphTargetLibrary, graph_map, network_metrics, \
+from mch.graphmap import graph_map, network_metrics, \
     optimize_iterate, FIXPOINT
 from mch.strategies import default_library
 from mch.gen import random_network
@@ -21,8 +21,7 @@ def test_and_chain_rebalanced():
     for x in xs[1:]:
         acc = net.add_and(acc, x)
     net.add_po(acc)
-    tl = GraphTargetLibrary(nw.AIG)
-    out = graph_map(ChoiceNetwork(net), tl, MapParams(mode=DELAY))
+    out = graph_map(ChoiceNetwork(net), nw.AIG, MapParams(mode=DELAY))
     nodes, level = network_metrics(out)
     assert (nodes, level) == (3, 2)
     assert cec(net, out).status == "equivalent"
@@ -36,8 +35,7 @@ def test_parity_into_xmg_collapses():
     for x in xs[1:]:
         acc = aig_xor(net, acc, x)
     net.add_po(acc)
-    out = graph_map(ChoiceNetwork(net), GraphTargetLibrary(nw.XMG),
-                    MapParams(mode=DELAY))
+    out = graph_map(ChoiceNetwork(net), nw.XMG, MapParams(mode=DELAY))
     nodes, level = network_metrics(out)
     assert nodes == 3 and level == 2
     assert cec(net, out).status == "equivalent"
@@ -62,9 +60,23 @@ def test_graph_map_all_targets_equivalent():
                              n_pos=rng.randint(1, 3))
         cn = ChoiceNetwork(net.one_to_one_map(nw.AIG))
         for target in (nw.AIG, nw.XAG, nw.MIG, nw.XMG):
-            out = graph_map(cn, GraphTargetLibrary(target), MapParams())
+            out = graph_map(cn, target, MapParams())
             assert out.tag == target
             assert cec(net, out).status == "equivalent"
+
+
+def test_an_unknown_target_is_a_map_error():
+    import pytest
+
+    from mch.mapper import MapError
+
+    net = parity8()
+    with pytest.raises(MapError, match="unknown representation tag 'lut'"):
+        graph_map(ChoiceNetwork(net), "lut")
+    with pytest.raises(MapError, match="unknown representation tag 'lut'"):
+        optimize_iterate(net, "lut")
+    with pytest.raises(MapError, match="unknown representation tag 'lut'"):
+        optimize_iterate(net, nw.AIG, mix="lut")
 
 
 def test_optimize_iterate_reaches_fixpoint():

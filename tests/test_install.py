@@ -16,6 +16,8 @@ from mch.bench import PRESETS
 from mch.choices import MchParams, build_mch
 from mch.strategies import default_library, load_db
 
+from fixtures import candidate_network
+
 ROOT = Path(__file__).resolve().parents[1]
 DB_PATH = ROOT / "src" / "mch" / "data" / "npn4.db"
 BUNDLED = sorted((ROOT / "benchmarks").glob("*.aag"))
@@ -47,13 +49,14 @@ def test_compiled_walk_rebuilds_what_insert_does():
             arena = _build(read_aiger(path), lib, preset).base
             arenas.setdefault(arena.tag, arena)
     cands = [c for query in lib.query_cache.values() for c in query]
-    assert {c.net.tag for c in cands} == arenas.keys()
+    assert {c.walk.tag for c in cands} == arenas.keys()
     rng = random.Random(5)
     for tag, arena in arenas.items():
         walked, inserted, added = (copy.deepcopy(arena) for _ in range(3))
         for cand in cands:
-            if cand.net.tag != tag:
+            if cand.walk.tag != tag:
                 continue
+            src = candidate_network(cand)
             # half the leaves come from the constant and the first PIs, so
             # that repeats, constants and existing gates fold in strash
             leaves = [(rng.randrange(6) if rng.random() < 0.5
@@ -61,8 +64,8 @@ def test_compiled_walk_rebuilds_what_insert_does():
                       for _ in cand.support]
             before = len(walked)
             got = walked.run(cand.walk, leaves)
-            assert got == inserted.insert(cand.net, leaves)
-            assert got == _rebuild_by_add(added, cand.net, leaves)
+            assert got == inserted.insert(src, leaves)
+            assert got == _rebuild_by_add(added, src, leaves)
             assert _appended(walked, before) == _appended(inserted, before) \
                 == _appended(added, before)
         assert len(walked) > len(arena)

@@ -352,6 +352,7 @@ def _ref_cell_round(m, arr, flow, delay_pri, constrained, seen):
     through an inverter.  Updates arr and flow; returns each key's choice
     and alternatives."""
     from mch.mapper import _EPS
+    from mch.tt import TruthTable
 
     inv = m.cl.inv
     invd = max(inv.pin_delays)
@@ -366,8 +367,8 @@ def _ref_cell_round(m, arr, flow, delay_pri, constrained, seen):
 
     for n in m.order:
         per_phase = [[], []]
-        for lvs in m.engine.cuts(n)[:-1]:
-            pm = _ref_matches(m.cl, lvs, m.engine.table(n, lvs))
+        for lvs, word in zip(m.engine.cuts(n)[:-1], m.engine.words(n)):
+            pm = _ref_matches(m.cl, lvs, TruthTable(word, len(lvs)))
             per_phase[0] += pm[0]
             per_phase[1] += pm[1]
         picked = [None, None]
@@ -483,6 +484,64 @@ def test_exact_round_old_choices_meet_their_required_times(target, cl):
                 (Checked(cn, cl, p) if target == CELL
                  else Checked(cn, p)).run()
     assert seen["keys"] > 0 and seen["after_rollback"] > 0, seen
+
+
+def test_a_lut_cover_restored_by_rollback_carries_its_tables(monkeypatch):
+    """A rolled-back round restores the picks of an earlier round, whose
+    cuts the engine's current lists need not hold: each pick carries the
+    table word its round derived."""
+    import numpy as np
+
+    from mch import mapper
+    from mch.verify import EQUIVALENT
+
+    def deep_first(leaves, size):
+        # cuts whose lowest leaf is highest first; a superset's lowest
+        # leaf is no higher, so it sorts after its subsets
+        return -np.where(leaves < 0, 1 << 30, leaves).min(axis=1), size
+
+    seen = {"rollbacks": 0, "stale": 0}
+
+    class Checked(mapper._LutCover):
+        enumerated = 0
+
+        def enum_round(self, delay_pri, constrained):
+            super().enum_round(delay_pri, constrained)
+            self.enumerated += 1
+
+        def cover(self):
+            refs, area, delay = super().cover()
+            if self.enumerated == 2:
+                # report the area-flow round's cover as worse, once, and
+                # leave the engine holding other lists than the restored
+                # cover's
+                self.enumerated += 1
+                seen["rollbacks"] += 1
+                for _ in self.engine.round(deep_first, 1):
+                    pass
+                return refs, area + 1, delay
+            return refs, area, delay
+
+        def run(self):
+            out = super().run()
+            eng = self.engine
+            seen["stale"] += sum(
+                self.chosen[n] not in zip(eng.cuts(n), eng.words(n))
+                for n in self.walk(self.roots, set()))
+            return out
+
+    monkeypatch.setattr(mapper, "_LutCover", Checked)
+    rng = random.Random(41)
+    for i in range(4):
+        net = random_network(rng.randint(5, 8), rng.randint(30, 50),
+                             rng.randint(0, 10**9), n_pos=3)
+        cn = build_mch(net, default_library(), MchParams(r=0.8),
+                       mix_target=(nw.XMG, nw.XAG)[i % 2])
+        for mode in (DELAY, AREA):
+            for rounds in (2, 3):
+                m = map_lut(cn, MapParams(k=4, mode=mode, rounds=rounds))
+                assert cover_check(m, net).status == EQUIVALENT
+    assert seen["rollbacks"] == 16 and seen["stale"] > 0, seen
 
 
 def _ref_dep_order(cn):

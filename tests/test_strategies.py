@@ -8,6 +8,8 @@ from mch.tt import TruthTable
 from mch.strategies import build_npn4_db, default_library, save_db, \
     load_db, level_oriented_candidates, area_oriented_candidates
 
+from fixtures import candidate_function, candidate_network
+
 DB_PATH = Path(__file__).resolve().parents[1] / "src" / "mch" / "data" / \
     "npn4.db"
 
@@ -18,12 +20,9 @@ def lib():
 
 
 def eval_candidate(cand, tt):
-    """Insert a candidate over fresh PIs and compare against the query."""
-    from mch.network import LogicNetwork
-    net = LogicNetwork(cand.net.tag)
-    leaves = tuple(net.add_pi() for _ in range(tt.var_count))
-    net.add_po(net.insert(cand.net, [leaves[j] for j in cand.support])[0])
-    got = TruthTable.create(net.exhaustive_outputs()[0], tt.var_count)
+    """Run a candidate over fresh PIs and compare against the query."""
+    got = TruthTable.create(candidate_function(cand, tt.var_count),
+                            tt.var_count)
     return got.bits == tt.bits
 
 
@@ -102,14 +101,13 @@ def test_host_tag_restricts_kinds(lib):
     vs = [TruthTable.var(i, 4) for i in range(4)]
     tt = vs[0] ^ vs[1] ^ vs[2] ^ vs[3]
     for cand in level_oriented_candidates(lib, tt, nw.AIG):
-        kinds = {cand.net.kind(g) for g in cand.net.gates()}
+        net = candidate_network(cand)
+        kinds = {net.kind(g) for g in net.gates()}
         assert kinds <= nw.ALLOWED_KINDS[nw.AIG]
 
 
 def _fingerprint(cands):
-    return [(c.strategy, c.size, c.depth, c.support, c.net.outputs,
-             [(c.net.kind(n), c.net.fanins(n)) for n in range(len(c.net))])
-            for c in cands]
+    return [(c.strategy, c.size, c.depth) + _structure(c) for c in cands]
 
 
 def test_db_save_load_round_trip(lib, tmp_path):
@@ -187,7 +185,7 @@ def test_bad_db_line_fails_on_first_query(tmp_path, field, value, message):
 
 
 def _structure(cand):
-    net = cand.net
+    net = candidate_network(cand)
     return (tuple((net.kind(n), net.fanins(n)) for n in range(len(net))),
             tuple(net.outputs), cand.support)
 

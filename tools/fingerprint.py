@@ -11,7 +11,8 @@ digest are those of `perfbench/flows.py` (imported, never changed), one
 pass each: the `suite` netlists, the `iterate` networks and the `ladder`
 `.mch` files.  One sha256 is printed
 per operation (design and flow); with `--against`, the run exits 1 when
-any operation's digest differs from, or is missing in, the given file.
+any operation's digest differs from, or is missing in, the given file,
+and 2 when that file records another workload or seed than the run's.
 `--design` restricts the run to the operations of one design.
 `--workload all` runs the three workloads in one call and names each
 operation `workload:design/flow`, in one file.
@@ -59,6 +60,15 @@ def main(argv=None) -> int:
     ap.add_argument("--against", help="compare with a file from --json")
     args = ap.parse_args(argv)
 
+    base = None
+    if args.against:
+        saved = json.loads(Path(args.against).read_text())
+        for field in ("workload", "seed"):
+            if saved.get(field, getattr(args, field)) != getattr(args, field):
+                print(f"{args.against} has {field} {saved[field]}, this run "
+                      f"{getattr(args, field)}", file=sys.stderr)
+                return 2
+        base = saved["fingerprints"]
     got = {}
     for name in WORKLOADS if args.workload == "all" else (args.workload,):
         prefix = f"{name}:" if args.workload == "all" else ""
@@ -68,9 +78,6 @@ def main(argv=None) -> int:
     if not got:
         print(f"no operations for design {args.design}", file=sys.stderr)
         return 2
-    base = None
-    if args.against:
-        base = json.loads(Path(args.against).read_text())["fingerprints"]
     bad = 0
     width = max(map(len, got))
     for op, digest in got.items():

@@ -7,16 +7,19 @@ and marked as choices of their representative node.  A candidate is a
 small network over its cut or MFFC leaves, and a query returns its cached,
 structurally distinct candidates.  Installing one runs the strash walk
 compiled when the query built it (`Candidate.walk`) over the spec's leaves
-(`LogicNetwork.run`); strash dedupes any gate the arena already has.
+(`LogicNetwork.images`); strash dedupes any gate the arena already has.
 External choices (`add_external_choices`) are inserted over the arena's
 PIs.
 
 Every member is proven where it is installed.  A candidate's member is
-kept only when its table over the spec's leaves (`cut_truth`) equals the
-table of the cut or MFFC it was built from, or that table's complement;
-the member's cone stops at those leaves, so this is exact at any PI
-count.  External choices are kept only when `cec` proves the two networks
-`equivalent`.
+kept only when its table over the spec's leaves equals the table of the
+cut or MFFC it was built from, or that table's complement; the member's
+cone stops at those leaves, so this is exact at any PI count.  The table
+is read in the same pass that installs the member: the arena nodes its
+walk reached (`LogicNetwork.images`) are evaluated from their stored
+kinds and fanins (`tt.evaluate`, which `cut_truth` also uses), so the
+proof checks the arena, not the walk's intended gates.  External choices
+are kept only when `cec` proves the two networks `equivalent`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .cuts import Cut, enumerate_cuts
 from .strategies import (Candidate, StrategyLibrary,
                          area_oriented_candidates,
                          level_oriented_candidates)
-from .tt import FULL, MAX_VARS, TruthTable, cut_truth
+from .tt import FULL, MAX_VARS, VAR_MASKS, TruthTable, cut_truth, evaluate
 from .verify import EQUIVALENT, cec, compare
 
 
@@ -196,21 +199,32 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
     """Run each candidate's precompiled walk over its spec's leaves and
     install the new member when its table over those leaves is the spec's
     table (phase 0) or its complement (phase 1); any other member counts
-    as failed, and a root strash already held counts as deduped."""
+    as failed, and a root strash already held counts as deduped.
+
+    The table is read from the arena nodes the walk reached: its step
+    images, in step order, are topological, and the member's cone above
+    the leaves is made of them, the leaves and the constant, so
+    `evaluate` over them from their stored kinds and fanins gives
+    `cut_truth(net, member, leaves)` without walking the cone again."""
     net = cn.base
+    nodes = net._nodes
     stats = cn.stats
     count: dict[int, int] = {}  # members installed per node
     for node, leaves, tt, cand in specs:
         if count.get(node, 0) >= params.max_members:
             continue
         stats.generated += 1
-        before = len(net)
-        member = net.run(cand.walk,
-                         [(leaves[j], False) for j in cand.support])[0][0]
+        before = len(nodes)
+        walk = cand.walk
+        vals = net.images(walk, [(leaves[j], False) for j in cand.support])
+        member = vals[walk.outputs[0][0]][0]
         if member < before:
             stats.deduped += 1
             continue
-        got = cut_truth(net, member, leaves).bits
+        memo = dict(zip(leaves, VAR_MASKS))
+        memo[0] = 0
+        evaluate(nodes, [n for n, _ in vals[walk.inputs + 1:]], memo)
+        got = memo[member]
         if got != tt.bits and got != tt.bits ^ FULL:
             stats.failed += 1
             continue

@@ -210,13 +210,20 @@ class _Rounds:
         return 0
 
     def run(self) -> tuple:
-        """All rounds of p; returns the accepted cover's (area, delay)."""
+        """All rounds of p; returns the accepted cover's (area, delay).
+
+        An area-flow round whose `est` and `req` equal those of the one
+        before it is skipped: `enum_round` reads no other state (every
+        key's `arr` and `flow` is rewritten at its level before a fanout
+        reads it), so it would pick the same cover and meet the same
+        accept or rollback verdict."""
         p = self.p
         self.enum_round(True, False)
         refs, area0, delay0 = self.cover()
         snapshot = (self.chosen[:], self.arr[:], self.flow[:])
         delay_pri = p.mode == DELAY
         limit = INF if p.mode == AREA else delay0
+        last = None  # (est, req) of the last area-flow round
         for rnd in range(1, p.rounds):
             self.required(limit)
             est = [float(r or b) for r, b in zip(refs, self.base_est)]
@@ -224,6 +231,9 @@ class _Rounds:
             if rnd == p.rounds - 1 and p.rounds >= 3:
                 self.exact_round(refs, delay_pri)
             else:
+                if last == (self.est, self.req):
+                    continue
+                last = (self.est[:], self.req[:])
                 self.enum_round(delay_pri, True)
             refs, area1, delay1 = self.cover()
             if p.mode == DELAY:

@@ -24,22 +24,28 @@ class MchFileError(Exception):
 def write_mch(cn: ChoiceNetwork, path) -> None:
     net = cn.base
     lines = [f"{HEADER} {net.tag}", f"pis {len(net.pis)}"]
-    id_of = {0: 0}
+    lit = [0] * len(net)  # per node, the literal of its file id
     for i, n in enumerate(net.pis):
-        id_of[n] = i + 1
-    nxt = len(net.pis) + 1
-    for g in net.gates():
-        id_of[g] = nxt
-        nxt += 1
-        lits = " ".join(str(id_of[f.node] * 2 + (1 if f.neg else 0))
-                        for f in net.fanins(g))
-        lines.append(f"gate {net.kind(g)} {lits}")
-    for s in net.outputs:
-        lines.append(f"output {id_of[s.node] * 2 + (1 if s.neg else 0)}")
+        lit[n] = 2 * i + 2
+    nxt = 2 * len(net.pis) + 2
+    for g, (kind, fanins) in enumerate(net._nodes):
+        if not fanins:  # the constant or a PI
+            continue
+        lit[g] = nxt
+        nxt += 2
+        if len(fanins) == 2:
+            (a, x), (b, y) = fanins
+            lines.append(f"gate {kind} {lit[a] + x} {lit[b] + y}")
+        else:
+            (a, x), (b, y), (c, z) = fanins
+            lines.append(f"gate {kind} {lit[a] + x} {lit[b] + y} "
+                         f"{lit[c] + z}")
+    for n, neg in net.outputs:
+        lines.append(f"output {lit[n] + neg}")
     for r in cn.class_reprs():
-        ms = " ".join(f"{id_of[m]}:{1 if cn.phase[m] else 0}"
-                      for m in cn.members(r))
-        lines.append(f"class {id_of[r]} {ms}")
+        ms = " ".join([f"{lit[m] >> 1}:{1 if cn.phase[m] else 0}"
+                       for m in cn.members(r)])
+        lines.append(f"class {lit[r] >> 1} {ms}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

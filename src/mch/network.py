@@ -9,8 +9,10 @@ simplifies, canonicalizes and dedupes a gate over plain (node, neg) pairs.
 It has two entry points, each validating its input once: `add` (one gate)
 and `run` (a whole network over given leaves, as a `Walk` that `compile`
 made once: construction, embedding, `compact`, template placement;
-`insert` compiles and runs in one call).  Signals are made only at that
-API edge and for the fanins of stored nodes.
+`insert` compiles and runs in one call).  `run` reads its outputs from
+the image of every step (`images`), which choice install also reads.
+Signals are made only at that API edge and for the fanins of stored
+nodes.
 """
 
 from __future__ import annotations
@@ -375,26 +377,35 @@ class LogicNetwork:
     def run(self, walk: "Walk", leaves: Iterable[tuple]) -> list[tuple]:
         """Run a compiled walk here through the strash core over one leaf
         per walk input, a Signal or a plain (node, neg) pair, and return
-        the (node, neg) image of each of its outputs.  The leaf count,
-        every leaf's node and the walk's gate kinds (UnsupportedConversion
-        when this tag does not allow one) are checked before the arena
-        changes."""
+        the (node, neg) image of each of its outputs: `images` read at
+        the walk's outputs."""
+        vals = self.images(walk, leaves)
+        return [(vals[s][0], vals[s][1] ^ neg) for s, neg in walk.outputs]
+
+    def images(self, walk: "Walk", leaves: Iterable[tuple]) -> list:
+        """The step loop under `run`: the (node, neg) image of every walk
+        slot, the constant, then the leaves, then one per step in step
+        order, which is topological.  The leaf count, every leaf's node
+        and the walk's gate kinds (UnsupportedConversion when this tag
+        does not allow one) are checked before the arena changes."""
         vals = [_FALSE, *leaves]
         if len(vals) != walk.inputs + 1:
             raise NetworkError(f"{len(vals) - 1} leaves for "
                                f"{walk.inputs} inputs")
-        for s in vals:
-            self._check_signal(s)
+        size = len(self._nodes)
+        for n, _ in vals:
+            if not 0 <= n < size:
+                raise NetworkError(f"signal refers to missing node {n}")
         allowed = ALLOWED_KINDS[self.tag]
-        for kind in walk.kinds:
-            if kind not in allowed:
-                raise UnsupportedConversion(f"cannot embed {walk.tag} {kind} "
-                                            f"gates into {self.tag}")
+        if not allowed.issuperset(walk.kinds):
+            kind = next(k for k in walk.kinds if k not in allowed)
+            raise UnsupportedConversion(f"cannot embed {walk.tag} {kind} "
+                                        f"gates into {self.tag}")
         core = self._strash_gate
         for kind, fanins in walk.gates:
             vals.append(core(kind, [(vals[s][0], not vals[s][1]) if neg
                                     else vals[s] for s, neg in fanins]))
-        return [(vals[s][0], vals[s][1] ^ neg) for s, neg in walk.outputs]
+        return vals
 
     def one_to_one_map(self, target: str) -> "LogicNetwork":
         """Node-for-node copy into a (weakly more expressive) representation.

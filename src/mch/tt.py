@@ -301,36 +301,46 @@ class InvalidCut(Exception):
 _FLIP = (0, FULL)  # word to xor in, by complement flag
 
 
+def evaluate(nodes, order, memo: dict) -> None:
+    """Evaluate the gates of `order`, a topological order, into `memo`
+    (node -> padded word, seeded with the leaves' VAR_MASKS and node 0),
+    each from its stored kind and fanins, `nodes[n]`; a node already in
+    memo keeps its word."""
+    for n in order:
+        if n in memo:
+            continue
+        kind, fs = nodes[n]
+        ins = [memo[m] ^ _FLIP[neg] for m, neg in fs]
+        if kind == "and2":
+            memo[n] = ins[0] & ins[1]
+        elif kind == "xor2":
+            memo[n] = ins[0] ^ ins[1]
+        else:
+            a, b, c = ins
+            memo[n] = (a & b) | (a & c) | (b & c)
+
+
 def cut_truth(net, root: int, leaves: list[int]) -> TruthTable:
     """Truth table of `root` as a function of `leaves` (sorted order).
 
-    Collects the cone above the leaves, then evaluates it in ascending id
-    order, which is topological (a gate is added after its fanins), on
-    padded words; one TruthTable is built at the end."""
+    Collects the cone above the leaves, then hands it to `evaluate` in
+    ascending id order, which is topological (a gate is added after its
+    fanins); one TruthTable is built at the end."""
     v = len(leaves)
     if v > MAX_VARS:
         raise InvalidCut(f"cut has {v} leaves (max {MAX_VARS})")
     memo = dict(zip(leaves, VAR_MASKS))
     memo[0] = 0
-    cone: dict = {}  # gate between root and leaves -> its fanins
+    nodes = net._nodes
+    cone = set()  # gates between root and leaves
     stack = [root]
     while stack:
         n = stack.pop()
         if n not in memo and n not in cone:
-            fs = net.fanins(n)
+            fs = nodes[n].fanins
             if not fs:
                 raise InvalidCut(f"leaf set does not cut off node {n}")
-            cone[n] = fs
+            cone.add(n)
             stack += [f.node for f in fs]
-    kind = net.kind
-    for n in sorted(cone):
-        ins = [memo[m] ^ _FLIP[neg] for m, neg in cone[n]]
-        k = kind(n)
-        if k == "and2":
-            memo[n] = ins[0] & ins[1]
-        elif k == "xor2":
-            memo[n] = ins[0] ^ ins[1]
-        else:
-            a, b, c = ins
-            memo[n] = (a & b) | (a & c) | (b & c)
+    evaluate(nodes, sorted(cone), memo)
     return TruthTable(memo[root], v)

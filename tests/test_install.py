@@ -1,8 +1,9 @@
 """Choice install runs each cached candidate's precompiled strash walk
-(`Candidate.walk`, `LogicNetwork.run`).  The walk must rebuild exactly what
-`LogicNetwork.insert`, and a gate-by-gate rebuild through `add`, would;
-and install must keep the same members as before candidates were made
-distinct per query."""
+(`Candidate.walk`, `LogicNetwork.images`).  The walk must rebuild exactly
+what `LogicNetwork.insert`, and a gate-by-gate rebuild through `add`,
+would; install must keep the same members as before candidates were made
+distinct per query; and the table that proves a member, read from the
+arena nodes its walk reached, must be `cut_truth`'s."""
 
 import copy
 import random
@@ -11,10 +12,14 @@ from pathlib import Path
 
 import pytest
 
+from mch import choices
+from mch import network as nw
 from mch.aiger import read_aiger
 from mch.bench import PRESETS
 from mch.choices import MchParams, build_mch
+from mch.network import LogicNetwork
 from mch.strategies import default_library, load_db
+from mch.tt import cut_truth
 
 from fixtures import candidate_network
 
@@ -101,3 +106,75 @@ def test_install_keeps_the_same_members(tmp_path, design, preset):
     assert (s.verified, s.failed, s.classes, s.members) == \
         STATS[design, preset]
     assert s.generated == s.deduped + s.verified + s.failed
+
+
+def _designs(tmp_path):
+    """The six bundled circuits and ladder1000 (seed 1), by name."""
+    nets = {path.stem: read_aiger(path) for path in BUNDLED}
+    nets["ladder1000"] = _ladder_net(tmp_path, 1000, 1)
+    return nets
+
+
+def test_the_one_pass_table_of_every_member_is_cut_truths(monkeypatch,
+                                                          tmp_path):
+    """Each image a walk reached gets, from `evaluate`, the word that
+    `cut_truth` gives it over the spec's leaves, and every installed
+    member is one of those images."""
+    real = choices.evaluate
+    arena, proven = {}, set()
+
+    def checked(nodes, order, memo):
+        leaves = [n for n in memo if n]  # memo holds the leaves and node 0
+        real(nodes, order, memo)
+        for n in order:
+            if n and n not in leaves:
+                assert memo[n] == cut_truth(arena["net"], n, leaves).bits
+                proven.add(n)
+
+    def images(net, walk, leaves):
+        arena["net"] = net
+        return real_images(net, walk, leaves)
+
+    real_images = LogicNetwork.images
+    lib = default_library()
+    for name, net in sorted(_designs(tmp_path).items()):
+        for preset in ("area", "delay"):
+            with monkeypatch.context() as m:
+                m.setattr(choices, "evaluate", checked)
+                m.setattr(LogicNetwork, "images", images)
+                proven.clear()
+                cn = _build(net, lib, preset)
+            assert cn.repr_of and proven >= set(cn.repr_of), (name, preset)
+
+
+def test_a_member_the_arena_built_wrong_is_never_installed(monkeypatch):
+    """With the strash core building XOR2 where install asks for AND2, a
+    member's walk still means the spec's function, but its arena nodes do
+    not: every such member fails its proof, and only members whose arena
+    nodes compute the spec's function are installed."""
+    real = choices._install_specs
+
+    def wrong_arena(cn, specs, params):
+        net = cn.base
+        core = net._strash_gate
+
+        def xor_for_and(kind, fs):
+            return core(nw.XOR2 if kind == nw.AND2 else kind, fs)
+
+        net._strash_gate = xor_for_and
+        try:
+            real(cn, specs, params)
+        finally:
+            del net._strash_gate
+
+    lib = default_library()
+    for path in BUNDLED:
+        net = read_aiger(path)
+        good = _build(net, lib, "area").stats
+        with monkeypatch.context() as m:
+            m.setattr(choices, "_install_specs", wrong_arena)
+            cn = _build(net, lib, "area")
+        s = cn.stats
+        assert s.failed > 0 and s.verified < good.verified, path.stem
+        # every PI count here is at most 16: the check is exhaustive
+        cn.check_invariants()

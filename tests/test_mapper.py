@@ -582,3 +582,82 @@ def test_dependency_order_matches_the_reference_dfs():
                        mix_target=(nw.XMG, nw.XAG, nw.AIG)[i % 3])
         assert cn.classes
         assert _dep_order(cn) == _ref_dep_order(cn)
+
+
+def _unskipped_run(self):
+    """`_Rounds.run` as it was before a repeated area-flow round was
+    skipped: every round runs."""
+    from mch.mapper import _EPS, INF
+
+    p = self.p
+    self.enum_round(True, False)
+    refs, area0, delay0 = self.cover()
+    snapshot = (self.chosen[:], self.arr[:], self.flow[:])
+    delay_pri = p.mode == DELAY
+    limit = INF if p.mode == AREA else delay0
+    for rnd in range(1, p.rounds):
+        self.required(limit)
+        est = [float(r or b) for r, b in zip(refs, self.base_est)]
+        self.est[:] = [e if e > 1.0 else 1.0 for e in est]
+        if rnd == p.rounds - 1 and p.rounds >= 3:
+            self.exact_round(refs, delay_pri)
+        else:
+            self.enum_round(delay_pri, True)
+        refs, area1, delay1 = self.cover()
+        if p.mode == DELAY:
+            ok = delay1 <= delay0 + _EPS and area1 <= area0 + _EPS
+        else:
+            ok = area1 <= area0 + _EPS and (p.mode == AREA
+                                            or delay1 <= limit + _EPS)
+        if ok:
+            snapshot = (self.chosen[:], self.arr[:], self.flow[:])
+            area0, delay0 = area1, delay1
+        else:
+            self.chosen[:], self.arr[:], self.flow[:] = snapshot
+            refs, area0, delay0 = self.cover()
+    return area0, delay0
+
+
+def test_a_repeated_area_flow_round_is_skipped_without_changing_a_netlist(
+        monkeypatch, cl):
+    """Every netlist of the bundled circuits (both presets' choice
+    networks, LUTs at k=4 and 6, cells, AREA and DELAY) is the one every
+    round gives, with fewer enum_round calls for LUTs and for cells."""
+    from pathlib import Path
+
+    from mch import mapper
+    from mch.aiger import read_aiger
+    calls = {"lut": 0, "cell": 0}
+    for target, cls in (("lut", mapper._LutCover), ("cell", mapper._CellCover)):
+        def counted(self, delay_pri, constrained, real=cls.enum_round,
+                    target=target):
+            calls[target] += 1
+            real(self, delay_pri, constrained)
+        monkeypatch.setattr(cls, "enum_round", counted)
+
+    def netlists(run):
+        got = []
+        with monkeypatch.context() as m:
+            m.setattr(mapper._Rounds, "run", run)
+            for cn in chs:
+                for mode in (AREA, DELAY):
+                    for k in (4, 6):
+                        got.append(map_lut(cn, MapParams(k=k, mode=mode)))
+                    got.append(map_cells(cn, cl, MapParams(
+                        k=4, mode=mode, target=CELL)))
+        return [(nl.outputs, nl.instances, nl.stats) for nl in got], \
+            dict(calls)
+
+    bench = Path(__file__).resolve().parents[1] / "benchmarks"
+    lib = default_library()
+    chs = [build_mch(read_aiger(path), lib, MchParams(r=r), mix_target=mix)
+           for path in sorted(bench.glob("*.aag"))
+           for mix, r in ((nw.XMG, 0.8), (nw.XAG, 0.5))]
+    new, skipping = netlists(mapper._Rounds.run)
+    calls.update(lut=0, cell=0)
+    old, every = netlists(_unskipped_run)
+    assert new == old
+    # four rounds: a delay round, two area-flow rounds, an exact-area round
+    assert every == {"lut": 3 * 2 * len(chs) * 2, "cell": 3 * len(chs) * 2}
+    assert skipping["lut"] < every["lut"] and \
+        skipping["cell"] < every["cell"], (skipping, every)

@@ -1,8 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from mch import network as nw
+from mch.aiger import read_aiger
+from mch.bench import PRESETS
 from mch.choices import ChoiceNetwork, MchParams, build_mch
 from mch.mapper import MapParams, map_lut
 from mch.mchfile import MchFileError, read_mch, write_mch, write_net
@@ -11,6 +14,8 @@ from mch.gen import random_network
 from mch.verify import cec
 
 from fixtures import parity8
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def test_plain_network_round_trip(tmp_path):
@@ -109,3 +114,43 @@ def test_rejects_a_class_whose_member_has_another_function(tmp_path):
     with pytest.raises(MchFileError, match="line 6: choice 4 not "
                        "equivalent to representative 3"):
         read_mch(path)
+
+
+def _write_mch_by_queries(cn, path):
+    """The writer as it read the network through gates(), fanins() and
+    kind(), node by node."""
+    net = cn.base
+    lines = [f"mch v1 {net.tag}", f"pis {len(net.pis)}"]
+    id_of = {0: 0}
+    for i, n in enumerate(net.pis):
+        id_of[n] = i + 1
+    nxt = len(net.pis) + 1
+    for g in net.gates():
+        id_of[g] = nxt
+        nxt += 1
+        lits = " ".join(str(id_of[f.node] * 2 + (1 if f.neg else 0))
+                        for f in net.fanins(g))
+        lines.append(f"gate {net.kind(g)} {lits}")
+    for s in net.outputs:
+        lines.append(f"output {id_of[s.node] * 2 + (1 if s.neg else 0)}")
+    for r in cn.class_reprs():
+        ms = " ".join(f"{id_of[m]}:{1 if cn.phase[m] else 0}"
+                      for m in cn.members(r))
+        lines.append(f"class {id_of[r]} {ms}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_the_writer_writes_what_node_by_node_queries_did(tmp_path):
+    lib = default_library()
+    for path in sorted(BENCH.glob("*.aag")):
+        for preset in ("area", "delay"):
+            mix, r, _ = PRESETS[preset]
+            cn = build_mch(read_aiger(path), lib, MchParams(r=r),
+                           mix_target=mix)
+            got, want = tmp_path / "got.mch", tmp_path / "want.mch"
+            write_mch(cn, got)
+            _write_mch_by_queries(cn, want)
+            assert got.read_bytes() == want.read_bytes(), (path, preset)
+            back = read_mch(got)
+            assert (back.classes, back.phase) == (cn.classes, cn.phase)

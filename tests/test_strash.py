@@ -259,6 +259,24 @@ def test_insert_names_a_missing_leaf_node():
     assert len(net) == 2 and not net._strash
 
 
+def test_run_rejects_a_leaf_one_past_the_last_node():
+    src = LogicNetwork(nw.XAG)
+    a, b = src.add_pi(), src.add_pi()
+    src.add_po(src.add_xor(src.add_and(a, b), a))
+    walk = src.compile()
+    net = LogicNetwork(nw.XAG)
+    x = net.add_pi()
+    net.add_po(net.add_and(x, net.add_pi()))
+    before = _snapshot(net)
+    for leaf in ((len(net), False), Signal(len(net), True)):
+        with pytest.raises(NetworkError, match=rf"\b{len(net)}\b"):
+            net.run(walk, [x, leaf])
+        assert _snapshot(net) == before
+    # the last node itself is a leaf
+    (out, _), = net.run(walk, [x, (len(net) - 1, False)])
+    assert out == len(net) - 1 > len(before[0])
+
+
 def test_insert_checks_gate_kinds_before_adding_any_node():
     src = LogicNetwork(nw.XAG)
     a, b, c = src.add_pi(), src.add_pi(), src.add_pi()

@@ -41,7 +41,10 @@ class MchParams(NamedTuple):
     l: int = 8           # cuts kept per node
     K: int = 8           # MFFC leaf bound
     r: float = 0.8       # critical-path depth ratio
-    max_members: int = 8
+
+
+# the most members a node's class takes from one construction
+MAX_MEMBERS = 8
 
 
 @dataclass
@@ -188,14 +191,13 @@ def multi_strategy_choices(netp: LogicNetwork, critical: set[int],
                 for cand in area_oriented_candidates(lib, tt, host):
                     specs.append(_Spec(n, leaves, tt, cand))
 
-    _install_specs(cn, specs, params)
+    _install_specs(cn, specs)
     stats.classes = len(cn.classes)
     stats.members = len(cn.repr_of)
     return cn
 
 
-def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
-                   params: MchParams) -> None:
+def _install_specs(cn: ChoiceNetwork, specs: list[_Spec]) -> None:
     """Run each candidate's precompiled walk over its spec's leaves and
     install the new member when its table over those leaves is the spec's
     table (phase 0) or its complement (phase 1); any other member counts
@@ -211,7 +213,7 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec],
     stats = cn.stats
     count: dict[int, int] = {}  # members installed per node
     for node, leaves, tt, cand in specs:
-        if count.get(node, 0) >= params.max_members:
+        if count.get(node, 0) >= MAX_MEMBERS:
             continue
         stats.generated += 1
         before = len(nodes)

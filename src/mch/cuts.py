@@ -387,19 +387,17 @@ class Level:
     """One dependency level of a round, after its cuts are stored.
 
     `nodes` (and `node_list`) are the level's gates, ascending; `count`
-    is the number of pool cuts stored per node (0 for a node whose pool
-    is empty).  Over those cuts, grouped by node in key order, `owner` is
-    each one's node position and `key` holds the caller's key columns.
-    Over every stored cut but the trivial ones, grouped by node in stored
+    is the number of cuts stored per node before its trivial cut (0 for a
+    node whose pool is empty).  Over those cuts, grouped by node in stored
     order (with `elem`, a node's elementary merge follows its pool cuts),
-    `cut_owner` is each one's node position, `leaves` its ascending leaf
-    row (-1 padded), `size` its leaf count and `tt` its table word.
-    Without `elem` both lists are the same."""
+    `key` holds the caller's key columns, `owner` each one's node
+    position, `leaves` its ascending leaf row (-1 padded), `size` its leaf
+    count and `tt` its table word."""
 
-    def __init__(self, plan, key, owner, count, stored):
+    def __init__(self, plan, key, owner, count, leaves, size, tt):
         self.nodes, self.node_list = plan.nodes, plan.node_list
         self.key, self.owner, self.count = key, owner, count
-        self.cut_owner, self.leaves, self.size, self.tt = stored
+        self.leaves, self.size, self.tt = leaves, size, tt
 
     @property
     def empty(self) -> list:
@@ -521,8 +519,10 @@ class CutEngine:
         return plans
 
     def round(self, key, l: Optional[int] = None, elem: bool = False):
-        """Pool, score, truncate and store every gate's cuts, one level at
-        a time, yielding each `Level` once its cuts are stored.
+        """Pool, score, truncate and store every gate's cuts, one level
+        part at a time, yielding each part's `Level` once its cuts are
+        stored.  A caller may stop at any part: the next round stores
+        every list again.
 
         key(leaves, size) returns the sort columns (primary first) of the
         distinct pool cuts, given their (S, k) ascending leaf matrix (-1
@@ -567,10 +567,8 @@ class CutEngine:
         cols = key(leaves, size)
         order = np.lexsort((d, *cols[::-1], od))
         sown = od[order]
-        sel, rank, kept = _best_undominated(md[order], sown, plan.iota, l)
-        order, sown = order[sel], sown[sel]
-
-        pick, cown, crank, count = order, sown, rank, kept
+        sel, rank, count = _best_undominated(md[order], sown, plan.iota, l)
+        pick, cown = order[sel], sown[sel]
         if elem:
             ep, eo = _elem_hits(md, code, d, od, plan, ukeys, nfirst, width)
             stored = np.zeros(own.shape, bool)
@@ -580,13 +578,13 @@ class CutEngine:
             grp = np.concatenate((cown, eo)).argsort(kind="stable")
             pick = np.concatenate((pick, ep))[grp]
             cown = np.concatenate((cown, eo))[grp]
-            crank = np.concatenate((crank, kept[eo]))[grp]
-            count = kept + np.bincount(eo, minlength=kept.size)
+            rank = np.concatenate((rank, count[eo]))[grp]
+            count = count + np.bincount(eo, minlength=count.size)
         crow = leaves[pick]
-        ctt = self._store(plan, cown, crank, count, crow, (
+        ctt = self._store(plan, cown, rank, count, crow, (
             pick, code, d, local, smask, rowat, ls, lc3))
-        return Level(plan, [c[order] for c in cols], sown, kept,
-                     (cown, crow, size[pick], ctt))
+        return Level(plan, [c[pick] for c in cols], cown, count, crow,
+                     size[pick], ctt)
 
     def _store(self, plan, cown, crank, count, crow, src) -> np.ndarray:
         """Store each level node's chosen cuts (grouped by node, each at its

@@ -53,17 +53,9 @@ def graph_map(cn: ChoiceNetwork, target: str,
     for i in range(m.n_pis):
         sigs[i] = out.add_pi()
     for inst in m.instances:
-        small, sup = inst.tt.shrink_to_support()
-        if not sup:
-            s = out.const1 if small.is_const1() else out.const0
-        elif len(sup) == 1:
-            leaf = sigs[inst.ins[sup[0]]]
-            s = leaf if small.value_at(1) else ~leaf
-        else:
-            cand = _template(lib, target, inst.tt, p.mode)
-            s = Signal(*out.run(cand.walk,
-                                [sigs[inst.ins[j]] for j in cand.support])[0])
-        sigs[inst.out] = s
+        cand = _template(lib, target, inst.tt, p.mode)
+        sigs[inst.out] = Signal(*out.run(
+            cand.walk, [sigs[inst.ins[j]] for j in cand.support])[0])
     for oid, negd in m.outputs:
         out.add_po(sigs[oid].with_neg(negd))
     return out

@@ -26,9 +26,9 @@ picks per node phase the first best match meeting the required time,
 with an inverter where the other phase is cheaper; it keeps a host
 gate's elementary fanin cut stored so that the gate is always matchable.
 Match objects are made only for the picks and for the alternatives the
-exact-area round reads.  A round that meets a node it cannot cover
-finishes, then reports the failing node that comes first in dependency
-order.
+exact-area round reads.  A round stops at the first level part that
+holds a node it cannot cover and names the first such node there: one
+whose pool is empty, else (cells) one whose stored cuts match no cell.
 """
 
 from __future__ import annotations
@@ -182,10 +182,10 @@ class _Rounds:
     lists the PO keys in `roots` and the decision keys in dependency order
     in `keys`, and supplies enum_round (re-enumerate cuts and pick per
     key), plus, per choice: own_area, children (keys it references),
-    edges ((child, delay) pairs), arrival, tie, and cands (the alternatives
-    of a key, which exact_round compares with the old choice by value).
-    `walk` lists the chosen cover for its area, required times and both
-    netlist extractions.
+    edges ((key, delay) pairs, read by `arrival` and `required`), tie, and
+    cands (the alternatives of a key, which exact_round compares with the
+    old choice by value).  `walk` lists the chosen cover for its area,
+    required times and both netlist extractions.
     """
 
     def __init__(self, cn: ChoiceNetwork, p: MapParams, width: int):
@@ -208,6 +208,22 @@ class _Rounds:
 
     def tie(self, m) -> int:
         return 0
+
+    def arrival(self, m) -> float:
+        return max((self.arr[k] + d for k, d in self.edges(m)), default=0.0)
+
+    def levels(self, key, elem: bool = False):
+        """The levels of one engine round over key (`CutEngine.round`), up
+        to the first level part that holds a gate whose pool is empty (k
+        is below its arity and it has no smaller cut): raises for it."""
+        for lv in self.engine.round(key, self.p.l, elem):
+            if np.count_nonzero(lv.count) < lv.count.size:
+                n = lv.empty[0]
+                raise MapError(
+                    f"node {n}: k={self.p.k} is below the arity "
+                    f"{len(self.net.fanins(n))} of its {self.net.kind(n)} "
+                    f"gate and it has no smaller cut")
+            yield lv
 
     def run(self) -> tuple:
         """All rounds of p; returns the accepted cover's (area, delay).
@@ -354,23 +370,6 @@ class _Rounds:
             self.cone_area(refs, key, 1)
             self.arr[key] = self.arrival(chosen[key])
 
-    def no_cut(self, n: int) -> MapError:
-        """The error for a gate whose pool is empty: k is below its arity
-        and it has no smaller cut."""
-        return MapError(
-            f"node {n}: k={self.p.k} is below the arity "
-            f"{len(self.net.fanins(n))} of its {self.net.kind(n)} gate and "
-            f"it has no smaller cut")
-
-    def fail_first(self, failed: dict) -> None:
-        """Raise the error of the failed node that comes first in
-        dependency order, the one a node-by-node round would meet first:
-        a round goes on past failures, and whatever it computes for the
-        nodes above one comes later in that order."""
-        if failed:
-            pos = {n: i for i, n in enumerate(self.order)}
-            raise failed[min(failed, key=pos.__getitem__)]
-
 
 # -- LUT mapping -------------------------------------------------------
 
@@ -398,10 +397,7 @@ class _LutCover(_Rounds):
         return [x for x in c[0] if self.net.is_gate(x)]
 
     def edges(self, c: tuple) -> list:
-        return [(x, 1.0) for x in self.children(c)]
-
-    def arrival(self, c: tuple) -> float:
-        return 1.0 + max((self.arr[x] for x in c[0]), default=-1.0)
+        return [(x, 1.0) for x in c[0]]
 
     def tie(self, c: tuple) -> int:
         return len(c[0])
@@ -414,7 +410,7 @@ class _LutCover(_Rounds):
     def enum_round(self, delay_pri: bool, constrained: bool) -> None:
         """Re-enumerate priority cuts with this round's cost key and pick
         each node's best feasible cut, one level at a time."""
-        eng, chosen = self.engine, self.chosen
+        chosen = self.chosen
         # per node, kept current as levels are picked; the extra last entry
         # is what a padding leaf reads
         arr = np.array(self.arr + [-1.0])
@@ -428,20 +424,15 @@ class _LutCover(_Rounds):
             fl = 1.0 + _column_sum(share[leaves])
             return (a, fl, size) if delay_pri else (fl, a, size)
 
-        failed = {}
-        for lv in eng.round(key, self.p.l):
+        for lv in self.levels(key):
             a, fl = lv.key[:2] if delay_pri else lv.key[1::-1]
             nodes, count = lv.nodes, lv.count
-            if np.count_nonzero(count) < count.size:
-                failed.update((n, self.no_cut(n)) for n in lv.empty)
-                live = count > 0
-                nodes, count = nodes[live], count[live]
             first = count.cumsum() - count
             pick = first
             if constrained:
                 # the first cut meeting the required time, else the best
                 n = a.size
-                at = np.where(a <= slack[lv.nodes[lv.owner]], np.arange(n), n)
+                at = np.where(a <= slack[nodes[lv.owner]], np.arange(n), n)
                 met = np.minimum.reduceat(at, first)
                 pick = np.where(met < n, met, first)
             arr[nodes], flow[nodes] = a[pick], fl[pick]
@@ -450,7 +441,6 @@ class _LutCover(_Rounds):
                                     lv.size[pick].tolist(),
                                     lv.tt[pick].tolist()):
                 chosen[n] = (tuple(row[:z]), w)
-        self.fail_first(failed)
         self.arr[:] = arr[:-1].tolist()
         self.flow[:] = flow.tolist()
 
@@ -620,10 +610,7 @@ class CellLibrary:
         i drives it, or the constant node for i = _PIN_CONST.  Phase 0
         realizes the function, 1 its complement."""
         t = self._tpl.get((bits, v))
-        if t is None:
-            t = self._tpl[(bits, v)] = len(self.tpl_matches)
-            self.tpl_matches.append(self._matches_of(TruthTable(bits, v)))
-        return t
+        return int(self.templates([bits], [v])[0]) if t is None else t
 
     def _matches_of(self, tt: TruthTable) -> list:
         tt_s, sup = tt.shrink_to_support()
@@ -646,19 +633,24 @@ class CellLibrary:
         Template t's matches are rows tpl_first[t] .. tpl_first[t] +
         tpl_count[t] - 1 of the match_* arrays: phase, cell area, and per
         pin (padded with _PIN_PAD) the cut leaf, complement and delay;
-        match_info holds each row's kind, cell and pin count."""
-        get = self._tpl.get
+        match_info holds each row's kind, cell and pin count.  A function
+        met for the first time gets its template and rows here."""
+        tpl = self._tpl
+        get = tpl.get
         ids = [get(key) for key in zip(words, sizes)]
         if None in ids:
-            known = len(self.tpl_matches)
-            ids = [self.template(b, v) if t is None else t
-                   for t, b, v in zip(ids, words, sizes)]
-            self._fill(known)
+            for key in zip(words, sizes):
+                if key not in tpl:
+                    tpl[key] = len(self.tpl_matches)
+                    self.tpl_matches.append(self._matches_of(
+                        TruthTable(*key)))
+            ids = [tpl[key] for key in zip(words, sizes)]
+            self._fill()
         return np.array(ids, np.int64)
 
-    def _fill(self, lo: int) -> None:
-        """Append the match rows of templates lo and up to the arrays."""
-        new = self.tpl_matches[lo:]
+    def _fill(self) -> None:
+        """Append the match rows of the templates that have none yet."""
+        new = self.tpl_matches[len(self.tpl_count):]
         count = np.array([len(ms) for ms in new], np.int64)
         rows = [m for ms in new for m in ms]
         pin = np.full((len(rows), self._pins), _PIN_PAD, np.int64)
@@ -743,9 +735,6 @@ class _CellCover(_Rounds):
             return ((k, 0.0) for k in m.pins)
         return zip(m.pins, m.cell.pin_delays)
 
-    def arrival(self, m: _CMatch) -> float:
-        return max((self.arr[k] + d for k, d in self.edges(m)), default=0.0)
-
     def cands(self, key: int) -> list:
         """The key's matches over its node's stored cuts, in the order the
         last round read them, then an inverter from the other phase; never
@@ -766,7 +755,7 @@ class _CellCover(_Rounds):
     def enum_round(self, delay_pri: bool, constrained: bool) -> None:
         """Re-enumerate priority cuts, match every stored cut of a level
         and pick each key's best match, a whole level at a time."""
-        eng, cl, chosen = self.engine, self.cl, self.chosen
+        cl, chosen = self.cl, self.chosen
         inv, invd = cl.inv, max(cl.inv.pin_delays)
         pad = len(self.net)
         # per key, kept current as levels are picked; the extra last entry
@@ -786,16 +775,12 @@ class _CellCover(_Rounds):
             f = _column_sum(best_flow[leaves])
             return (a, f, size) if delay_pri else (f, a, size)
 
-        failed = {}
         # the stored lists keep the elementary fanin cut so a host
         # primitive is always matchable; without it a budgeted list can
         # end up with only functions the library cannot realize
-        for lv in eng.round(score, self.p.l, elem=True):
-            n_lv = lv.count.size
-            if np.count_nonzero(lv.count) < n_lv:
-                failed.update((n, self.no_cut(n)) for n in lv.empty)
-            if not lv.tt.size:
-                continue
+        for lv in self.levels(score, elem=True):
+            nodes = lv.nodes
+            n_lv = nodes.size
             # one row per (stored cut, match), grouped by cut
             tid = cl.templates(lv.tt.tolist(), lv.size.tolist())
             cnt = cl.tpl_count[tid]
@@ -809,8 +794,8 @@ class _CellCover(_Rounds):
             pk = 2 * node[row[:, None], cl.match_pin[mi]] + cl.match_comp[mi]
             a = np.maximum.reduce(arr[pk] + cl.match_delay[mi], axis=1)
             f = cl.match_area[mi] + _column_sum(share[pk])
-            j = lv.cut_owner[row]
-            key = 2 * lv.nodes[j] + cl.match_phase[mi]
+            j = lv.owner[row]
+            key = 2 * nodes[j] + cl.match_phase[mi]
             # per key, the first best match meeting the required time,
             # else the first best
             cols = (f, a, key) if delay_pri else (a, f, key)
@@ -836,14 +821,11 @@ class _CellCover(_Rounds):
             else:
                 better = (iff < pf) | ((iff == pf) & (ia < pa))
             use = has[:, ::-1] & (~has | better)
-            fa, ff = np.where(use, ia, pa), np.where(use, iff, pf)
             ok = has[:, 0] | has[:, 1]
             if np.count_nonzero(ok) < n_lv:
-                for n in lv.nodes[~ok & (lv.count > 0)].tolist():
-                    failed[n] = LibraryError(
-                        f"no cell matches any cut function of node {n}")
-                fa, ff, use, at = fa[ok], ff[ok], use[ok], at[ok]
-            nodes = lv.nodes[ok]
+                raise LibraryError("no cell matches any cut function of "
+                                   f"node {nodes[~ok][0]}")
+            fa, ff = np.where(use, ia, pa), np.where(use, iff, pf)
             keys = 2 * nodes[:, None] + _PHASES
             arr[keys], flow[keys] = fa, ff
             share[keys] = ff / est[keys]
@@ -859,7 +841,6 @@ class _CellCover(_Rounds):
                 else:
                     kind, cell, npins = cl.match_info[m]
                     chosen[key] = _CMatch(kind, cell, tuple(pins[:npins]))
-        self.fail_first(failed)
         self.arr[:] = arr[:-1].tolist()
         self.flow[:] = flow.tolist()
 

@@ -262,14 +262,19 @@ def _template_text(tpl: LogicNetwork) -> str:
 
 def _parse_template(tag: str, rep: int, where: str, depth: str, size: str,
                     text: str) -> LogicNetwork:
-    """Build one database line's template and check it against the line."""
+    """Build one database line's template and check it against the line;
+    any fault raises ValueError naming `where`."""
     net, vals = _new_template(tag)
 
     def ref(tok: str) -> Signal:
-        neg = tok.startswith("!")
-        tok = tok.lstrip("!")
-        i = int(tok[1:])
-        return vals[i if tok.startswith("t") else 4 + i].with_neg(neg)
+        # t0..t3 name the inputs, gI the line's I-th gate
+        name = tok.removeprefix("!")
+        kind, num = name[:1], name[1:]
+        limit = {"t": 4, "g": len(vals) - 4}.get(kind, 0)
+        if not (num.isascii() and num.isdigit() and int(num) < limit):
+            raise ValueError(f"{where}: bad reference {tok!r}")
+        return vals[int(num) + (4 if kind == "g" else 0)].with_neg(
+            name != tok)
 
     body = text.lstrip("!")
     out_neg = text.startswith("!")
@@ -285,11 +290,19 @@ def _parse_template(tag: str, rep: int, where: str, depth: str, size: str,
             if tok.startswith("!"):
                 out_neg = True
                 tok = tok[1:]
-            kind, args = tok.split("(", 1)
-            vals.append(net.add(kind, [ref(a) for a in args[:-1].split(",")]))
+            kind, _, args = tok.partition("(")
+            try:
+                vals.append(net.add(kind, [ref(a) for a in
+                                           args[:-1].split(",")]))
+            except nw.NetworkError as e:
+                raise ValueError(f"{where}: {e}") from None
             tokens += 1
         out = vals[-1]
     net.add_po(out.with_neg(out_neg))
+    if not (depth.isascii() and depth.isdigit()
+            and size.isascii() and size.isdigit()):
+        raise ValueError(f"{where}: depth {depth!r} and size {size!r} must "
+                         f"be whole numbers")
     if int(size) != tokens:
         raise ValueError(f"{where}: size {size} but {tokens} gates")
     if int(depth) != net.compute_levels().network_level:
@@ -388,8 +401,12 @@ def load_db(path) -> StrategyLibrary:
             if len(parts) != 5:
                 raise ValueError(f"{path}:{lineno}: expected "
                                  f"'class tag depth size structure'")
-            entries.append((int(parts[0], 16), parts[1],
-                            f"{path}:{lineno}", *parts[2:]))
+            try:
+                rep = int(parts[0], 16)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad class field "
+                                 f"{parts[0]!r}") from None
+            entries.append((rep, parts[1], f"{path}:{lineno}", *parts[2:]))
     lib = StrategyLibrary(dict.fromkeys(e[1] for e in entries))
     for rep, tag, *line in entries:
         lib.lines[tag].setdefault(rep, []).append(line)

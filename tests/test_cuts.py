@@ -547,3 +547,51 @@ def test_table_of_a_trivial_cut_and_of_the_constant():
         assert eng.cuts(n)[-1] == (n,)
         assert eng.words(n)[-1] == VAR0
     assert eng.cuts(0) == [()] and eng.words(0) == [0]
+
+
+def test_a_level_lists_each_stored_cut_once_grouped_by_node():
+    """A `Level` is one list: every column has a row per cut stored before
+    the trivial ones, grouped by node in stored order, and a node's rows
+    are its stored list.  The cell round (`elem`) appends elementary
+    cuts, which the list must hold too."""
+    import numpy as np
+    from pathlib import Path
+
+    from mch.aiger import read_aiger
+    from mch.bench import PRESETS
+    from mch.choices import MchParams, build_mch
+    from mch.mapper import CELL, MapParams, _CellCover, _LutCover, \
+        default_cell_library
+    from mch.strategies import default_library
+
+    bench = Path(__file__).resolve().parents[1] / "benchmarks"
+    mix, r, _ = PRESETS["area"]
+    lib, cl = default_library(), default_cell_library()
+    for path in sorted(bench.glob("*.aag")):
+        cn = build_mch(read_aiger(path), lib, MchParams(r=r), mix_target=mix)
+        for m in (_LutCover(cn, MapParams(k=6)),
+                  _CellCover(cn, cl, MapParams(k=6, target=CELL))):
+            eng, levels = m.engine, []
+
+            def spy(*args, real=m.engine.round, **kw):
+                for lv in real(*args, **kw):
+                    levels.append(lv)
+                    yield lv
+
+            eng.round = spy
+            m.enum_round(True, False)
+            assert levels, path.stem
+            for lv in levels:
+                rows = int(lv.count.sum())
+                for col in (*lv.key, lv.owner, lv.leaves, lv.size, lv.tt):
+                    assert len(col) == rows, path.stem
+                assert np.all(lv.owner[1:] >= lv.owner[:-1])
+                at = 0
+                for j, (n, c) in enumerate(zip(lv.node_list,
+                                               lv.count.tolist())):
+                    assert np.all(lv.owner[at:at + c] == j)
+                    assert [tuple(row[:z]) for row, z in zip(
+                        lv.leaves[at:at + c].tolist(),
+                        lv.size[at:at + c].tolist())] == eng.cuts(n)[:-1]
+                    assert lv.tt[at:at + c].tolist() == eng.words(n)[:-1]
+                    at += c

@@ -27,6 +27,26 @@ def test_and_chain_rebalanced():
     assert cec(net, out).status == "equivalent"
 
 
+def test_constant_and_literal_luts_are_placed_from_templates():
+    # x = a over {a, b} and y = 0 over {a, c}, as the cover's LUTs read them
+    from mch.mapper import map_lut
+
+    net = LogicNetwork(nw.AIG)
+    a, b, c = net.add_pi(), net.add_pi(), net.add_pi()
+    x = ~net.add_and(~net.add_and(a, b), ~net.add_and(a, ~b))
+    y = net.add_and(net.add_and(a, c), net.add_and(~a, c))
+    for s in (x, ~y, net.add_and(b, c)):
+        net.add_po(s)
+    luts = map_lut(ChoiceNetwork(net), MapParams(k=4)).instances
+    assert [(len(i.ins), i.tt.shrink_to_support()[1]) for i in luts] == [
+        (2, [0]), (2, []), (2, [0, 1])]
+    for target in (nw.AIG, nw.XMG):
+        out = graph_map(ChoiceNetwork(net), target)
+        assert out.outputs == [a, ~out.const0, (4, False)]
+        assert [(out.kind(g), out.fanins(g)) for g in out.gates()] == [
+            (nw.AND2, (b, c))]
+
+
 def test_parity_into_xmg_collapses():
     # 4-var parity: 9 AIG gates become 3 XOR gates
     net = LogicNetwork(nw.AIG)

@@ -154,7 +154,7 @@ def test_a_member_the_arena_built_wrong_is_never_installed(monkeypatch):
     nodes compute the spec's function are installed."""
     real = choices._install_specs
 
-    def wrong_arena(cn, specs, params):
+    def wrong_arena(cn, specs):
         net = cn.base
         core = net._strash_gate
 
@@ -163,7 +163,7 @@ def test_a_member_the_arena_built_wrong_is_never_installed(monkeypatch):
 
         net._strash_gate = xor_for_and
         try:
-            real(cn, specs, params)
+            real(cn, specs)
         finally:
             del net._strash_gate
 

@@ -316,6 +316,54 @@ def test_k_below_maj3_arity_names_the_node(target, cl):
     assert not isinstance(exc.value, LibraryError)
 
 
+@pytest.mark.parametrize("target", ["lut", CELL])
+def test_a_round_stops_at_the_first_level_it_cannot_cover(target, cl):
+    # y sits on level 1, x on level 3 but earlier in dependency order;
+    # neither MAJ3 has a cut at k=2
+    net = LogicNetwork(nw.MIG)
+    a, b, c, d, e = (net.add_pi() for _ in range(5))
+    x = net.add_maj(net.add_and(net.add_and(a, b), c), d, e)
+    y = net.add_maj(a, d, e)
+    net.add_po(x)
+    net.add_po(y)
+    assert (x.node, y.node) == (8, 9)
+    with pytest.raises(MapError, match=r"^node 9: k=2 is below the arity"):
+        if target == CELL:
+            map_cells(ChoiceNetwork(net), cl, MapParams(k=2, target=CELL))
+        else:
+            map_lut(ChoiceNetwork(net), MapParams(k=2))
+
+
+def test_every_match_template_id_reads_its_own_rows():
+    """Templates made one at a time and a level at a time share one id
+    space; each id's rows of the match arrays are its own matches."""
+    from mch.tt import TruthTable
+
+    fresh = default_cell_library()
+    v0, v1 = TruthTable.var(0, 2), TruthTable.var(1, 2)
+    and2, xor2, or2 = (v0 & v1).bits, (v0 ^ v1).bits, (v0 | v1).bits
+    ids = [fresh.template(and2, 2),
+           int(fresh.templates([xor2], [2])[0]),
+           fresh.template(or2, 2),
+           int(fresh.templates([or2, and2], [2, 2])[0])]
+    assert ids == [0, 1, 2, 2]
+    assert len(fresh.tpl_first) == len(fresh.tpl_count) == 3
+    for t, word in enumerate((and2, xor2, or2)):
+        want = fresh._matches_of(TruthTable(word, 2))
+        assert want and fresh.tpl_matches[t] == want
+        lo, n = int(fresh.tpl_first[t]), int(fresh.tpl_count[t])
+        assert n == len(want)
+        rows = range(lo, lo + n)
+        assert [fresh.match_info[r] for r in rows] == [
+            (kind, cell, len(pins)) for _, kind, cell, pins in want]
+        assert fresh.match_phase[lo:lo + n].tolist() == [
+            ph for ph, _, _, _ in want]
+        assert [tuple(zip(fresh.match_pin[r].tolist(),
+                          fresh.match_comp[r].tolist()))[:len(pins)]
+                for r, (_, _, _, pins) in zip(rows, want)] == [
+            pins for _, _, _, pins in want]
+
+
 # -- reference: the node-by-node cell pick ------------------------------
 
 

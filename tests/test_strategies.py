@@ -173,7 +173,11 @@ def test_a_missing_bundled_database_is_an_error_naming_it(tmp_path,
 
 @pytest.mark.parametrize("field, value, message", [
     (2, "3", "depth"), (3, "4", "size"),
-    (4, "and2(t3,t2),and2(t1,t0),and2(g0,g1)", "realize")])
+    (4, "and2(t3,t2),and2(t1,t0),and2(g0,g1)", "realize"),
+    (2, "x", "depth 'x'"),
+    (4, "and2(!t3,!t2),and2(!t1,!t0),and2(g0,g9)", "bad reference 'g9'"),
+    (4, "and2(!t3,!t2),foo(!t1,!t0),and2(g0,g1)", "foo"),
+    (4, "and2(!t3,!t2),and2(!t1,!t0),and2(g0,q1)", "bad reference 'q1'")])
 def test_bad_db_line_fails_on_first_query(tmp_path, field, value, message):
     parts = "0x0001 aig 2 3 and2(!t3,!t2),and2(!t1,!t0),and2(g0,g1)".split()
     parts[field] = value
@@ -182,6 +186,14 @@ def test_bad_db_line_fails_on_first_query(tmp_path, field, value, message):
     lib = load_db(path)     # lines are only split on load
     with pytest.raises(ValueError, match=f"bad.db:2.*{message}"):
         lib.templates_for(nw.AIG, 0x0001)
+
+
+def test_a_bad_db_class_field_fails_on_load_naming_its_line(tmp_path):
+    path = tmp_path / "bad.db"
+    path.write_text("npn4-db v1\n"
+                    "zz01 aig 2 3 and2(!t3,!t2),and2(!t1,!t0),and2(g0,g1)\n")
+    with pytest.raises(ValueError, match="bad.db:2: bad class field 'zz01'"):
+        load_db(path)
 
 
 def _structure(cand):

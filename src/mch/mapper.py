@@ -156,7 +156,7 @@ def _dep_order(cn: ChoiceNetwork):
             if state[n] == 2:
                 stack.pop()
                 continue
-            pend = [f[0] for f in fanins(n) if state[f[0]] != 2]
+            pend = [f for f, _ in fanins(n) if state[f] != 2]
             ms = members(n)
             if ms:
                 pend += [d for d in ms if state[d] != 2]
@@ -198,13 +198,12 @@ class _Rounds:
         self.req = [INF] * (width * len(net))
         # fanout estimates from the structural cone only, so member gates
         # do not inflate the sharing estimate of original nodes
-        fouts = [0] * len(net)
-        for n in net.tfi([s.node for s in net.outputs], gates_only=True):
-            for f in net.fanins(n):
-                fouts[f.node] += 1
-        for s in net.outputs:
-            fouts[s.node] += 1
-        self.fouts = fouts
+        fanins = net.fanins
+        fouts = np.bincount(
+            [f for n in net.tfi([s.node for s in net.outputs], gates_only=True)
+             for f, _ in fanins(n)] + [s.node for s in net.outputs],
+            minlength=len(net))
+        self.fouts = fouts.tolist()
 
     def tie(self, m) -> int:
         return 0
@@ -217,7 +216,7 @@ class _Rounds:
         to the first level part that holds a gate whose pool is empty (k
         is below its arity and it has no smaller cut): raises for it."""
         for lv in self.engine.round(key, self.p.l, elem):
-            if np.count_nonzero(lv.count) < lv.count.size:
+            if not lv.full:
                 n = lv.empty[0]
                 raise MapError(
                     f"node {n}: k={self.p.k} is below the arity "
@@ -317,20 +316,25 @@ class _Rounds:
             for ck, d in self.edges(self.chosen[key]):
                 req[ck] = min(req[ck], r - d)
 
-    def cone_area(self, refs: list, key: int, step: int) -> float:
+    def cone_area(self, refs: list, key: int, step: int) -> tuple:
         """Reference (step 1) or dereference (step -1) the cone of key's
         choice: its area plus that of every child whose count becomes 1
-        (or 0), recursively.  An explicit stack of (area, children) frames
-        keeps a deep cover off the Python stack; each child's area is added
-        to its parent's when its frame closes, as a recursive walk would."""
+        (or 0), recursively.  Returns the area and the keys whose counts
+        it changed, one entry per change, so that a reference can be
+        undone without a second walk.  An explicit stack of (area,
+        children) frames keeps a deep cover off the Python stack; each
+        child's area is added to its parent's when its frame closes, as a
+        recursive walk would."""
         chosen = self.chosen
         last = 1 if step > 0 else 0
         m = chosen[key]
         stack = [[self.own_area(m), iter(self.children(m))]]
+        touched = []
         while True:
             top = stack[-1]
             for ck in top[1]:
                 refs[ck] += step
+                touched.append(ck)
                 if refs[ck] == last:
                     m = chosen[ck]
                     stack.append([self.own_area(m), iter(self.children(m))])
@@ -338,17 +342,17 @@ class _Rounds:
             else:
                 stack.pop()
                 if not stack:
-                    return top[0]
+                    return top[0], touched
                 stack[-1][0] += top[0]
 
     def exact_round(self, refs: list, delay_pri: bool) -> None:
         """Re-pick each referenced key by the area its choice adds to the
-        cover (reference and dereference its exclusive cone), among the
-        alternatives that meet its required time.  The old choice is
-        compared by value like any other; it meets the required time,
-        since required times follow the cover's edge delays and a child
-        changes only to a choice meeting its own.  A key with no such
-        alternative keeps its old choice."""
+        cover (reference its exclusive cone, then take back the counts
+        that walk raised), among the alternatives that meet its required
+        time.  The old choice is compared by value like any other; it
+        meets the required time, since required times follow the cover's
+        edge delays and a child changes only to a choice meeting its own.
+        A key with no such alternative keeps its old choice."""
         chosen = self.chosen
         for key in self.keys:
             if refs[key] <= 0:
@@ -361,8 +365,9 @@ class _Rounds:
                 if a > self.req[key] + _EPS:
                     continue
                 chosen[key] = m
-                ea = self.cone_area(refs, key, 1)
-                self.cone_area(refs, key, -1)
+                ea, touched = self.cone_area(refs, key, 1)
+                for ck in touched:
+                    refs[ck] -= 1
                 k2 = ((a, ea) if delay_pri else (ea, a)) + (self.tie(m),)
                 if bk is None or k2 < bk:
                     bk, bm = k2, m
@@ -389,12 +394,14 @@ class _LutCover(_Rounds):
         self.flow = [0.0] * size
         self.base_est = self.fouts
         self.est = [f if f > 1.0 else 1.0 for f in self.fouts]
+        self.gate = [net.is_gate(n) for n in range(size)]
 
     def own_area(self, c: tuple) -> int:
         return 1
 
     def children(self, c: tuple) -> list:
-        return [x for x in c[0] if self.net.is_gate(x)]
+        gate = self.gate
+        return [x for x in c[0] if gate[x]]
 
     def edges(self, c: tuple) -> list:
         return [(x, 1.0) for x in c[0]]
@@ -421,37 +428,36 @@ class _LutCover(_Rounds):
 
         def key(leaves, size):
             a = 1.0 + np.maximum.reduce(arr[leaves], axis=1)
-            fl = 1.0 + _column_sum(share[leaves])
+            fl = 1.0 + np.add.reduce(share[leaves], axis=1)
             return (a, fl, size) if delay_pri else (fl, a, size)
 
+        ia, ib = (0, 1) if delay_pri else (1, 0)
+        # per node, the rank of its pick among its stored cuts
+        rank = np.zeros(len(self.net), np.int64) if constrained else 0
         for lv in self.levels(key):
-            a, fl = lv.key[:2] if delay_pri else lv.key[1::-1]
-            nodes, count = lv.nodes, lv.count
-            first = count.cumsum() - count
-            pick = first
+            a, fl = lv.column(ia), lv.column(ib)
+            nodes, pick = lv.nodes, lv.bound[:-1]
             if constrained:
                 # the first cut meeting the required time, else the best
                 n = a.size
                 at = np.where(a <= slack[nodes[lv.owner]], np.arange(n), n)
-                met = np.minimum.reduceat(at, first)
-                pick = np.where(met < n, met, first)
-            arr[nodes], flow[nodes] = a[pick], fl[pick]
-            share[nodes] = fl[pick] / est[nodes]
-            for n, row, z, w in zip(nodes.tolist(), lv.leaves[pick].tolist(),
-                                    lv.size[pick].tolist(),
-                                    lv.tt[pick].tolist()):
-                chosen[n] = (tuple(row[:z]), w)
+                met = np.minimum.reduceat(at, pick)
+                met = np.where(met < n, met, pick)
+                rank[nodes] = met - pick
+                pick = met
+            arr[nodes] = a[pick]
+            flow[nodes] = fl = fl[pick]
+            share[nodes] = fl / est[nodes]
+        # the choices of the whole round, read from its stored lists
+        nodes = self.order
+        start, _, leaves, words = self.engine.stored()
+        at = start[nodes] + (rank[nodes] if constrained else 0)
+        leaves = leaves[at]
+        for n, row, z, w in zip(nodes, leaves.tolist(), np.count_nonzero(
+                leaves >= 0, axis=1).tolist(), words[at].tolist()):
+            chosen[n] = (tuple(row[:z]), w)
         self.arr[:] = arr[:-1].tolist()
         self.flow[:] = flow.tolist()
-
-
-def _column_sum(x: np.ndarray) -> np.ndarray:
-    """Row sums of x added column by column, left to right: the same
-    floats as Python's sum over each row."""
-    out = x[:, 0]
-    for c in range(1, x.shape[1]):
-        out = out + x[:, c]
-    return out
 
 
 def map_lut(cn: ChoiceNetwork, p: MapParams = MapParams()) -> MappedNetlist:
@@ -772,70 +778,73 @@ class _CellCover(_Rounds):
 
         def score(leaves, size):
             a = np.maximum.reduce(best_arr[leaves], axis=1)
-            f = _column_sum(best_flow[leaves])
+            f = np.add.reduce(best_flow[leaves], axis=1)
             return (a, f, size) if delay_pri else (f, a, size)
 
         # the stored lists keep the elementary fanin cut so a host
         # primitive is always matchable; without it a budgeted list can
         # end up with only functions the library cannot realize
+        picked = []
+        width = self.p.k + 2
         for lv in self.levels(score, elem=True):
             nodes = lv.nodes
-            n_lv = nodes.size
             # one row per (stored cut, match), grouped by cut
             tid = cl.templates(lv.tt.tolist(), lv.size.tolist())
             cnt = cl.tpl_count[tid]
             row = np.arange(tid.size).repeat(cnt)
             mi = np.arange(row.size) + (cl.tpl_first[tid] - cnt.cumsum()
-                                        + cnt).repeat(cnt)
+                                        + cnt)[row]
             # pin keys, 2 * node + complement: a cut leaf, the constant
             # node or the padding node
-            node = np.empty((tid.size, lv.leaves.shape[1] + 2), np.int64)
+            node = np.empty((tid.size, width), np.int64)
             node[:, :-2], node[:, -2], node[:, -1] = lv.leaves, 0, pad
             pk = 2 * node[row[:, None], cl.match_pin[mi]] + cl.match_comp[mi]
             a = np.maximum.reduce(arr[pk] + cl.match_delay[mi], axis=1)
-            f = cl.match_area[mi] + _column_sum(share[pk])
-            j = lv.owner[row]
-            key = 2 * nodes[j] + cl.match_phase[mi]
+            f = cl.match_area[mi] + np.add.reduce(share[pk], axis=1)
+            # the level's keys, 2 * node + phase, and each row's local
+            # one, 2 * position + phase
+            keys = 2 * nodes[:, None] + _PHASES
+            lk = 2 * lv.owner[row] + cl.match_phase[mi]
             # per key, the first best match meeting the required time,
             # else the first best
-            cols = (f, a, key) if delay_pri else (a, f, key)
+            cols = (f, a, lk) if delay_pri else (a, f, lk)
             if constrained:
-                cols = cols[:2] + (a > slack[key], key)
+                cols = cols[:2] + (a > slack[keys].ravel()[lk], lk)
             o = np.lexsort(cols)
-            ko = key[o]
+            ko = lk[o]
             head = np.empty(o.shape, bool)
             head[:1] = True
             np.not_equal(ko[1:], ko[:-1], out=head[1:])
-            pick = o[head]
-            # per node and phase: the pick's row, arrival and flow
-            jp = j[pick], ko[head] & 1
-            at = np.full((n_lv, 2), -1)
-            at[jp] = pick
-            has = at >= 0
-            pa, pf = val = np.full((2, n_lv, 2), INF)
-            val[:, jp[0], jp[1]] = a[pick], f[pick]
+            pick, kp = o[head], ko[head]
+            # per node and phase: the pick's row, arrival and flow; INF
+            # for a phase no match realizes
+            at = np.zeros(keys.size, np.int64)
+            at[kp] = pick
+            pa, pf = val = np.full((2, nodes.size, 2), INF)
+            val.reshape(2, -1)[:, kp] = a[pick], f[pick]
             # realize a missing or costlier phase through an inverter
+            # from the other one; from a missing one it arrives at INF
             ia, iff = pa[:, ::-1] + invd, inv.area + pf[:, ::-1]
             if delay_pri:
-                better = (ia < pa) | ((ia == pa) & (iff < pf))
+                use = (ia < pa) | ((ia == pa) & (iff < pf))
             else:
-                better = (iff < pf) | ((iff == pf) & (ia < pa))
-            use = has[:, ::-1] & (~has | better)
-            ok = has[:, 0] | has[:, 1]
-            if np.count_nonzero(ok) < n_lv:
-                raise LibraryError("no cell matches any cut function of "
-                                   f"node {nodes[~ok][0]}")
+                use = (iff < pf) | ((iff == pf) & (ia < pa))
             fa, ff = np.where(use, ia, pa), np.where(use, iff, pf)
-            keys = 2 * nodes[:, None] + _PHASES
+            if np.count_nonzero(ff == INF):
+                raise LibraryError("no cell matches any cut function of "
+                                   f"node {nodes[ff[:, 0] == INF][0]}")
             arr[keys], flow[keys] = fa, ff
             share[keys] = ff / est[keys]
-            best_arr[nodes] = np.minimum(fa[:, 0], fa[:, 1])
-            best_flow[nodes] = np.minimum(ff[:, 0], ff[:, 1])
-            # match objects for the picks only
-            at = at.ravel()
+            best_arr[nodes] = np.minimum.reduce(fa, axis=1)
+            best_flow[nodes] = np.minimum.reduce(ff, axis=1)
+            picked.append((keys, use, mi[at], pk[at]))
+        # match objects for the picks of the whole round, made once its
+        # levels are picked
+        if picked:
+            keys, use, mi, pk = (np.concatenate(c) for c in zip(*picked))
             for key, inv_, m, pins in zip(
-                    keys.ravel().tolist(), use.ravel().tolist(),
-                    mi[at].tolist(), pk[at].tolist()):
+                    keys.ravel().tolist(), use.ravel().tolist(), mi.tolist(),
+                    pk.tolist()):
                 if inv_:
                     chosen[key] = _CMatch("inv", inv, (key ^ 1,))
                 else:

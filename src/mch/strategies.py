@@ -406,6 +406,9 @@ def load_db(path) -> StrategyLibrary:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad class field "
                                  f"{parts[0]!r}") from None
+            if parts[1] not in nw.ALLOWED_KINDS:
+                raise ValueError(f"{path}:{lineno}: unknown representation "
+                                 f"{parts[1]!r}")
             entries.append((rep, parts[1], f"{path}:{lineno}", *parts[2:]))
     lib = StrategyLibrary(dict.fromkeys(e[1] for e in entries))
     for rep, tag, *line in entries:

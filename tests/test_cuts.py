@@ -192,6 +192,26 @@ def test_word_expansion_matches_reference_for_every_position_mask():
                     (pos, v)
 
 
+def test_word_expansion_at_k_leaves_reads_only_the_first_minterms():
+    # below six leaves a padded word repeats its first 2 ** k minterms, so
+    # the expansion reads only the bytes that hold them and repeats the
+    # result: the same words as the full expansion
+    import numpy as np
+
+    from mch.cuts import _widen
+    from mch.tt import TruthTable
+
+    rng = random.Random(11)
+    for k in range(2, 7):
+        for pos in range(1 << k):
+            tts = np.array([TruthTable.create(rng.getrandbits(64),
+                                              rng.randint(0, k)).bits
+                            for _ in range(8)], np.uint64)
+            at = np.full(len(tts), pos)
+            assert _widen(tts, at, k).tolist() == _widen(tts, at).tolist(), \
+                (k, pos)
+
+
 class _RefPools:
     """Cut pools as the engine built them before leaf sets were masks:
     the product merge of the fanin cut sets over sorted tuples, member cuts

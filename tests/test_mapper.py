@@ -709,3 +709,90 @@ def test_a_repeated_area_flow_round_is_skipped_without_changing_a_netlist(
     assert every == {"lut": 3 * 2 * len(chs) * 2, "cell": 3 * len(chs) * 2}
     assert skipping["lut"] < every["lut"] and \
         skipping["cell"] < every["cell"], (skipping, every)
+
+
+def _two_walk_cone_area(m, refs, key, step):
+    """The exact round's cone walk before it learned to undo a reference
+    from its own log: a recursive reference or dereference."""
+    last = 1 if step > 0 else 0
+    c = m.chosen[key]
+    area = m.own_area(c)
+    for ck in m.children(c):
+        refs[ck] += step
+        if refs[ck] == last:
+            area += _two_walk_cone_area(m, refs, ck, step)
+    return area
+
+
+def _two_walk_exact_round(m, refs, delay_pri):
+    """Reference exact-area round: every candidate's reference walk is
+    taken back by a second, dereferencing walk."""
+    from mch.mapper import _EPS
+
+    chosen = m.chosen
+    for key in m.keys:
+        if refs[key] <= 0:
+            continue
+        old = chosen[key]
+        _two_walk_cone_area(m, refs, key, -1)
+        bk = bm = None
+        for c in m.cands(key):
+            a = m.arrival(c)
+            if a > m.req[key] + _EPS:
+                continue
+            chosen[key] = c
+            ea = _two_walk_cone_area(m, refs, key, 1)
+            _two_walk_cone_area(m, refs, key, -1)
+            k2 = ((a, ea) if delay_pri else (ea, a)) + (m.tie(c),)
+            if bk is None or k2 < bk:
+                bk, bm = k2, c
+        chosen[key] = old if bm is None else bm
+        _two_walk_cone_area(m, refs, key, 1)
+        m.arr[key] = m.arrival(chosen[key])
+
+
+@pytest.mark.parametrize("target", ["lut", CELL])
+def test_exact_round_undoing_its_reference_walk_matches_two_walks(target,
+                                                                  cl):
+    """Undoing a candidate's reference walk from the keys it touched
+    leaves the same counts, and so the same picks, as dereferencing the
+    cone again."""
+    from mch.mapper import _CellCover, _LutCover
+
+    compared = [0]
+
+    class Checked(_CellCover if target == CELL else _LutCover):
+        def exact_round(self, refs, delay_pri):
+            chosen, arr, refs0 = self.chosen[:], self.arr[:], refs[:]
+            super().exact_round(refs, delay_pri)
+            got = (self.chosen[:], self.arr[:], refs[:])
+            self.chosen[:], self.arr[:] = chosen, arr
+            _two_walk_exact_round(self, refs0, delay_pri)
+            assert got == (self.chosen, self.arr, refs0)
+            compared[0] += 1
+
+    rng = random.Random(31)
+    for i in range(4):
+        net = random_network(rng.randint(5, 8), rng.randint(30, 50),
+                             rng.randint(0, 10**9), n_pos=3)
+        cn = build_mch(net, default_library(), MchParams(r=0.8),
+                       mix_target=(nw.XMG, nw.XAG)[i % 2])
+        for mode in (DELAY, AREA, BALANCED):
+            p = MapParams(k=(3, 4)[i % 2], mode=mode, rounds=3,
+                          target=target)
+            (Checked(cn, cl, p) if target == CELL else Checked(cn, p)).run()
+    assert compared[0] == 4 * 3
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_row_sums_add_each_row_left_to_right(width):
+    """np.add.reduce over rows of fewer than 8 floats adds them left to
+    right, the same floats as Python's sum per row.  Both cost models sum
+    at most 6 columns (k <= 6 leaves, at most 6 cell pins); from 8 columns
+    on numpy switches to pairwise sums, which this does not hold for."""
+    import numpy as np
+
+    rng = np.random.default_rng(width)
+    x = rng.random((5000, width)) * 10.0 ** rng.integers(-6, 7, (5000, width))
+    got = np.add.reduce(x, axis=1).tolist()
+    assert got == [sum(row) for row in x.tolist()]

@@ -196,6 +196,16 @@ def test_a_bad_db_class_field_fails_on_load_naming_its_line(tmp_path):
         load_db(path)
 
 
+def test_an_unknown_db_tag_fails_on_load_naming_its_line(tmp_path):
+    path = tmp_path / "bad.db"
+    path.write_text("npn4-db v1\n"
+                    "0x0001 aig 2 3 and2(!t3,!t2),and2(!t1,!t0),and2(g0,g1)\n"
+                    "0x0001 foo 2 3 and2(!t3,!t2),and2(!t1,!t0),and2(g0,g1)\n")
+    with pytest.raises(ValueError,
+                       match="bad.db:3: unknown representation 'foo'"):
+        load_db(path)
+
+
 def _structure(cand):
     net = candidate_network(cand)
     return (tuple((net.kind(n), net.fanins(n)) for n in range(len(net))),

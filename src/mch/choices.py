@@ -17,9 +17,10 @@ cut or MFFC it was built from, or that table's complement; the member's
 cone stops at those leaves, so this is exact at any PI count.  The table
 is read in the same pass that installs the member: the arena nodes its
 walk reached (`LogicNetwork.images`) are evaluated from their stored
-kinds and fanins (`tt.evaluate`, which `cut_truth` also uses), so the
-proof checks the arena, not the walk's intended gates.  External choices
-are kept only when `cec` proves the two networks `equivalent`.
+kinds and fanins (`LogicNetwork.evaluate`, which `cut_truth` also
+uses), so the proof checks the arena, not the walk's intended gates.
+External choices are kept only when `cec` proves the two networks
+`equivalent`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .cuts import Cut, enumerate_cuts
 from .strategies import (Candidate, StrategyLibrary,
                          area_oriented_candidates,
                          level_oriented_candidates)
-from .tt import FULL, MAX_VARS, VAR_MASKS, TruthTable, cut_truth, evaluate
+from .tt import FULL, MAX_VARS, VAR_MASKS, TruthTable, cut_truth
 from .verify import EQUIVALENT, cec, compare
 
 
@@ -206,17 +207,17 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec]) -> None:
     The table is read from the arena nodes the walk reached: its step
     images, in step order, are topological, and the member's cone above
     the leaves is made of them, the leaves and the constant, so
-    `evaluate` over them from their stored kinds and fanins gives
-    `cut_truth(net, member, leaves)` without walking the cone again."""
+    `LogicNetwork.evaluate` over them from their stored kinds and fanins
+    gives `cut_truth(net, member, leaves)` without walking the cone
+    again."""
     net = cn.base
-    nodes = net._nodes
     stats = cn.stats
     count: dict[int, int] = {}  # members installed per node
     for node, leaves, tt, cand in specs:
         if count.get(node, 0) >= MAX_MEMBERS:
             continue
         stats.generated += 1
-        before = len(nodes)
+        before = len(net)
         walk = cand.walk
         vals = net.images(walk, [(leaves[j], False) for j in cand.support])
         member = vals[walk.outputs[0][0]][0]
@@ -225,8 +226,8 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec]) -> None:
             continue
         memo = dict(zip(leaves, VAR_MASKS))
         memo[0] = 0
-        evaluate(nodes, [n for n, _ in vals[walk.inputs + 1:]], memo)
-        got = memo[member]
+        got = net.evaluate([n for n, _ in vals[walk.inputs + 1:]], memo,
+                           FULL)[member]
         if got != tt.bits and got != tt.bits ^ FULL:
             stats.failed += 1
             continue

@@ -27,8 +27,8 @@ def random_network(n_pis: int, n_gates: int, seed: int,
         s = net.add(kind, ins)
         if len(net) > before:
             sigs.append(s)
-    refs = net.fanout_counts()
-    dangling = [n for n in net.gates() if refs[n] == 0]
+    outs = net.fanouts()
+    dangling = [n for n in net.gates() if not outs[n]]
     if not dangling:
         dangling = [max(net.gates(), default=0)]
     if n_pos is not None:

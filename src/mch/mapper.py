@@ -3,30 +3,31 @@
 The mapper covers a choice network with K-input LUTs or library cells.
 Cut pools, member-cut pooling with the phase folded into the table, and
 truth-table composition all belong to `cuts.CutEngine`, which builds the
-pools of a whole dependency level at once on numpy arrays and stores each
-cut with the table its round derived, as a 64-bit word, so a
+pools of a whole dependency level at once on numpy arrays and stores
+each cut with the table its round derived, as a 64-bit word, so a
 representative sees its own cuts plus every class member's cuts and the
 dynamic program picks whichever structure maps cheapest.  This module
 holds one round driver (`_Rounds`): a delay round establishes optimal
 arrivals, then area-flow and exact-area rounds recover area under
 required times, each kept only if the cover does not get worse.  LUT and
-cell mapping are two cost models over it (`_LutCover`, `_CellCover`).  Each hands the engine a vectorized
-sort key over per-node values kept current level by level (LUTs: arrival
-and area flow per fanout estimate; cells: the better phase's arrival and
-area flow), and the engine stores each node's best `l` cuts.  Both then
-pick a whole level at once.  The cover's area, its required times and
-both netlist extractions walk the chosen cover one way (`_Rounds.walk`);
-the exact-area round compares a key's old choice with its alternatives
-by value.  A LUT pick is a stored cut with its table word, so a cover
-carries its own tables, also one restored from an earlier round.  The
-cell mapper looks up each stored cut's word in the library's match
-templates (one per function: each match's phase, cell and pin-to-leaf
-binding), scores every (cut, match) row of the level on arrays, and
-picks per node phase the first best match meeting the required time,
-with an inverter where the other phase is cheaper; it keeps a host
-gate's elementary fanin cut stored so that the gate is always matchable.
-Match objects are made only for the picks and for the alternatives the
-exact-area round reads.  A round stops at the first level part that
+cell mapping are two cost models over it (`_LutCover`, `_CellCover`).
+Each hands the engine a vectorized sort key over per-node values kept
+current level by level (LUTs: arrival and area flow per fanout estimate;
+cells: the better phase's arrival and area flow), and the engine stores
+each node's best `l` cuts.  Both then pick a whole level at once.  The
+cover's area, its required times and both netlist extractions walk the
+chosen cover one way (`_Rounds.walk`); the exact-area round compares a
+key's old choice with its alternatives by value.  A LUT pick is a stored
+cut with its table word, so a cover carries its own tables, also one
+restored from an earlier round.  The cell mapper looks up each stored
+cut's word in the library's match templates (`CellLibrary.templates`:
+one per function, its matches stored once, as rows of `match_rows`),
+scores every (cut, match) row of the level on arrays, and picks per node
+phase the first best match meeting the required time, with an inverter
+where the other phase is cheaper; it keeps a host gate's elementary
+fanin cut stored so that the gate is always matchable.  Match objects
+are made from `match_rows` only for the picks and for the alternatives
+the exact-area round reads.  A round stops at the first level part that
 holds a node it cannot cover and names the first such node there: one
 whose pool is empty, else (cells) one whose stored cuts match no cell.
 """
@@ -137,6 +138,17 @@ def cover_check(m: MappedNetlist, src) -> Verdict:
 
 
 # -- round driver ------------------------------------------------------
+
+
+def _check_run(p: MapParams) -> None:
+    """What both mappers require of l, rounds and mode, checked before
+    any work."""
+    if p.l < 1:
+        raise MapError(f"cuts kept per node must be >= 1, got l={p.l}")
+    if p.rounds < 1:
+        raise MapError(f"rounds must be >= 1, got {p.rounds}")
+    if p.mode not in (DELAY, AREA, BALANCED):
+        raise MapError(f"unknown mapping mode {p.mode!r}")
 
 
 def _dep_order(cn: ChoiceNetwork):
@@ -465,6 +477,7 @@ def map_lut(cn: ChoiceNetwork, p: MapParams = MapParams()) -> MappedNetlist:
         raise MapError("map_lut needs target=lut")
     if not 2 <= p.k <= 6:
         raise MapError("LUT size must be in [2, 6]")
+    _check_run(p)
     m = _LutCover(cn, p)
     _, delay = m.run()
     net, chosen = m.net, m.chosen
@@ -505,7 +518,9 @@ class CellLibrary:
     Text format, one cell per line:
         cell <name> <area> <hex-tt> <num-inputs> <pin-delay>...
     Comment lines start with '#'.  An inverter and both constants are
-    mandatory; cells above six inputs are rejected.
+    mandatory.  A line fails with its number when a cell has more than
+    six inputs, a table wider than its inputs, or an area or pin delay
+    that is negative or not finite.
     """
 
     def __init__(self, cells: list):
@@ -519,7 +534,7 @@ class CellLibrary:
         # match templates of cut functions, see templates()
         self._pins = max([len(c.pin_delays) for c in self.cells] + [1])
         self._tpl: dict = {}
-        self.tpl_matches: list = []
+        self.match_rows: list = []
         self.tpl_first = np.zeros(0, np.int64)
         self.tpl_count = np.zeros(0, np.int64)
         self.match_phase = np.zeros(0, np.int64)
@@ -527,7 +542,6 @@ class CellLibrary:
         self.match_pin = np.zeros((0, self._pins), np.int64)
         self.match_comp = np.zeros((0, self._pins), np.int64)
         self.match_delay = np.zeros((0, self._pins))
-        self.match_info: list = []
         var0 = TruthTable.var(0, 1)
         for cell in self.cells:
             v = cell.tt.var_count
@@ -568,16 +582,29 @@ class CellLibrary:
             name = parts[1]
             try:
                 area = float(parts[2])
+                bits = int(parts[3], 16)
                 v = int(parts[4])
-                tt = TruthTable.from_hex(parts[3], v)
                 delays = tuple(float(x) for x in parts[5:])
             except ValueError as e:
                 raise LibraryError(f"line {ln}: {e}") from None
-            if v > 6:
-                raise LibraryError(f"line {ln}: {name} has {v} inputs (max 6)")
+            if not 0 <= v <= 6:
+                raise LibraryError(f"line {ln}: {name} has {v} inputs "
+                                   f"(0 to 6)")
+            if not 0 <= bits < 1 << (1 << v):
+                raise LibraryError(f"line {ln}: {name}'s table {parts[3]} "
+                                   f"does not fit {v} inputs")
             if len(delays) != v:
                 raise LibraryError(f"line {ln}: {name} needs {v} pin delays")
-            cells.append(Cell(name, area, tt, delays))
+            # each of these fails for a negative number, nan and inf
+            if not 0.0 <= area < INF:
+                raise LibraryError(f"line {ln}: {name} has area {area} "
+                                   f"(need a finite number >= 0)")
+            for d in delays:
+                if not 0.0 <= d < INF:
+                    raise LibraryError(f"line {ln}: {name} has pin delay {d} "
+                                       f"(need a finite number >= 0)")
+            cells.append(Cell(name, area, TruthTable.create(bits, v),
+                              delays))
         return CellLibrary(cells)
 
     @staticmethod
@@ -608,16 +635,6 @@ class CellLibrary:
                 out.append((cell, t, not t.out_neg))
         return out
 
-    def template(self, bits: int, v: int) -> int:
-        """Id of the match template of the function with table word bits
-        over v cut leaves.  tpl_matches[id] lists its matches as
-        (phase, kind, cell, pins) tuples, each phase's in the order a
-        node's match list takes them; a pin is (i, complement): cut leaf
-        i drives it, or the constant node for i = _PIN_CONST.  Phase 0
-        realizes the function, 1 its complement."""
-        t = self._tpl.get((bits, v))
-        return int(self.templates([bits], [v])[0]) if t is None else t
-
     def _matches_of(self, tt: TruthTable) -> list:
         tt_s, sup = tt.shrink_to_support()
         v = len(sup)
@@ -637,41 +654,42 @@ class CellLibrary:
     def templates(self, words: list, sizes: list) -> np.ndarray:
         """Template ids of cut functions (table words over sizes leaves).
         Template t's matches are rows tpl_first[t] .. tpl_first[t] +
-        tpl_count[t] - 1 of the match_* arrays: phase, cell area, and per
-        pin (padded with _PIN_PAD) the cut leaf, complement and delay;
-        match_info holds each row's kind, cell and pin count.  A function
-        met for the first time gets its template and rows here."""
+        tpl_count[t] - 1 of match_rows, (phase, kind, cell, pins) each,
+        each phase's in the order a node's match list takes them; pin
+        (i, complement) reads cut leaf i, or the constant node for i =
+        _PIN_CONST.  Phase 1 realizes the complement.  The match_* arrays
+        hold the rows' phase, cell area, and per pin (padded with
+        _PIN_PAD) leaf, complement and delay.  A function met for the
+        first time gets its template and rows here."""
         tpl = self._tpl
-        get = tpl.get
-        ids = [get(key) for key in zip(words, sizes)]
+        ids = list(map(tpl.get, zip(words, sizes)))
         if None in ids:
+            new, nxt = [], len(tpl)
             for key in zip(words, sizes):
                 if key not in tpl:
-                    tpl[key] = len(self.tpl_matches)
-                    self.tpl_matches.append(self._matches_of(
-                        TruthTable(*key)))
+                    tpl[key] = nxt
+                    nxt += 1
+                    new.append(self._matches_of(TruthTable(*key)))
             ids = [tpl[key] for key in zip(words, sizes)]
-            self._fill()
+            self._fill(new)
         return np.array(ids, np.int64)
 
-    def _fill(self) -> None:
-        """Append the match rows of the templates that have none yet."""
-        new = self.tpl_matches[len(self.tpl_count):]
+    def _fill(self, new: list) -> None:
+        """Append the match rows of new templates, one match list each."""
         count = np.array([len(ms) for ms in new], np.int64)
         rows = [m for ms in new for m in ms]
         pin = np.full((len(rows), self._pins), _PIN_PAD, np.int64)
         comp = np.zeros((len(rows), self._pins), np.int64)
         delay = np.zeros((len(rows), self._pins))
-        self.match_info += [(kind, cell, len(pins))
-                            for _, kind, cell, pins in rows]
         for r, (_, _, cell, pins) in enumerate(rows):
             pin[r, :len(pins)] = [x for x, _ in pins]
             comp[r, :len(pins)] = [c for _, c in pins]
             if cell is not None:
                 delay[r, :len(pins)] = cell.pin_delays
         self.tpl_first = np.concatenate((
-            self.tpl_first, len(self.match_area) + count.cumsum() - count))
+            self.tpl_first, len(self.match_rows) + count.cumsum() - count))
         self.tpl_count = np.concatenate((self.tpl_count, count))
+        self.match_rows += rows
         self.match_phase = np.concatenate((self.match_phase, np.array(
             [ph for ph, _, _, _ in rows], np.int64)))
         self.match_area = np.concatenate((self.match_area, np.array(
@@ -746,13 +764,16 @@ class _CellCover(_Rounds):
         last round read them, then an inverter from the other phase; never
         an inverter when the other phase already is one."""
         n, phase = key >> 1, key & 1
+        cl, eng = self.cl, self.engine
+        cuts = eng.cuts(n)[:-1]
+        tid = cl.templates(eng.words(n)[:-1], [len(c) for c in cuts])
         out = []
-        eng = self.engine
-        for leaves, word in zip(eng.cuts(n)[:-1], eng.words(n)[:-1]):
-            ms = self.cl.tpl_matches[self.cl.template(word, len(leaves))]
+        for leaves, lo, cnt in zip(cuts, cl.tpl_first[tid].tolist(),
+                                   cl.tpl_count[tid].tolist()):
             out += [_CMatch(kind, cell, tuple(
                 2 * (leaves[x] if x >= 0 else 0) + c for x, c in pins))
-                for ph, kind, cell, pins in ms if ph == phase]
+                for ph, kind, cell, pins in cl.match_rows[lo:lo + cnt]
+                if ph == phase]
         other = self.chosen[key ^ 1]
         if other is None or other.kind != "inv":
             out.append(_CMatch("inv", self.cl.inv, (key ^ 1,)))
@@ -842,14 +863,15 @@ class _CellCover(_Rounds):
         # levels are picked
         if picked:
             keys, use, mi, pk = (np.concatenate(c) for c in zip(*picked))
+            rows = cl.match_rows
             for key, inv_, m, pins in zip(
                     keys.ravel().tolist(), use.ravel().tolist(), mi.tolist(),
                     pk.tolist()):
                 if inv_:
                     chosen[key] = _CMatch("inv", inv, (key ^ 1,))
                 else:
-                    kind, cell, npins = cl.match_info[m]
-                    chosen[key] = _CMatch(kind, cell, tuple(pins[:npins]))
+                    _, kind, cell, own = rows[m]
+                    chosen[key] = _CMatch(kind, cell, tuple(pins[:len(own)]))
         self.arr[:] = arr[:-1].tolist()
         self.flow[:] = flow.tolist()
 
@@ -860,6 +882,7 @@ def map_cells(cn: ChoiceNetwork, cl: CellLibrary,
         raise MapError("map_cells needs target=cell")
     if not 2 <= p.k <= 6:
         raise MapError("cut size must be in [2, 6]")
+    _check_run(p)
     m = _CellCover(cn, cl, p)
     _, delay = m.run()
     n_pis = len(m.net.pis)

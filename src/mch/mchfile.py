@@ -2,7 +2,9 @@
 
 Node ids are implicit: 0 is the constant, 1..P are the PIs in order, and
 each `gate` line defines the next id.  Literals are 2*node+neg, as in
-AIGER.  A file with no `class` lines is a plain network.  `read_mch`
+AIGER.  A file with no `class` lines is a plain network.  A class line
+whose member is its representative, is already in a class or is a
+representative is an error (`write_mch` writes none).  `read_mch`
 runs `ChoiceNetwork.check_invariants` on what it loads, so a member that
 does not compute its representative's function fails with its `class`
 line.  That check simulates `verify.input_runs`: every input pattern up
@@ -28,7 +30,7 @@ def write_mch(cn: ChoiceNetwork, path) -> None:
     for i, n in enumerate(net.pis):
         lit[n] = 2 * i + 2
     nxt = 2 * len(net.pis) + 2
-    for g, (kind, fanins) in enumerate(net._nodes):
+    for g, (kind, fanins) in enumerate(net.nodes()):
         if not fanins:  # the constant or a PI
             continue
         lit[g] = nxt
@@ -129,11 +131,18 @@ def read_mch(path) -> ChoiceNetwork:
                 raise MchFileError(f"line {ln}: malformed class member "
                                    f"{item!r}")
             m = node(num(parts, 0, ln, "class member"), ln)
+            # add_choice would refuse these without an error
+            if m == r or cn.in_class(m):
+                why = ("is its representative" if m == r
+                       else "is already in a class" if m in cn.repr_of
+                       else "is a representative")
+                raise MchFileError(f"line {ln}: class member {parts[0]} "
+                                   f"{why}")
             try:
-                if cn.add_choice(r, m, parts[1] == "1"):
-                    line_of[m] = ln
+                cn.add_choice(r, m, parts[1] == "1")
             except ChoiceError as e:
                 raise MchFileError(f"line {ln}: {e}") from None
+            line_of[m] = ln
     try:
         cn.check_invariants()
     except ChoiceError as e:

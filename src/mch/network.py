@@ -12,13 +12,14 @@ made once: construction, embedding, `compact`, template placement;
 `insert` compiles and runs in one call).  `run` reads its outputs from
 the image of every step (`images`), which choice install also reads.
 Signals are made only at that API edge and for the fanins of stored
-nodes.
+nodes.  One gate evaluator, `evaluate`, serves simulation and truth
+tables, and no other module reads the node records (`_nodes`, `_strash`).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 CONST0 = "const0"
 PI = "pi"
@@ -99,6 +100,10 @@ class LogicNetwork:
 
     def is_const(self, n: int) -> bool:
         return self._nodes[n].kind == CONST0
+
+    def nodes(self) -> Iterator[tuple]:
+        """The (kind, fanins) pair of every node, in id order."""
+        return iter(self._nodes)
 
     def gates(self) -> Iterable[int]:
         for n in range(len(self._nodes)):
@@ -231,15 +236,6 @@ class LogicNetwork:
                 lv[n] = 1 + max(lv[f.node] for f in node.fanins)
         net_level = max((lv[s.node] for s in self.outputs), default=0)
         return LevelMap(lv, net_level)
-
-    def fanout_counts(self) -> list[int]:
-        refs = [0] * len(self._nodes)
-        for n in range(len(self._nodes)):
-            for f in self._nodes[n].fanins:
-                refs[f.node] += 1
-        for s in self.outputs:
-            refs[s.node] += 1
-        return refs
 
     def tfi(self, roots: Iterable[int], gates_only: bool = False) -> set[int]:
         """All nodes reachable through fanins from `roots` (roots included)."""
@@ -428,24 +424,35 @@ class LogicNetwork:
 
     # -- simulation -------------------------------------------------------
 
-    def simulate(self, pi_values: dict[int, int], width: int) -> list[int]:
-        """Bit-parallel simulation; pi_values maps PI node -> packed word."""
-        mask = (1 << width) - 1
-        val = [0] * len(self._nodes)
-        for n in self.pis:
-            val[n] = pi_values.get(n, 0) & mask
-        for n in range(len(self._nodes)):
-            node = self._nodes[n]
-            if node.kind in (CONST0, PI):
+    def evaluate(self, order: Iterable[int], memo: dict, ones: int) -> dict:
+        """Write into memo (node -> word, seeded with node 0 and the
+        inputs) the word of each node of `order`, a topological order,
+        from its kind and its fanins' words; a node already in memo keeps
+        its word.  A complemented fanin is XORed with `ones`, the
+        all-ones word.  Returns memo."""
+        nodes = self._nodes
+        flip = (0, ones)
+        for n in order:
+            if n in memo:
                 continue
-            ins = [val[f.node] ^ (mask if f.neg else 0) for f in node.fanins]
-            if node.kind == AND2:
-                val[n] = ins[0] & ins[1]
-            elif node.kind == XOR2:
-                val[n] = ins[0] ^ ins[1]
-            else:
-                val[n] = (ins[0] & ins[1]) | (ins[0] & ins[2]) | (ins[1] & ins[2])
-        return val
+            kind, fs = nodes[n]
+            if kind == MAJ3:
+                a, b, c = [memo[m] ^ flip[neg] for m, neg in fs]
+                memo[n] = (a & b) | (a & c) | (b & c)
+                continue
+            (p, x), (q, y) = fs
+            a, b = memo[p] ^ flip[x], memo[q] ^ flip[y]
+            memo[n] = a & b if kind == AND2 else a ^ b
+        return memo
+
+    def simulate(self, pi_values: dict[int, int], width: int) -> dict:
+        """Bit-parallel simulation; pi_values maps PI node -> packed word
+        (0 when missing).  Returns the evaluator's memo: every node's word
+        by id."""
+        mask = (1 << width) - 1
+        memo = {n: pi_values.get(n, 0) & mask for n in self.pis}
+        memo[0] = 0
+        return self.evaluate(range(len(self._nodes)), memo, mask)
 
     def output_values(self, pi_values: dict[int, int], width: int) -> list[int]:
         mask = (1 << width) - 1

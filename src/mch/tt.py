@@ -2,6 +2,8 @@
 
 For v < 6 variables the 2^v-bit pattern is replicated through the upper
 bits, so equality and bitwise operators work uniformly at any var count.
+`cut_truth` reads a cut's function through the network's one gate
+evaluator, `LogicNetwork.evaluate`.
 """
 
 from __future__ import annotations
@@ -298,32 +300,11 @@ class InvalidCut(Exception):
     pass
 
 
-_FLIP = (0, FULL)  # word to xor in, by complement flag
-
-
-def evaluate(nodes, order, memo: dict) -> None:
-    """Evaluate the gates of `order`, a topological order, into `memo`
-    (node -> padded word, seeded with the leaves' VAR_MASKS and node 0),
-    each from its stored kind and fanins, `nodes[n]`; a node already in
-    memo keeps its word."""
-    for n in order:
-        if n in memo:
-            continue
-        kind, fs = nodes[n]
-        ins = [memo[m] ^ _FLIP[neg] for m, neg in fs]
-        if kind == "and2":
-            memo[n] = ins[0] & ins[1]
-        elif kind == "xor2":
-            memo[n] = ins[0] ^ ins[1]
-        else:
-            a, b, c = ins
-            memo[n] = (a & b) | (a & c) | (b & c)
-
-
 def cut_truth(net, root: int, leaves: list[int]) -> TruthTable:
     """Truth table of `root` as a function of `leaves` (sorted order).
 
-    Collects the cone above the leaves, then hands it to `evaluate` in
+    Collects the cone above the leaves through `net.fanins`, then hands
+    it to the network's gate evaluator (`LogicNetwork.evaluate`) in
     ascending id order, which is topological (a gate is added after its
     fanins); one TruthTable is built at the end."""
     v = len(leaves)
@@ -331,16 +312,15 @@ def cut_truth(net, root: int, leaves: list[int]) -> TruthTable:
         raise InvalidCut(f"cut has {v} leaves (max {MAX_VARS})")
     memo = dict(zip(leaves, VAR_MASKS))
     memo[0] = 0
-    nodes = net._nodes
+    fanins = net.fanins
     cone = set()  # gates between root and leaves
     stack = [root]
     while stack:
         n = stack.pop()
         if n not in memo and n not in cone:
-            fs = nodes[n].fanins
+            fs = fanins(n)
             if not fs:
                 raise InvalidCut(f"leaf set does not cut off node {n}")
             cone.add(n)
             stack += [f.node for f in fs]
-    evaluate(nodes, sorted(cone), memo)
-    return TruthTable(memo[root], v)
+    return TruthTable(net.evaluate(sorted(cone), memo, FULL)[root], v)

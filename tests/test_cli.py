@@ -98,6 +98,13 @@ def test_missing_file_is_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, l", [("map-lut", "0"), ("map-cell", "-1")])
+def test_a_cut_limit_below_one_is_an_error_line(p8, capsys, cmd, l):
+    assert cli_run([cmd, "-l", l, p8]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cuts kept per node must be >= 1, got l={l}\n"
+
+
 def test_mch_help_names_K_as_the_mffc_leaf_bound(capsys):
     assert cli_run(["mch", "--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())

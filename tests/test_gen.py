@@ -24,7 +24,7 @@ def _reference_random_network(n_pis, n_gates, seed, tag=nw.AIG, n_pos=None):
         s = net.add(kind, ins)
         if len(net) > before:
             sigs.append(s)
-    refs = net.fanout_counts()
+    refs = [len(o) for o in net.fanouts()]
     dangling = [n for n in net.gates() if refs[n] == 0]
     if not dangling:
         dangling = [max(net.gates(), default=0)]

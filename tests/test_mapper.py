@@ -124,6 +124,35 @@ def test_library_requires_inverter():
         CellLibrary.loads(text)
 
 
+_LIB_BASE = "cell inv 1.0 1 1 1.0\ncell zero 0.0 0 0\ncell one 0.0 1 0\n"
+
+
+@pytest.mark.parametrize("line, what", [
+    ("cell bad 3.0 0x18 2 1.8 1.8", "bad's table 0x18 does not fit 2 inputs"),
+    ("cell bad 3.0 -0x8 2 1.8 1.8", "bad's table -0x8 does not fit 2 inputs"),
+    ("cell bad 3.0 0x8 7 1 1 1 1 1 1 1", "bad has 7 inputs (0 to 6)"),
+    ("cell bad -3.0 0x8 2 1.8 1.8",
+     "bad has area -3.0 (need a finite number >= 0)"),
+    ("cell bad nan 0x8 2 1.8 1.8",
+     "bad has area nan (need a finite number >= 0)"),
+    ("cell bad inf 0x8 2 1.8 1.8",
+     "bad has area inf (need a finite number >= 0)"),
+    ("cell bad 3.0 0x8 2 1.8 -1",
+     "bad has pin delay -1.0 (need a finite number >= 0)"),
+    ("cell bad 3.0 0x8 2 nan 1.8",
+     "bad has pin delay nan (need a finite number >= 0)"),
+    ("cell bad 3.0 0x8 2 1.8 inf",
+     "bad has pin delay inf (need a finite number >= 0)"),
+], ids=["wide-table", "negative-table", "seven-inputs", "area-negative",
+        "area-nan", "area-inf", "delay-negative", "delay-nan", "delay-inf"])
+def test_library_rejects_a_malformed_number_with_its_line(line, what):
+    # constant cells of area 0.0 load, as in the bundled library
+    CellLibrary.loads(_LIB_BASE + "cell and2 3.0 0x8 2 1.8 1.8\n")
+    with pytest.raises(LibraryError) as exc:
+        CellLibrary.loads(_LIB_BASE + line + "\n")
+    assert str(exc.value) == f"line 4: {what}"
+
+
 def test_a_library_without_gate_cells_names_the_first_unmatched_node():
     # no cut of the first AND has a match, nor has any level above it
     cl = CellLibrary.loads("cell inv 1.0 1 1 1.0\n"
@@ -317,6 +346,30 @@ def test_k_below_maj3_arity_names_the_node(target, cl):
 
 
 @pytest.mark.parametrize("target", ["lut", CELL])
+@pytest.mark.parametrize("field, value, message", [
+    ("l", 0, r"cuts kept per node must be >= 1, got l=0"),
+    ("l", -1, r"cuts kept per node must be >= 1, got l=-1"),
+    ("rounds", 0, r"rounds must be >= 1, got 0"),
+    ("rounds", -2, r"rounds must be >= 1, got -2"),
+    ("mode", "fast", r"unknown mapping mode 'fast'"),
+])
+def test_a_parameter_no_round_can_run_with_is_refused_before_any_work(
+        monkeypatch, target, field, value, message, cl):
+    from mch import mapper
+
+    def no_work(*args):
+        raise AssertionError("the mapper started work")
+
+    monkeypatch.setattr(mapper, "_dep_order", no_work)
+    cn = wrap(parity8())
+    with pytest.raises(MapError, match=f"^{message}$"):
+        if target == CELL:
+            map_cells(cn, cl, MapParams(k=4, target=CELL, **{field: value}))
+        else:
+            map_lut(cn, MapParams(k=4, **{field: value}))
+
+
+@pytest.mark.parametrize("target", ["lut", CELL])
 def test_a_round_stops_at_the_first_level_it_cannot_cover(target, cl):
     # y sits on level 1, x on level 3 but earlier in dependency order;
     # neither MAJ3 has a cut at k=2
@@ -336,26 +389,27 @@ def test_a_round_stops_at_the_first_level_it_cannot_cover(target, cl):
 
 def test_every_match_template_id_reads_its_own_rows():
     """Templates made one at a time and a level at a time share one id
-    space; each id's rows of the match arrays are its own matches."""
+    space; each id's rows of match_rows and of the match arrays are its
+    own matches."""
     from mch.tt import TruthTable
 
     fresh = default_cell_library()
     v0, v1 = TruthTable.var(0, 2), TruthTable.var(1, 2)
     and2, xor2, or2 = (v0 & v1).bits, (v0 ^ v1).bits, (v0 | v1).bits
-    ids = [fresh.template(and2, 2),
+    ids = [int(fresh.templates([and2], [2])[0]),
            int(fresh.templates([xor2], [2])[0]),
-           fresh.template(or2, 2),
+           int(fresh.templates([or2], [2])[0]),
            int(fresh.templates([or2, and2], [2, 2])[0])]
     assert ids == [0, 1, 2, 2]
+    assert fresh.templates([xor2, or2, and2], [2, 2, 2]).tolist() == [1, 2, 0]
     assert len(fresh.tpl_first) == len(fresh.tpl_count) == 3
+    assert len(fresh.match_rows) == len(fresh.match_phase) == \
+        int(fresh.tpl_count.sum())
     for t, word in enumerate((and2, xor2, or2)):
         want = fresh._matches_of(TruthTable(word, 2))
-        assert want and fresh.tpl_matches[t] == want
         lo, n = int(fresh.tpl_first[t]), int(fresh.tpl_count[t])
-        assert n == len(want)
+        assert want and fresh.match_rows[lo:lo + n] == want
         rows = range(lo, lo + n)
-        assert [fresh.match_info[r] for r in rows] == [
-            (kind, cell, len(pins)) for _, kind, cell, pins in want]
         assert fresh.match_phase[lo:lo + n].tolist() == [
             ph for ph, _, _, _ in want]
         assert [tuple(zip(fresh.match_pin[r].tolist(),

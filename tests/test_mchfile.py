@@ -107,6 +107,32 @@ def test_rejects_malformed_fields_with_their_line(tmp_path, body, where,
     assert str(exc.value) == f"line {where}: {what}"
 
 
+# XAG, 2 PIs (nodes 1, 2): 3 = XOR(1, 2), 4 = AND(1, ~2), 5 = AND(~1, 2),
+# 6 = AND(~4, ~5), the XNOR, and 7 = AND(1, 2); 3 is a choice of 6 in
+# phase 1
+_XAG = ("mch v1 xag\npis 2\ngate xor2 2 4\ngate and2 2 5\ngate and2 3 4\n"
+        "gate and2 9 11\ngate and2 2 4\noutput 12\n")
+
+
+@pytest.mark.parametrize("classes, where, what", [
+    ("class 6 6:0\n", 9, "class member 6 is its representative"),
+    ("class 6 3:1 3:1\n", 9, "class member 3 is already in a class"),
+    ("class 6 3:1\nclass 7 3:0\n", 10,
+     "class member 3 is already in a class"),
+    ("class 6 3:1\nclass 7 6:0\n", 10, "class member 6 is a representative"),
+], ids=["member-is-repr", "member-twice", "member-in-two-classes",
+        "member-is-a-repr"])
+def test_rejects_a_class_member_that_cannot_join(tmp_path, classes, where,
+                                                 what):
+    path = tmp_path / "c.mch"
+    path.write_text(_XAG + "class 6 3:1\n")
+    assert read_mch(path).classes == {6: [3]}
+    path.write_text(_XAG + classes)
+    with pytest.raises(MchFileError) as exc:
+        read_mch(path)
+    assert str(exc.value) == f"line {where}: {what}"
+
+
 def test_rejects_a_class_whose_member_has_another_function(tmp_path):
     path = tmp_path / "wrong.mch"
     path.write_text("mch v1 aig\npis 2\ngate and2 2 4\ngate and2 2 5\n"

@@ -133,7 +133,6 @@ def _reference_mffc(net, n, max_leaves=None):
     """The quadratic descending-scan MFFC that the heap walk replaced."""
     if not net.is_gate(n):
         return {n}
-    refs = net.fanout_counts()
     cone = {n}
     # candidate members in reverse topological order of the TFI of n
     cand = sorted((m for m in net.tfi([n]) if net.is_gate(m) and m != n),

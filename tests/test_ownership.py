@@ -1,0 +1,39 @@
+"""Only `network.py` knows how a `LogicNetwork` stores its nodes: no other
+module under src/mch reads or writes `._nodes` or `._strash`, as an
+attribute or through a `getattr`-style string.  The rest of the program
+goes through `LogicNetwork` methods, so the node format can change in one
+file.  Tests of the network's internals (test_strash.py, test_network.py)
+are outside this check, which reads only the program."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+OWNER = "network.py"
+PRIVATE = frozenset({"_nodes", "_strash"})
+
+
+def private_accesses(source: str) -> list:
+    """(line, name) of each access to the arena's private storage."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE:
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Constant) and node.value in PRIVATE:
+            out.append((node.lineno, node.value))
+    return out
+
+
+def test_the_check_sees_an_attribute_and_a_string():
+    source = ("def f(net):\n"
+              "    kind = net._nodes[3].kind\n"
+              "    return getattr(net, '_strash'), net._strash_gate\n")
+    assert private_accesses(source) == [(2, "_nodes"), (3, "_strash")]
+
+
+def test_only_network_py_touches_the_node_storage():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "mch").glob("*.py"))
+             if path.name != OWNER
+             for line, name in private_accesses(path.read_text())]
+    assert found == []

@@ -21,6 +21,9 @@ kinds and fanins (`LogicNetwork.evaluate`, which `cut_truth` also
 uses), so the proof checks the arena, not the walk's intended gates.
 External choices are kept only when `cec` proves the two networks
 `equivalent`.
+
+A representative reads its members' cuts, so no class may close a
+cycle: one walk, `ChoiceNetwork.order`, orders and checks the classes.
 """
 
 from __future__ import annotations
@@ -101,17 +104,66 @@ class ChoiceNetwork:
         self.phase[member] = phase
         return True
 
+    def order(self) -> list[int]:
+        """Gates, each after its fanins and members: one walk over both,
+        whose order the mapper's rounds follow.  A dependency cycle raises
+        ChoiceError naming a member on it."""
+        net = self.base
+        fanins, members = net.fanins, self.classes.get
+        # 1 while a gate's dependencies are pending, 2 once it is ordered
+        state = [0 if net.is_gate(n) else 2 for n in range(len(net))]
+        order: list[int] = []
+        for start in range(len(net)):
+            if state[start] == 2:
+                continue
+            stack = [start]
+            while stack:
+                n = stack[-1]
+                if state[n] == 2:
+                    stack.pop()
+                    continue
+                pend = [f for f, _ in fanins(n) if state[f] != 2]
+                ms = members(n)
+                if ms:
+                    pend += [d for d in ms if state[d] != 2]
+                if pend:
+                    if state[n] == 1 and any(state[d] == 1 for d in pend):
+                        self._cycle(state, n, pend)
+                    state[n] = 1
+                    stack.extend(pend)
+                    continue
+                stack.pop()
+                state[n] = 2
+                order.append(n)
+        return order
+
+    def _cycle(self, state: list, n: int, pend: list):
+        """Raise for a cycle through n, naming a member on it: pending
+        nodes lead from n's pending dependencies back to n."""
+        todo = [d for d in pend if state[d] == 1]
+        came = dict.fromkeys(todo, n)  # node -> the node it was reached from
+        for x in todo:
+            for y in [f for f, _ in self.base.fanins(x)] + self.members(x):
+                if state[y] == 1 and y not in came:
+                    came[y] = x
+                    todo.append(y)
+        m = n  # fanins have lower ids, so a cycle steps into a member
+        while m not in self.members(came[m]):
+            m = came[m]
+        raise ChoiceError(f"choice {m} is on a dependency cycle", m)
+
     def check_invariants(self) -> None:
         """Raise ChoiceError, naming the member, unless every member sits
-        in one class, outside its representative's fanout, and computes
+        in one class of a gate, off every dependency cycle, and computes
         the representative's function in its phase.
 
-        `build_mch` and `add_external_choices` prove each member when
-        they install it; this check is for classes made any other way
-        (`add_choice`, `read_mch`).  It compares each member with its
-        representative over `verify.input_runs`, so a pass is a proof up
-        to EXHAUSTIVE_PI_LIMIT PIs and proves nothing above it, where
-        the sampled patterns can only reject.
+        The cycles, also one through several classes, are found by the
+        walk that orders the classes (`order`).  `build_mch` and
+        `add_external_choices` prove each member when they install it;
+        this check is for classes made any other way (`add_choice`,
+        `read_mch`).  It compares each member with its representative
+        over `verify.input_runs`, so a pass is a proof up to
+        EXHAUSTIVE_PI_LIMIT PIs; above it, sampled patterns only reject.
         """
         net = self.base
         pairs = [(r, m) for r in self.class_reprs() for m in self.members(r)]
@@ -120,9 +172,9 @@ class ChoiceNetwork:
             if m in seen:
                 raise ChoiceError(f"node {m} appears in two classes", m)
             seen.add(m)
-            if r in net.tfi([m]):
-                raise ChoiceError(f"representative {r} in TFI of choice {m}",
-                                  m)
+            if not net.is_gate(r):
+                raise ChoiceError(f"representative {r} is not a gate", m)
+        self.order()
 
         def sides(words: list, width: int) -> tuple:
             vals = net.simulate(dict(zip(net.pis, words)), width)
@@ -181,12 +233,11 @@ def multi_strategy_choices(netp: LogicNetwork, critical: set[int],
                 cut_leaves.add(cut.leaves)
                 for cand in area_oriented_candidates(lib, cut.tt, host):
                     specs.append(_Spec(n, cut.leaves, cut.tt, cand))
-            cone = netp.mffc(n, params.K, fanouts)
-            leaves = tuple(netp.mffc_leaves(cone))
-            gates_in_cone = sum(1 for m in cone if netp.is_gate(m))
+            cone, leaves = netp.mffc(n, params.K, fanouts)
+            leaves = tuple(sorted(leaves))
             # an MFFC over one of n's cuts has that cut's table, so its
-            # specs would repeat the cut's exactly
-            if 2 <= len(leaves) <= MAX_VARS and gates_in_cone >= 2 \
+            # specs would repeat the cut's exactly; its members are gates
+            if 2 <= len(leaves) <= MAX_VARS and len(cone) >= 2 \
                     and leaves not in cut_leaves:
                 tt = cut_truth(netp, n, leaves)
                 for cand in area_oriented_candidates(lib, tt, host):

@@ -20,9 +20,8 @@ def random_network(n_pis: int, n_gates: int, seed: int,
     while len(net) - first_gate < n_gates and tries < n_gates * 50:
         tries += 1
         kind = rng.choice(kinds)
-        arity = 3 if kind == nw.MAJ3 else 2
         ins = [Signal(rng.choice(sigs).node, rng.random() < 0.5)
-               for _ in range(arity)]
+               for _ in range(nw.ARITY[kind])]
         before = len(net)
         s = net.add(kind, ins)
         if len(net) > before:

@@ -3,7 +3,8 @@
 The mapper covers a choice network with K-input LUTs or library cells.
 Cut pools, member-cut pooling with the phase folded into the table, and
 truth-table composition all belong to `cuts.CutEngine`, which builds the
-pools of a whole dependency level at once on numpy arrays and stores
+pools of a whole dependency level at once on numpy arrays (the gate
+order, members' leaves first, is `ChoiceNetwork.order`) and stores
 each cut with the table its round derived, as a 64-bit word, so a
 representative sees its own cuts plus every class member's cuts and the
 dynamic program picks whichever structure maps cheapest.  This module
@@ -40,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .choices import ChoiceNetwork
+from .choices import ChoiceError, ChoiceNetwork
 from .cuts import CutEngine
 from .npn import apply_npn, compose, npn_canonize
 from .tt import TruthTable
@@ -151,39 +152,6 @@ def _check_run(p: MapParams) -> None:
         raise MapError(f"unknown mapping mode {p.mode!r}")
 
 
-def _dep_order(cn: ChoiceNetwork):
-    """Gate order where all cut leaves of a node, including leaves inside
-    member cones, come before the node itself."""
-    net = cn.base
-    fanins, members = net.fanins, cn.classes.get
-    # 1 while a gate's dependencies are pending, 2 once it is ordered
-    state = [0 if net.is_gate(n) else 2 for n in range(len(net))]
-    order: list[int] = []
-    for start in range(len(net)):
-        if state[start] == 2:
-            continue
-        stack = [start]
-        while stack:
-            n = stack[-1]
-            if state[n] == 2:
-                stack.pop()
-                continue
-            pend = [f for f, _ in fanins(n) if state[f] != 2]
-            ms = members(n)
-            if ms:
-                pend += [d for d in ms if state[d] != 2]
-            if pend:
-                if state[n] == 1 and any(state[d] == 1 for d in pend):
-                    raise MapError("cyclic choice dependencies")
-                state[n] = 1
-                stack.extend(pend)
-                continue
-            stack.pop()
-            state[n] = 2
-            order.append(n)
-    return order
-
-
 class _Rounds:
     """Delay, area-flow and exact-area rounds with rollback, over a cost
     model supplied by a subclass.
@@ -203,7 +171,10 @@ class _Rounds:
     def __init__(self, cn: ChoiceNetwork, p: MapParams, width: int):
         net = cn.base
         self.net, self.p = net, p
-        self.order = _dep_order(cn)
+        try:
+            self.order = cn.order()
+        except ChoiceError as e:
+            raise MapError(str(e)) from None
         self.engine = CutEngine(net, p.k, {
             r: [(m, cn.phase[m]) for m in ms]
             for r, ms in cn.classes.items()}, self.order)
@@ -571,6 +542,7 @@ class CellLibrary:
     @staticmethod
     def loads(text: str) -> "CellLibrary":
         cells = []
+        line_of: dict[str, int] = {}  # cell name -> its line
         for ln, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#")[0].strip()
             if not line:
@@ -580,6 +552,10 @@ class CellLibrary:
                 raise LibraryError(f"line {ln}: expected "
                                    f"'cell name area tt inputs delays...'")
             name = parts[1]
+            if name in line_of:
+                raise LibraryError(f"line {ln}: cell {name} is already "
+                                   f"defined on line {line_of[name]}")
+            line_of[name] = ln
             try:
                 area = float(parts[2])
                 bits = int(parts[3], 16)

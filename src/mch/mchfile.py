@@ -3,13 +3,15 @@
 Node ids are implicit: 0 is the constant, 1..P are the PIs in order, and
 each `gate` line defines the next id.  Literals are 2*node+neg, as in
 AIGER.  A file with no `class` lines is a plain network.  A class line
-whose member is its representative, is already in a class or is a
-representative is an error (`write_mch` writes none).  `read_mch`
-runs `ChoiceNetwork.check_invariants` on what it loads, so a member that
-does not compute its representative's function fails with its `class`
-line.  That check simulates `verify.input_runs`: every input pattern up
-to 16 PIs, so a loaded class is proven; above that, sampled patterns
-that include the all-0 and all-1 vectors and can only reject.
+that lists no members, or whose member is its representative, is already
+in a class or is a representative, is an error (`write_mch` writes
+none).  `read_mch` runs `ChoiceNetwork.check_invariants` on what it
+loads, so a member on a dependency cycle, also one through several
+classes, or one that does not compute its representative's function
+fails with its `class` line.  That check simulates `verify.input_runs`:
+every input pattern up to 16 PIs, so a loaded class is proven; above
+that, sampled patterns that include the all-0 and all-1 vectors and can
+only reject.
 """
 
 from . import network as nw
@@ -101,9 +103,9 @@ def read_mch(path) -> ChoiceNetwork:
                 node_of.append(net.add_pi().node)
         elif tok[0] == "gate":
             kind, fins = tok[1] if len(tok) > 1 else None, tok[2:]
-            if kind not in (nw.AND2, nw.XOR2, nw.MAJ3):
+            if kind not in nw.ARITY:
                 raise MchFileError(f"line {ln}: unknown gate kind {kind!r}")
-            arity = 3 if kind == nw.MAJ3 else 2
+            arity = nw.ARITY[kind]
             if len(fins) != arity:
                 raise MchFileError(f"line {ln}: {kind} needs {arity} fanins")
             ins = tuple(sig(fins, i, ln) for i in range(arity))
@@ -125,6 +127,9 @@ def read_mch(path) -> ChoiceNetwork:
     line_of = {}  # member -> its class line
     for ln, fields in classes:
         r = node(num(fields, 0, ln, "class representative"), ln)
+        if len(fields) < 2:
+            raise MchFileError(f"line {ln}: class {fields[0]} lists no "
+                               f"members")
         for item in fields[1:]:
             parts = item.split(":")
             if len(parts) != 2 or parts[1] not in ("0", "1"):

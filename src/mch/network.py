@@ -13,7 +13,8 @@ made once: construction, embedding, `compact`, template placement;
 the image of every step (`images`), which choice install also reads.
 Signals are made only at that API edge and for the fanins of stored
 nodes.  One gate evaluator, `evaluate`, serves simulation and truth
-tables, and no other module reads the node records (`_nodes`, `_strash`).
+tables.  No other module reads the node records (`_nodes`, `_strash`)
+or spells a gate kind (the others read `ARITY` and `ALLOWED_KINDS`).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ ALLOWED_KINDS = {
 }
 
 GATE_KINDS = (AND2, XOR2, MAJ3)
-_ARITY = {AND2: 2, XOR2: 2, MAJ3: 3}
+ARITY = {AND2: 2, XOR2: 2, MAJ3: 3}
 _FALSE = (0, False)
 
 
@@ -144,7 +145,7 @@ class LogicNetwork:
         Checks the arity, every fanin's node and the tag's gate kinds, then
         runs the strash core (`_strash_gate`)."""
         fanins = tuple(fanins)
-        arity = _ARITY.get(kind)
+        arity = ARITY.get(kind)
         if arity is None or len(fanins) != arity:
             raise NetworkError(f"bad arity for {kind}: {fanins}")
         for f in fanins:
@@ -265,11 +266,12 @@ class LogicNetwork:
         return outs
 
     def mffc(self, n: int, max_leaves: Optional[int] = None,
-             fanouts: Optional[list[list[int]]] = None) -> set[int]:
-        """Maximum fanout-free cone of n, leaf support bounded by max_leaves.
+             fanouts: Optional[list[list[int]]] = None) -> tuple:
+        """Maximum fanout-free cone of n, leaf support bounded by
+        max_leaves, as (cone, leaves): the members and their fanins outside.
 
-        Returns {n} for PI/CONST roots (degenerate cone with no gates).
-        Every non-root member has all of its fanouts inside the set.
+        Returns ({n}, set()) for PI/CONST roots (degenerate cone with no
+        gates).  Every other member is a gate with all of its fanouts in it.
 
         The rule is reverse-topological, first-fit and leaf-bounded: gates
         of the TFI of n are decided in descending id order, and each joins
@@ -285,7 +287,7 @@ class LogicNetwork:
         built here, which is linear in the network.
         """
         if not self.is_gate(n):
-            return {n}
+            return {n}, set()
         if fanouts is None:
             fanouts = self.fanouts()
         nodes = self._nodes
@@ -308,15 +310,7 @@ class LogicNetwork:
             for g in new:
                 if nodes[g].kind in GATE_KINDS:
                     heapq.heappush(heap, -g)
-        return cone
-
-    def mffc_leaves(self, cone: set[int]) -> list[int]:
-        leaves = set()
-        for m in cone:
-            for f in self._nodes[m].fanins:
-                if f.node not in cone:
-                    leaves.add(f.node)
-        return sorted(leaves)
+        return cone, leaves
 
     def critical_path_nodes(self, r: float) -> set[int]:
         """Gates in the TFI of PO drivers whose level >= ceil(r * depth)."""

@@ -26,25 +26,14 @@ import numpy as np
 from . import network as nw
 from .network import LogicNetwork, Signal
 from .npn import npn_canonize, npn_classify_all4
-from .tt import Cube, DsdNode, TruthTable, dsd_decompose, isop
+from .tt import Cube, DsdNode, TruthTable, dsd_decompose, isop, maj_tt
 
 MAX_TEMPLATE_GATES = 7
 
 VAR16 = (0xAAAA, 0xCCCC, 0xF0F0, 0xFF00)
 
-_OPS_BY_TAG = {
-    nw.AIG: ("and",),
-    nw.XAG: ("and", "xor"),
-    nw.MIG: ("and", "maj"),
-    nw.XMG: ("and", "xor", "maj"),
-}
-
 _MAJ_PAIR_CAP = 200_000
 _CHUNK = 4_000_000
-
-
-def _maj16(a, b, c):
-    return (a & b) | (a & c) | (b & c)
 
 
 # -- bounded tree enumeration over 4-var functions -------------------------
@@ -80,15 +69,15 @@ def tree_reachability(ops, max_size: int = MAX_TEMPLATE_GATES):
             if len(A) == 0 or len(B) == 0:
                 continue
             for op in ops:
-                if op == "maj":
+                if op == nw.MAJ3:
                     continue
                 for a_chunk in _chunks(A, max(1, _CHUNK // max(1, len(B)))):
                     prod = a_chunk[:, None]
-                    if op == "and":
+                    if op == nw.AND2:
                         mark((prod & B[None, :]).ravel())
                     else:
                         mark((prod ^ B[None, :]).ravel())
-        if "maj" in ops:
+        if nw.MAJ3 in ops:
             for s1, s2, s3 in _maj_splits(s - 1):
                 A, B, C = frontiers[s1], frontiers[s2], frontiers[s3]
                 if min(len(A), len(B), len(C)) == 0:
@@ -98,7 +87,7 @@ def tree_reachability(ops, max_size: int = MAX_TEMPLATE_GATES):
                 for a in A:
                     a = int(a)
                     for b in B:
-                        mark(_maj16(a, int(b), C))
+                        mark(maj_tt(a, int(b), C))
         new = np.nonzero(hit & ~seen)[0].astype(np.int64)
         seen[new] = True
         minsize[new] = s
@@ -159,16 +148,16 @@ def reconstruct(f: int, ops, minsize, frontiers):
             for out_neg in (False, True):
                 t = f ^ (0xFFFF if out_neg else 0)
                 for op in ops:
-                    if op == "maj":
+                    if op == nw.MAJ3:
                         continue
-                    if op == "and":
+                    if op == nw.AND2:
                         viable = A[(t & ~A & 0xFFFF) == 0]
                         for g in viable:
                             g = int(g)
                             hs = B[(g & B) == t]
                             if len(hs):
-                                node = ("and2",
-                                        [solve(g), solve(int(hs[0]))], out_neg)
+                                node = (op, [solve(g), solve(int(hs[0]))],
+                                        out_neg)
                                 memo[f] = node
                                 return node
                     else:
@@ -176,12 +165,11 @@ def reconstruct(f: int, ops, minsize, frontiers):
                         ok = A[minsize[hs] == s2]
                         if len(ok):
                             g = int(ok[0])
-                            node = ("xor2",
-                                    [solve(g), solve((t ^ g) & 0xFFFF)],
+                            node = (op, [solve(g), solve((t ^ g) & 0xFFFF)],
                                     out_neg)
                             memo[f] = node
                             return node
-        if "maj" in ops:
+        if nw.MAJ3 in ops:
             trip = sorted(_maj_splits(s - 1), key=lambda p: max(p))
             for s1, s2, s3 in trip:
                 A, B, C = frontiers[s1], frontiers[s2], frontiers[s3]
@@ -193,9 +181,9 @@ def reconstruct(f: int, ops, minsize, frontiers):
                         g = int(g)
                         for h in B:
                             h = int(h)
-                            cs = C[_maj16(g, h, C) == t]
+                            cs = C[maj_tt(g, h, C) == t]
                             if len(cs):
-                                node = ("maj3",
+                                node = (nw.MAJ3,
                                         [solve(g), solve(h),
                                          solve(int(cs[0]))], out_neg)
                                 memo[f] = node
@@ -352,7 +340,8 @@ def build_npn4_db(enabled=(nw.AIG, nw.XAG, nw.MIG, nw.XMG)
     lib = StrategyLibrary(enabled)
     reps = np.unique(npn_classify_all4())
     for tag in enabled:
-        ops = _OPS_BY_TAG[tag]
+        # GATE_KINDS order, not a set's per-process one, picks the templates
+        ops = [k for k in nw.GATE_KINDS if k in nw.ALLOWED_KINDS[tag]]
         minsize, frontiers = tree_reachability(ops)
         for rep in reps:
             rep = int(rep)

@@ -8,6 +8,7 @@ a mixed-representation rewrite to shrink.
 """
 
 from mch import network as nw
+from mch.choices import ChoiceNetwork
 from mch.network import LogicNetwork, Signal
 
 
@@ -27,6 +28,46 @@ def candidate_network(cand) -> LogicNetwork:
     pis = [net.add_pi() for _ in range(cand.walk.inputs)]
     net.add_po(Signal(*net.run(cand.walk, pis)[0]))
     return net
+
+
+# -- choice classes that close a dependency cycle ----------------------
+
+
+def two_class_cycle() -> ChoiceNetwork:
+    """XAG classes r1 = a & b with member m1 and r2 = c & d with member
+    m2, where m1 reads r2 and m2 reads r1: neither representative is in
+    its own member's TFI, but the two classes close one cycle."""
+    net = LogicNetwork(nw.XAG)
+    a, b, c, d = (net.add_pi() for _ in range(4))
+
+    def member(x, y, other):
+        # XOR(XOR(x, y), OR(x, y)) is x & y, and OR(t & o, t & ~o) is t
+        t = net.add_xor(net.add_xor(x, y), net.add_or(x, y))
+        return net.add_or(net.add_and(t, other), net.add_and(t, ~other))
+
+    r1, r2 = net.add_and(a, b), net.add_and(c, d)
+    m1, m2 = member(a, b, r2), member(c, d, r1)
+    net.add_po(r1)
+    net.add_po(r2)
+    cn = ChoiceNetwork(net)
+    for r, m in ((r1, m1), (r2, m2)):
+        assert net.tfi([m.node]) & {r.node} == set()
+        assert cn.add_choice(r.node, m.node, m.neg != r.neg)
+    return cn
+
+
+def on_a_cycle(cn: ChoiceNetwork, m: int) -> bool:
+    """Whether m reaches itself through fanins and class members."""
+    seen, todo = set(), [m]
+    while todo:
+        x = todo.pop()
+        for y in [f.node for f in cn.base.fanins(x)] + cn.members(x):
+            if y == m:
+                return True
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return False
 
 
 # -- gate helpers over a raw AIG --------------------------------------

@@ -7,8 +7,9 @@ costs per level is the kernel's fixed cost.  The test counts the C calls
 that enumerate_cuts, map_lut and map_cells make per level and round, as
 the difference between a 400- and a 200-level chain (k=4, rounds=2), and
 the operator bytecodes (+, |, ==, [] and the like, which cost as much as
-a small call) run in `cuts.py` and `mapper.py`, where the kernel and both
-cost models live, as the difference between a 100- and a 50-level chain.
+a small call) run in `cuts.py`, `mapper.py` and `choices.py`, where the
+kernel, both cost models and the dependency walk (`ChoiceNetwork.order`)
+live, as the difference between a 100- and a 50-level chain.
 Each is held to the count the kernel reached when its level stages were
 merged (the stages before made 65, 58 and 86 calls and ran 256, 259 and
 362 operators)."""
@@ -73,11 +74,13 @@ def _c_calls(run) -> int:
 
 
 def _operators(run) -> int:
-    """Operator bytecodes run in the program's cut and mapper modules."""
+    """Operator bytecodes run in the program's cut, mapper and choice
+    modules."""
     count = [0]
 
     def trace(frame, event, arg):
-        if not frame.f_code.co_filename.endswith(("cuts.py", "mapper.py")):
+        if not frame.f_code.co_filename.endswith(
+                ("cuts.py", "mapper.py", "choices.py")):
             return None
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False

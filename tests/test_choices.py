@@ -12,7 +12,8 @@ from mch.gen import and_tree, random_network
 from mch.tt import TruthTable
 from mch.verify import cec
 
-from fixtures import parity8, parity10, adder3
+from fixtures import adder3, on_a_cycle, parity8, parity10, \
+    two_class_cycle
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,68 @@ def test_invariants_sample_the_corner_inputs_above_16_pis():
     with pytest.raises(ChoiceError, match="not equivalent") as e:
         cn.check_invariants()
     assert e.value.member == member.node
+
+
+def test_a_two_class_cycle_names_a_member_on_it():
+    cn = two_class_cycle()
+    with pytest.raises(ChoiceError, match=r"^choice \d+ is on a dependency "
+                       r"cycle$") as e:
+        cn.check_invariants()
+    assert e.value.member in cn.repr_of and on_a_cycle(cn, e.value.member)
+
+
+def test_order_names_a_member_on_every_cycle():
+    # arbitrary classes between gates: the walk either orders every gate
+    # after its fanins and members or names a member on a cycle
+    rng = random.Random(7)
+    cycles = 0
+    for i in range(300):
+        net = random_network(4, rng.randint(8, 25), rng.randint(0, 10**9),
+                             tag=(nw.AIG, nw.XMG)[i % 2])
+        gates = list(net.gates())
+        cn = ChoiceNetwork(net)
+        for _ in range(rng.randint(1, 4)):
+            r, m = rng.sample(gates, 2)
+            if r not in cn.repr_of:
+                cn.add_choice(r, m, False)
+        cyclic = any(on_a_cycle(cn, m) for m in cn.repr_of)
+        try:
+            order = cn.order()
+        except ChoiceError as e:
+            assert cyclic and on_a_cycle(cn, e.member), (i, str(e))
+            assert str(e) == f"choice {e.member} is on a dependency cycle"
+            cycles += 1
+            continue
+        assert not cyclic and sorted(order) == gates
+        place = {n: j for j, n in enumerate(order)}
+        for n in order:
+            deps = [f.node for f in net.fanins(n)] + cn.members(n)
+            assert all(place[d] < place[n] for d in deps if net.is_gate(d))
+    assert 30 < cycles < 270, cycles
+
+
+def test_check_invariants_walks_no_tfi(monkeypatch, lib):
+    cn = build_mch(parity8(), lib, MchParams(r=0.8), mix_target=nw.XMG)
+    assert cn.classes
+
+    def no_tfi(*args, **kwargs):
+        raise AssertionError("check_invariants walked a TFI")
+
+    monkeypatch.setattr(LogicNetwork, "tfi", no_tfi)
+    cn.check_invariants()
+
+
+def test_invariants_refuse_a_class_of_a_primary_input():
+    net = LogicNetwork(nw.AIG)
+    a, b = net.add_pi(), net.add_pi()
+    # (a & b) | (a & ~b) is a, over a's own fanout
+    m = net.add_or(net.add_and(a, b), net.add_and(a, ~b))
+    net.add_po(m)
+    cn = ChoiceNetwork(net)
+    assert cn.add_choice(a.node, m.node, m.neg)
+    with pytest.raises(ChoiceError, match=f"^representative {a.node} is not "
+                       f"a gate$"):
+        cn.check_invariants()
 
 
 def test_a_candidate_off_by_one_minterm_is_never_installed(monkeypatch, lib):

@@ -307,9 +307,8 @@ def _choice_network(rng, i):
 
 def _engine(cn, classes, k):
     from mch.cuts import CutEngine
-    from mch.mapper import _dep_order
 
-    return CutEngine(cn.base, k, classes, _dep_order(cn))
+    return CutEngine(cn.base, k, classes, cn.order())
 
 
 def test_engine_pools_with_members_match_reference():

@@ -11,7 +11,8 @@ from mch.mapper import MapParams, map_lut, map_cells, cover_check, \
 from mch.strategies import default_library
 from mch.gen import random_network
 
-from fixtures import parity8, adder3, parity10, DOMINANCE_FIXTURES
+from fixtures import parity8, adder3, parity10, DOMINANCE_FIXTURES, \
+    on_a_cycle, two_class_cycle
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +144,10 @@ _LIB_BASE = "cell inv 1.0 1 1 1.0\ncell zero 0.0 0 0\ncell one 0.0 1 0\n"
      "bad has pin delay nan (need a finite number >= 0)"),
     ("cell bad 3.0 0x8 2 1.8 inf",
      "bad has pin delay inf (need a finite number >= 0)"),
+    ("cell zero 1.0 0x6 2 1.0 1.0", "cell zero is already defined on line 2"),
 ], ids=["wide-table", "negative-table", "seven-inputs", "area-negative",
-        "area-nan", "area-inf", "delay-negative", "delay-nan", "delay-inf"])
+        "area-nan", "area-inf", "delay-negative", "delay-nan", "delay-inf",
+        "name-twice"])
 def test_library_rejects_a_malformed_number_with_its_line(line, what):
     # constant cells of area 0.0 load, as in the bundled library
     CellLibrary.loads(_LIB_BASE + "cell and2 3.0 0x8 2 1.8 1.8\n")
@@ -355,18 +358,29 @@ def test_k_below_maj3_arity_names_the_node(target, cl):
 ])
 def test_a_parameter_no_round_can_run_with_is_refused_before_any_work(
         monkeypatch, target, field, value, message, cl):
-    from mch import mapper
-
     def no_work(*args):
         raise AssertionError("the mapper started work")
 
-    monkeypatch.setattr(mapper, "_dep_order", no_work)
+    monkeypatch.setattr(ChoiceNetwork, "order", no_work)
     cn = wrap(parity8())
     with pytest.raises(MapError, match=f"^{message}$"):
         if target == CELL:
             map_cells(cn, cl, MapParams(k=4, target=CELL, **{field: value}))
         else:
             map_lut(cn, MapParams(k=4, **{field: value}))
+
+
+@pytest.mark.parametrize("target", ["lut", CELL])
+def test_a_cycle_through_two_classes_names_a_member(target, cl):
+    cn = two_class_cycle()
+    with pytest.raises(MapError, match=r"^choice \d+ is on a dependency "
+                       r"cycle$") as exc:
+        if target == CELL:
+            map_cells(cn, cl, MapParams(k=4, target=CELL))
+        else:
+            map_lut(cn, MapParams(k=4))
+    member = int(str(exc.value).split()[1])
+    assert member in cn.repr_of and on_a_cycle(cn, member)
 
 
 @pytest.mark.parametrize("target", ["lut", CELL])
@@ -648,8 +662,8 @@ def test_a_lut_cover_restored_by_rollback_carries_its_tables(monkeypatch):
 
 def _ref_dep_order(cn):
     """The dependency DFS over dicts and LogicNetwork queries that
-    `_dep_order` must reproduce exactly: `exact_round` visits keys in
-    its order."""
+    `ChoiceNetwork.order` must reproduce exactly: `exact_round` visits
+    keys in its order."""
     net = cn.base
     state, order = {}, []
     for start in net.gates():
@@ -674,8 +688,6 @@ def _ref_dep_order(cn):
 
 
 def test_dependency_order_matches_the_reference_dfs():
-    from mch.mapper import _dep_order
-
     rng = random.Random(31)
     for i in range(6):
         net = random_network(rng.randint(5, 8), rng.randint(30, 60),
@@ -683,7 +695,7 @@ def test_dependency_order_matches_the_reference_dfs():
         cn = build_mch(net, default_library(), MchParams(r=0.8),
                        mix_target=(nw.XMG, nw.XAG, nw.AIG)[i % 3])
         assert cn.classes
-        assert _dep_order(cn) == _ref_dep_order(cn)
+        assert cn.order() == _ref_dep_order(cn)
 
 
 def _unskipped_run(self):

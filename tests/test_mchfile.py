@@ -13,7 +13,7 @@ from mch.strategies import default_library
 from mch.gen import random_network
 from mch.verify import cec
 
-from fixtures import parity8
+from fixtures import parity8, two_class_cycle
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -120,8 +120,9 @@ _XAG = ("mch v1 xag\npis 2\ngate xor2 2 4\ngate and2 2 5\ngate and2 3 4\n"
     ("class 6 3:1\nclass 7 3:0\n", 10,
      "class member 3 is already in a class"),
     ("class 6 3:1\nclass 7 6:0\n", 10, "class member 6 is a representative"),
+    ("class 6 3:1\nclass 7\n", 10, "class 7 lists no members"),
 ], ids=["member-is-repr", "member-twice", "member-in-two-classes",
-        "member-is-a-repr"])
+        "member-is-a-repr", "no-members"])
 def test_rejects_a_class_member_that_cannot_join(tmp_path, classes, where,
                                                  what):
     path = tmp_path / "c.mch"
@@ -140,6 +141,33 @@ def test_rejects_a_class_whose_member_has_another_function(tmp_path):
     with pytest.raises(MchFileError, match="line 6: choice 4 not "
                        "equivalent to representative 3"):
         read_mch(path)
+
+
+def test_a_member_over_its_representative_fails_at_its_class_line(
+        tmp_path):
+    # 3 = AND(a, b), 4 = AND(~a, ~b), 5 = AND(3, OR(a, b)) computes 3
+    path = tmp_path / "loop.mch"
+    path.write_text("mch v1 aig\npis 2\ngate and2 2 4\ngate and2 3 5\n"
+                    "gate and2 6 9\noutput 6\nclass 3 5:0\n")
+    with pytest.raises(MchFileError) as exc:
+        read_mch(path)
+    assert str(exc.value) == "line 7: choice 5 is on a dependency cycle"
+
+
+def test_a_cycle_through_two_classes_fails_at_a_member_class_line(tmp_path):
+    cn = two_class_cycle()
+    path = tmp_path / "loop.mch"
+    write_mch(cn, path)
+    lines = path.read_text().split("\n")
+    with pytest.raises(MchFileError) as exc:
+        read_mch(path)
+    where, _, what = str(exc.value).partition(": ")
+    member = int(what.split()[1])
+    assert what == f"choice {member} is on a dependency cycle"
+    # the node ids of this file are the arena's: the line is the member's
+    cls = lines[int(where.removeprefix("line ")) - 1].split()
+    assert cls[:2] == ["class", str(cn.repr_of[member])]
+    assert str(member) in [item.split(":")[0] for item in cls[2:]]
 
 
 def _write_mch_by_queries(cn, path):

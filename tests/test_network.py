@@ -182,8 +182,8 @@ def test_mffc_matches_reference_descending_scan():
         for n in net.gates():
             for k in MFFC_BOUNDS:
                 want = _reference_mffc(net, n, k)
-                assert net.mffc(n, k, fanouts) == want, (net.tag, n, k)
-                assert net.mffc(n, k) == want
+                assert net.mffc(n, k, fanouts)[0] == want, (net.tag, n, k)
+                assert net.mffc(n, k)[0] == want
 
 
 def test_mffc_members_are_fanout_free_and_leaf_bounded():
@@ -192,23 +192,26 @@ def test_mffc_members_are_fanout_free_and_leaf_bounded():
         po_drivers = {s.node for s in net.outputs}
         for n in net.gates():
             for k in MFFC_BOUNDS:
-                cone = net.mffc(n, k, fanouts)
+                cone, leaves = net.mffc(n, k, fanouts)
                 assert n in cone
                 for m in cone - {n}:
                     assert net.is_gate(m)
                     assert m not in po_drivers
                     assert all(o in cone for o in fanouts[m])
+                # the returned leaves are the cone's boundary
+                assert leaves == {f.node for m in cone for f in net.fanins(m)
+                                  if f.node not in cone}
                 # the bound limits growth: the root alone may exceed it
                 if k is not None and len(cone) > 1:
-                    assert len(net.mffc_leaves(cone)) <= k
+                    assert len(leaves) <= k
 
 
 def test_mffc_of_pi_or_constant_is_itself():
     net = LogicNetwork(nw.AIG)
     a, b = net.add_pi(), net.add_pi()
     net.add_po(net.add_and(a, b))
-    assert net.mffc(a.node) == {a.node}
-    assert net.mffc(0, 4) == {0}
+    assert net.mffc(a.node)[0] == {a.node}
+    assert net.mffc(0, 4)[0] == {0}
 
 
 def test_fanouts_mark_po_references():

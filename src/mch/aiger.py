@@ -13,43 +13,26 @@ class AigerError(Exception):
     pass
 
 
-def _lit_of(sig: Signal, var_of: dict) -> int:
-    return var_of[sig.node] * 2 + (1 if sig.neg else 0)
-
-
-def _check_and_index(net: LogicNetwork):
-    """Variable numbering: PIs first, then gates in index order."""
-    var_of = {0: 0}
-    for i, n in enumerate(net.pis):
-        var_of[n] = i + 1
-    nxt = len(net.pis) + 1
-    for g in net.gates():
-        if net.kind(g) != nw.AND2:
-            raise AigerError(
-                f"cannot write {net.kind(g)} gate; AIGER is AND-only")
-        var_of[g] = nxt
-        nxt += 1
-    return var_of
-
-
 def write_aiger(net: LogicNetwork, path, binary=None) -> None:
-    """Write an AND-only network; format chosen by extension unless forced."""
+    """Write an AND-only network; format chosen by extension unless forced.
+    Its variables are the slots of the network's walk (`compile`): the
+    PIs, then the gates in id order."""
     if binary is None:
         binary = not str(path).endswith(".aag")
-    var_of = _check_and_index(net)
-    n_in, n_and = len(net.pis), net.num_gates()
-    m = n_in + n_and
-    header = f"{m} {n_in} 0 {len(net.outputs)} {n_and}"
+    walk = net.compile()
+    for kind in walk.kinds:
+        if kind != nw.AND2:
+            raise AigerError(f"cannot write {kind} gate; AIGER is AND-only")
+    n_in, n_and = walk.inputs, len(walk.gates)
+    header = f"{n_in + n_and} {n_in} 0 {len(walk.outputs)} {n_and}"
+    outs = "".join(f"{lit}\n" for lit in walk.outputs)
+    ands = enumerate(((a, b) for _, a, b, _ in walk.gates), n_in + 1)
     if binary:
         with open(path, "wb") as fh:
-            fh.write(f"aig {header}\n".encode())
-            for s in net.outputs:
-                fh.write(f"{_lit_of(s, var_of)}\n".encode())
-            for g in net.gates():
-                lhs = var_of[g] * 2
-                r0, r1 = sorted((_lit_of(f, var_of) for f in net.fanins(g)),
-                                reverse=True)
-                for delta in (lhs - r0, r0 - r1):
+            fh.write(f"aig {header}\n{outs}".encode())
+            for var, (a, b) in ands:
+                r0, r1 = max(a, b), min(a, b)
+                for delta in (2 * var - r0, r0 - r1):
                     while delta >= 0x80:
                         fh.write(bytes([(delta & 0x7F) | 0x80]))
                         delta >>= 7
@@ -57,13 +40,10 @@ def write_aiger(net: LogicNetwork, path, binary=None) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(f"aag {header}\n")
-            for n in net.pis:
-                fh.write(f"{var_of[n] * 2}\n")
-            for s in net.outputs:
-                fh.write(f"{_lit_of(s, var_of)}\n")
-            for g in net.gates():
-                r0, r1 = (_lit_of(f, var_of) for f in net.fanins(g))
-                fh.write(f"{var_of[g] * 2} {r0} {r1}\n")
+            fh.write("".join(f"{2 * v}\n" for v in range(1, n_in + 1)))
+            fh.write(outs)
+            for var, (a, b) in ands:
+                fh.write(f"{2 * var} {a} {b}\n")
 
 
 def _parse_header(line: str):
@@ -111,7 +91,7 @@ def read_aiger(path) -> LogicNetwork:
                 lit = int(lines[k + 1].split()[0])
             except (IndexError, ValueError):
                 raise AigerError(f"line {ln}: bad input literal")
-            if lit & 1 or lit == 0 or lit // 2 in vars_seen:
+            if lit & 1 or lit == 0 or lit > 2 * m or lit // 2 in vars_seen:
                 raise AigerError(f"line {ln}: invalid input literal {lit}")
             vars_seen.add(lit // 2)
             sig_of[lit // 2] = net.add_pi()

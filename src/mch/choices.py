@@ -31,7 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .network import LogicNetwork, Signal
+import numpy as np
+
+from .network import AND2, CODE, LogicNetwork, Signal
 from .cuts import Cut, enumerate_cuts
 from .strategies import (Candidate, StrategyLibrary,
                          area_oriented_candidates,
@@ -106,15 +108,23 @@ class ChoiceNetwork:
 
     def order(self) -> list[int]:
         """Gates, each after its fanins and members: one walk over both,
-        whose order the mapper's rounds follow.  A dependency cycle raises
-        ChoiceError naming a member on it."""
-        net = self.base
-        fanins, members = net.fanins, self.classes.get
+        whose order the mapper's rounds follow; a dependency cycle raises
+        ChoiceError naming a member on it.  Gates start it in id order, and
+        a gate's fanins have lower ids, so one without members that no
+        walk has reached yet is ordered as it starts."""
+        code, *lits = self.base.columns()
+        gate = np.array(code) >= CODE[AND2]
+        # per node its fanin node ids; node 0, which is ordered, pads
+        fan = (np.array(lits).T >> 1).tolist()
         # 1 while a gate's dependencies are pending, 2 once it is ordered
-        state = [0 if net.is_gate(n) else 2 for n in range(len(net))]
+        state = np.where(gate, 0, 2).tolist()
         order: list[int] = []
-        for start in range(len(net)):
+        for start in np.flatnonzero(gate).tolist():
             if state[start] == 2:
+                continue
+            if start not in self.classes:
+                state[start] = 2
+                order.append(start)
                 continue
             stack = [start]
             while stack:
@@ -122,13 +132,13 @@ class ChoiceNetwork:
                 if state[n] == 2:
                     stack.pop()
                     continue
-                pend = [f for f, _ in fanins(n) if state[f] != 2]
-                ms = members(n)
+                pend = [f for f in fan[n] if state[f] != 2]
+                ms = self.classes.get(n)
                 if ms:
                     pend += [d for d in ms if state[d] != 2]
                 if pend:
                     if state[n] == 1 and any(state[d] == 1 for d in pend):
-                        self._cycle(state, n, pend)
+                        self._cycle(state, fan, n, pend)
                     state[n] = 1
                     stack.extend(pend)
                     continue
@@ -137,13 +147,13 @@ class ChoiceNetwork:
                 order.append(n)
         return order
 
-    def _cycle(self, state: list, n: int, pend: list):
+    def _cycle(self, state: list, fan: list, n: int, pend: list):
         """Raise for a cycle through n, naming a member on it: pending
         nodes lead from n's pending dependencies back to n."""
         todo = [d for d in pend if state[d] == 1]
         came = dict.fromkeys(todo, n)  # node -> the node it was reached from
         for x in todo:
-            for y in [f for f, _ in self.base.fanins(x)] + self.members(x):
+            for y in fan[x] + self.members(x):
                 if state[y] == 1 and y not in came:
                     came[y] = x
                     todo.append(y)
@@ -270,14 +280,14 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec]) -> None:
         stats.generated += 1
         before = len(net)
         walk = cand.walk
-        vals = net.images(walk, [(leaves[j], False) for j in cand.support])
-        member = vals[walk.outputs[0][0]][0]
+        vals = net.images(walk, [2 * leaves[j] for j in cand.support])
+        member = vals[walk.outputs[0] >> 1] >> 1
         if member < before:
             stats.deduped += 1
             continue
         memo = dict(zip(leaves, VAR_MASKS))
         memo[0] = 0
-        got = net.evaluate([n for n, _ in vals[walk.inputs + 1:]], memo,
+        got = net.evaluate([v >> 1 for v in vals[walk.inputs + 1:]], memo,
                            FULL)[member]
         if got != tt.bits and got != tt.bits ^ FULL:
             stats.failed += 1

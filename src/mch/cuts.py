@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .network import MAJ3, XOR2
+from .network import CODE, MAJ3, XOR2
 from .tt import FULL, TruthTable
 
 _SIG_MULT = 0x9E3779B97F4A7C15
@@ -470,36 +470,36 @@ class CutEngine:
     def _plan(self, order) -> list[_Plan]:
         """ASAP levels over fanins plus class members, and each level's
         fixed arrays, sliced from arrays over all gates."""
-        net, classes = self.net, self.classes
-        fanins, kind, get = net.fanins, net.kind, classes.get
+        net, get = self.net, self.classes.get
+        code, *lits = net.columns()
+        gates = list(order)
+        if not gates:
+            return []
+        garr = np.array(gates, np.int64)
+        # per gate: its three fanin literals; node 0 pads a 2-input gate
+        lit = np.array(lits, np.int64)[:, garr]
+        mem = list(map(get, gates))
         level = [0] * len(net)
-        info = []
-        code = {XOR2: 1, MAJ3: 2}
-        for n in order:
-            (a, na), (b, nb), (c, nc), *_ = *fanins(n), (0, False)
+        for n, a, b, c, ms in zip(gates, *(lit >> 1).tolist(), mem):
             lv = max(level[a], level[b], level[c])
-            ms = get(n)
             if ms:
                 lv = max(lv, *[level[m] for m, _ in ms])
             level[n] = lv + 1
-            info.append((lv, n, a, b, c, na, nb, nc, code.get(kind(n), 0),
-                         len(ms) if ms else 0))
-        if not info:
-            return []
-        cols = np.array(info, np.int64)
-        cols = cols[np.lexsort((cols[:, 1], cols[:, 0]))]
-        garr, fan = cols[:, 1], cols[:, 2:5]
+        nmem = np.array([len(ms) if ms else 0 for ms in mem], np.int64)
+        lvs = np.array(level)[garr]
+        at = np.lexsort((garr, lvs))
+        garr, lit, lvs, nmem = garr[at], lit[:, at].T, lvs[at], nmem[at]
         gates = garr.tolist()
-        # fanin phases as table masks; node 0 pads a 2-input gate
-        fneg = np.where(cols[:, 5:8] != 0, np.uint64(FULL), np.uint64(0))
-        xor, maj = cols[:, 8] == 1, cols[:, 8] == 2
+        fneg = np.where(lit & 1, np.uint64(FULL), np.uint64(0))  # as masks
+        kinds = np.array(code)[garr]
+        xor, maj = kinds == CODE[XOR2], kinds == CODE[MAJ3]
         trivial = np.full((len(gates), self.k), -1, np.int64)
         trivial[:, 0] = garr
         # a level is built in parts of at most _PART cut lists read, which
         # bounds the kernel's working arrays
         bounds, size, prev = [0], 0, -1
-        for i, (lv, reads) in enumerate(zip(cols[:, 0].tolist(),
-                                            (cols[:, 9] + 3).tolist())):
+        for i, (lv, reads) in enumerate(zip(lvs.tolist(),
+                                            (nmem + 3).tolist())):
             if i and (lv != prev or size + reads > _PART):
                 bounds.append(i)
                 size = 0
@@ -510,11 +510,11 @@ class CutEngine:
         sizes = np.diff(bounds)
         at = np.arange(len(gates)) - np.repeat(bounds[:-1], sizes)
         base = at << 32
-        fan, sbase, fneg = fan.ravel(), base.repeat(3), fneg.ravel()
+        fan, sbase, fneg = (lit >> 1).ravel(), base.repeat(3), fneg.ravel()
         sbase = sbase[:, None, None]
         # per part: its XOR, MAJ and member counts, and its fanin segments
         n_xor, n_maj, n_mem = np.add.reduceat(np.stack(
-            (xor, maj, cols[:, 9])), bounds[:-1], axis=1).tolist()
+            (xor, maj, nmem)), bounds[:-1], axis=1).tolist()
         iota = np.arange(_max(sizes) + 1)
         b3 = (3 * np.array(bounds)).tolist()
         plans = []

@@ -54,8 +54,8 @@ def graph_map(cn: ChoiceNetwork, target: str,
         sigs[i] = out.add_pi()
     for inst in m.instances:
         cand = _template(lib, target, inst.tt, p.mode)
-        sigs[inst.out] = Signal(*out.run(
-            cand.walk, [sigs[inst.ins[j]] for j in cand.support])[0])
+        sigs[inst.out] = out.run(
+            cand.walk, [sigs[inst.ins[j]] for j in cand.support])[0]
     for oid, negd in m.outputs:
         out.add_po(sigs[oid].with_neg(negd))
     return out

@@ -181,12 +181,12 @@ class _Rounds:
         self.req = [INF] * (width * len(net))
         # fanout estimates from the structural cone only, so member gates
         # do not inflate the sharing estimate of original nodes
-        fanins = net.fanins
-        fouts = np.bincount(
-            [f for n in net.tfi([s.node for s in net.outputs], gates_only=True)
-             for f, _ in fanins(n)] + [s.node for s in net.outputs],
-            minlength=len(net))
-        self.fouts = fouts.tolist()
+        outs = np.array([s.node for s in net.outputs], np.int64)
+        cone = np.fromiter(net.tfi(outs.tolist(), gates_only=True), np.int64)
+        fan = np.array(net.columns()[1:], np.int64)[:, cone] >> 1
+        # node 0 only pads a 2-input gate: strash folds constant fanins
+        self.fouts = np.bincount(np.append(fan[fan > 0], outs),
+                                 minlength=len(net)).tolist()
 
     def tie(self, m) -> int:
         return 0

@@ -32,20 +32,16 @@ def write_mch(cn: ChoiceNetwork, path) -> None:
     for i, n in enumerate(net.pis):
         lit[n] = 2 * i + 2
     nxt = 2 * len(net.pis) + 2
-    for g, (kind, fanins) in enumerate(net.nodes()):
-        if not fanins:  # the constant or a PI
+    code, f0, f1, f2 = net.columns()
+    for g, c, a, b, d in zip(range(len(net)), code, f0, f1, f2):
+        if c < nw.CODE[nw.AND2]:  # the constant or a PI
             continue
         lit[g] = nxt
         nxt += 2
-        if len(fanins) == 2:
-            (a, x), (b, y) = fanins
-            lines.append(f"gate {kind} {lit[a] + x} {lit[b] + y}")
-        else:
-            (a, x), (b, y), (c, z) = fanins
-            lines.append(f"gate {kind} {lit[a] + x} {lit[b] + y} "
-                         f"{lit[c] + z}")
-    for n, neg in net.outputs:
-        lines.append(f"output {lit[n] + neg}")
+        kind, a, b = nw.KINDS[c], lit[a >> 1] | (a & 1), lit[b >> 1] | (b & 1)
+        lines.append(f"gate {kind} {a} {b} {lit[d >> 1] | (d & 1)}"
+                     if kind == nw.MAJ3 else f"gate {kind} {a} {b}")
+    lines += [f"output {lit[n] + neg}" for n, neg in net.outputs]
     for r in cn.class_reprs():
         ms = " ".join([f"{lit[m] >> 1}:{1 if cn.phase[m] else 0}"
                        for m in cn.members(r)])

@@ -4,22 +4,28 @@ A LogicNetwork is a DAG over {CONST0, PI, AND2, XOR2, MAJ3} nodes with
 complemented edges.  A representation tag (aig/xag/mig/xmg) restricts which
 gate kinds may appear, so the same arena type hosts all four graph flavors.
 
-Every gate enters the arena through one strash core, `_strash_gate`, which
-simplifies, canonicalizes and dedupes a gate over plain (node, neg) pairs.
-It has two entry points, each validating its input once: `add` (one gate)
-and `run` (a whole network over given leaves, as a `Walk` that `compile`
-made once: construction, embedding, `compact`, template placement;
-`insert` compiles and runs in one call).  `run` reads its outputs from
-the image of every step (`images`), which choice install also reads.
-Signals are made only at that API edge and for the fanins of stored
-nodes.  One gate evaluator, `evaluate`, serves simulation and truth
-tables.  No other module reads the node records (`_nodes`, `_strash`)
-or spells a gate kind (the others read `ARITY` and `ALLOWED_KINDS`).
+The arena is int columns, as in flat AIG packages: per node a kind code
+(its index in KINDS) and three fanin literals, 2 * node + neg (0 where a
+node has fewer fanins); a gate's fanins have lower ids.  Every gate
+enters through one strash core, `_strash_gate`, which simplifies,
+canonicalizes and dedupes a gate over literals, keyed by `(code, lit,
+lit[, lit])`.  It has two entry points, each validating its input once:
+`add` (one gate) and `run` (a whole network over given leaves, as a
+`Walk` that `compile` made once: construction, embedding, `compact`,
+template placement; `insert` compiles and runs in one call).  `run`
+reads its outputs from the literal image of every step (`images`), which
+choice install also reads.  One gate evaluator, `evaluate`, serves
+simulation and truth tables.  Callers that walk every node read
+`columns`; `kind`, `fanins`, `nodes` and `outputs` are views in kind
+names and Signals.  No other module reads the storage (`_code`,
+`_fanin`, `_strash`) or spells a gate kind (the others read `ARITY`,
+`ALLOWED_KINDS` and `CODE`).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 CONST0 = "const0"
@@ -45,7 +51,13 @@ ALLOWED_KINDS = {
 
 GATE_KINDS = (AND2, XOR2, MAJ3)
 ARITY = {AND2: 2, XOR2: 2, MAJ3: 3}
-_FALSE = (0, False)
+
+# the stored kind codes: a node's code is its kind's index here, and every
+# gate's code is at least CODE[AND2]
+KINDS = (CONST0, PI, AND2, XOR2, MAJ3)
+CODE = {kind: code for code, kind in enumerate(KINDS)}
+_CONST, _PI, _AND, _XOR, _MAJ = range(5)
+_WIDTH = (0, 0, 2, 2, 3)  # fanins per code
 
 
 class Signal(NamedTuple):
@@ -59,6 +71,11 @@ class Signal(NamedTuple):
         return Signal(self.node, self.neg ^ neg)
 
 
+def _signal(lit: int) -> Signal:
+    # tuple.__new__ skips the Python frame of the generated __new__
+    return tuple.__new__(Signal, (lit >> 1, lit & 1 == 1))
+
+
 class NetworkError(Exception):
     pass
 
@@ -67,17 +84,13 @@ class UnsupportedConversion(NetworkError):
     pass
 
 
-class _Node(NamedTuple):
-    kind: str
-    fanins: tuple
-
-
 class LogicNetwork:
     def __init__(self, tag: str = AIG):
         if tag not in ALLOWED_KINDS:
             raise NetworkError(f"unknown representation tag {tag!r}")
         self.tag = tag
-        self._nodes: list[_Node] = [_Node(CONST0, ())]
+        self._code: list[int] = [_CONST]
+        self._fanin: tuple = ([0], [0], [0])
         self.pis: list[int] = []
         self.outputs: list[Signal] = []
         self._strash: dict[tuple, int] = {}
@@ -85,34 +98,43 @@ class LogicNetwork:
     # -- basic access -----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._code)
+
+    def columns(self) -> tuple:
+        """The node storage, to be read only: four int lists, one entry per
+        node, of kind codes (see KINDS) and first, second and third fanin
+        literals, 2 * node + neg, which read 0 past a node's arity."""
+        return (self._code, *self._fanin)
 
     def kind(self, n: int) -> str:
-        return self._nodes[n].kind
+        return KINDS[self._code[n]]
 
     def fanins(self, n: int) -> tuple:
-        return self._nodes[n].fanins
+        return tuple(map(_signal, self._lits(n)))
+
+    def _lits(self, n: int) -> tuple:
+        """n's fanin literals."""
+        f0, f1, f2 = self._fanin
+        return (f0[n], f1[n], f2[n])[:_WIDTH[self._code[n]]]
 
     def is_gate(self, n: int) -> bool:
-        return self._nodes[n].kind in (AND2, XOR2, MAJ3)
+        return self._code[n] >= _AND
 
     def is_pi(self, n: int) -> bool:
-        return self._nodes[n].kind == PI
+        return self._code[n] == _PI
 
     def is_const(self, n: int) -> bool:
-        return self._nodes[n].kind == CONST0
+        return self._code[n] == _CONST
 
     def nodes(self) -> Iterator[tuple]:
         """The (kind, fanins) pair of every node, in id order."""
-        return iter(self._nodes)
+        return ((self.kind(n), self.fanins(n)) for n in range(len(self)))
 
-    def gates(self) -> Iterable[int]:
-        for n in range(len(self._nodes)):
-            if self.is_gate(n):
-                yield n
+    def gates(self) -> list[int]:
+        return [n for n, code in enumerate(self._code) if code >= _AND]
 
     def num_gates(self) -> int:
-        return sum(1 for _ in self.gates())
+        return len(self._code) - 1 - len(self.pis)
 
     @property
     def const0(self) -> Signal:
@@ -125,8 +147,10 @@ class LogicNetwork:
     # -- construction -----------------------------------------------------
 
     def add_pi(self) -> Signal:
-        n = len(self._nodes)
-        self._nodes.append(_Node(PI, ()))
+        n = len(self._code)
+        self._code.append(_PI)
+        for col in self._fanin:
+            col.append(0)
         self.pis.append(n)
         return Signal(n, False)
 
@@ -136,7 +160,7 @@ class LogicNetwork:
 
     def _check_signal(self, s: tuple) -> None:
         """s is a Signal or a plain (node, neg) pair."""
-        if not (0 <= s[0] < len(self._nodes)):
+        if not (0 <= s[0] < len(self._code)):
             raise NetworkError(f"signal refers to missing node {s[0]}")
 
     def add(self, kind: str, fanins: Iterable[Signal]) -> Signal:
@@ -152,7 +176,8 @@ class LogicNetwork:
             self._check_signal(f)
         if kind not in ALLOWED_KINDS[self.tag]:
             raise NetworkError(f"{kind} not allowed in {self.tag} network")
-        return Signal(*self._strash_gate(kind, fanins))
+        return _signal(self._strash_gate(
+            CODE[kind], *[2 * n + bool(neg) for n, neg in fanins]))
 
     def add_and(self, a: Signal, b: Signal) -> Signal:
         return self.add(AND2, (a, b))
@@ -166,75 +191,64 @@ class LogicNetwork:
     def add_maj(self, a: Signal, b: Signal, c: Signal) -> Signal:
         return self.add(MAJ3, (a, b, c))
 
-    def _strash_gate(self, kind: str, fs) -> tuple:
-        """The strash core: the (node, neg) image of gate `kind` over the
-        (node, neg) pairs `fs`, which the caller has validated.
+    def _strash_gate(self, code: int, a: int, b: int, c: int = 0) -> int:
+        """The strash core: the literal of gate `code` over the validated
+        fanin literals a, b (and c for MAJ3).
 
         AND2 folds x&x, x&~x and constants; XOR2 pushes complements to its
         output; MAJ3 resolves two fanins on one node, folds a constant
         fanin to AND2/OR and keeps at most one fanin complemented.  Fanins
-        are sorted and the result is looked up in `_strash`, whose keys are
-        the stored `_Node`s: a Signal is a tuple, so a key built from plain
-        pairs matches one.  Only a new node gets Signal fanins.  A result
-        is a plain pair or one of `fs`.
-        """
-        out_neg = False
-        if kind == AND2:
-            a, b = fs
-            if a[0] == b[0]:
-                return a if a[1] == b[1] else _FALSE  # x & x, x & ~x
-            if a[0] == 0:
-                return b if a[1] else _FALSE
-            if b[0] == 0:
-                return a if b[1] else _FALSE
-            key = (kind, (a, b) if a[0] < b[0] else (b, a))
-        elif kind == XOR2:
-            (na, ga), (nb, gb) = fs
-            out_neg = ga ^ gb
-            if na == nb:
-                return (0, out_neg)
-            if na == 0:
-                return (nb, out_neg)
-            if nb == 0:
-                return (na, out_neg)
-            if nb < na:
-                na, nb = nb, na
-            key = (kind, ((na, False), (nb, False)))
+        are sorted (by literal, which is by node, then phase) and the
+        result is looked up in `_strash`; a new node is appended."""
+        out = 0
+        if code == _AND:
+            if a >> 1 == b >> 1:
+                return a if a == b else 0  # x & x, x & ~x
+            if a < 2:
+                return b if a else 0
+            if b < 2:
+                return a if b else 0
+            key = (code, a, b) if a < b else (code, b, a)
+        elif code == _XOR:
+            out = (a ^ b) & 1
+            a, b = a & -2, b & -2
+            if a == b:
+                return out
+            if not a:
+                return b | out
+            if not b:
+                return a | out
+            key = (code, a, b) if a < b else (code, b, a)
         else:
-            a, b, c = fs
             for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-                if x[0] == y[0]:
-                    return x if x[1] == y[1] else z  # MAJ(x,x,z), MAJ(x,~x,z)
+                if x >> 1 == y >> 1:
+                    return x if x == y else z  # MAJ(x,x,z), MAJ(x,~x,z)
             for f, u, v in ((a, b, c), (b, a, c), (c, a, b)):
-                if f[0] == 0:  # constant fanin folds to AND / OR
-                    if not f[1]:
-                        return self._strash_gate(AND2, (u, v))
-                    n, neg = self._strash_gate(
-                        AND2, ((u[0], not u[1]), (v[0], not v[1])))
-                    return (n, not neg)
-            if a[1] + b[1] + c[1] >= 2:
-                out_neg = True
-                a, b, c = ((a[0], not a[1]), (b[0], not b[1]),
-                           (c[0], not c[1]))
-            key = (kind, tuple(sorted((a, b, c))))
+                if f < 2:  # constant fanin folds to AND / OR
+                    if not f:
+                        return self._strash_gate(_AND, u, v)
+                    return self._strash_gate(_AND, u ^ 1, v ^ 1) ^ 1
+            if (a & 1) + (b & 1) + (c & 1) >= 2:
+                out = 1
+                a, b, c = a ^ 1, b ^ 1, c ^ 1
+            key = (code, *sorted((a, b, c)))
         n = self._strash.get(key)
         if n is None:
-            n = len(self._nodes)
-            node = _Node(kind, tuple([Signal(m, neg) for m, neg in key[1]]))
-            self._nodes.append(node)
-            self._strash[node] = n  # the node is its own key
-        return (n, out_neg)
+            n = self._strash[key] = len(self._code)
+            self._code.append(code)
+            f0, f1, f2 = self._fanin
+            f0.append(key[1])
+            f1.append(key[2])
+            f2.append(key[3] if code == _MAJ else 0)
+        return n << 1 | out
 
     # -- analyses ---------------------------------------------------------
 
     def compute_levels(self) -> "LevelMap":
-        lv = [0] * len(self._nodes)
-        for n in range(len(self._nodes)):
-            node = self._nodes[n]
-            if node.kind in (CONST0, PI):
-                lv[n] = 0
-            else:
-                lv[n] = 1 + max(lv[f.node] for f in node.fanins)
+        lv = [0] * len(self._code)
+        for n, code, a, b, c in zip(range(len(lv)), self._code, *self._fanin):
+            if code >= _AND:  # a missing third fanin reads node 0
+                lv[n] = 1 + max(lv[a >> 1], lv[b >> 1], lv[c >> 1])
         net_level = max((lv[s.node] for s in self.outputs), default=0)
         return LevelMap(lv, net_level)
 
@@ -247,9 +261,9 @@ class LogicNetwork:
             if n in seen:
                 continue
             seen.add(n)
-            stack.extend(f.node for f in self._nodes[n].fanins)
+            stack += [lit >> 1 for lit in self._lits(n)]
         if gates_only:
-            seen = {n for n in seen if self.is_gate(n)}
+            seen = {n for n in seen if self._code[n] >= _AND}
         return seen
 
     def reachable(self) -> set[int]:
@@ -257,10 +271,10 @@ class LogicNetwork:
 
     def fanouts(self) -> list[list[int]]:
         """Fanout node ids per node; each PO reference adds a -1 entry."""
-        outs: list[list[int]] = [[] for _ in self._nodes]
-        for n, node in enumerate(self._nodes):
-            for f in node.fanins:
-                outs[f.node].append(n)
+        outs: list[list[int]] = [[] for _ in self._code]
+        for n in self.gates():
+            for lit in self._lits(n):
+                outs[lit >> 1].append(n)
         for s in self.outputs:
             outs[s.node].append(-1)
         return outs
@@ -290,17 +304,17 @@ class LogicNetwork:
             return {n}, set()
         if fanouts is None:
             fanouts = self.fanouts()
-        nodes = self._nodes
+        code, lits = self._code, self._lits
         cone = {n}
-        leaves = {f.node for f in nodes[n].fanins}
-        heap = [-m for m in leaves if nodes[m].kind in GATE_KINDS]
+        leaves = {lit >> 1 for lit in lits(n)}
+        heap = [-m for m in leaves if code[m] >= _AND]
         heapq.heapify(heap)
         while heap:
             m = -heapq.heappop(heap)
             if any(o == -1 or o not in cone for o in fanouts[m]):
                 continue
             # fanins of m are below every member, so none is in the cone
-            new = {f.node for f in nodes[m].fanins} - leaves
+            new = {lit >> 1 for lit in lits(m)} - leaves
             if (max_leaves is not None
                     and len(leaves) - 1 + len(new) > max_leaves):
                 continue
@@ -308,7 +322,7 @@ class LogicNetwork:
             leaves.discard(m)
             leaves |= new
             for g in new:
-                if nodes[g].kind in GATE_KINDS:
+                if code[g] >= _AND:
                     heapq.heappush(heap, -g)
         return cone, leaves
 
@@ -317,8 +331,6 @@ class LogicNetwork:
         if not 0.0 <= r <= 1.0:
             raise NetworkError("ratio must be within [0, 1]")
         lm = self.compute_levels()
-        import math
-
         threshold = math.ceil(r * lm.network_level)
         roots = [s.node for s in self.outputs if lm.level[s.node] >= threshold]
         return self.tfi(roots, gates_only=True)
@@ -330,71 +342,75 @@ class LogicNetwork:
         """Rebuild src's gates here through strash, reading src's i-th PI
         as leaves[i], a Signal or a plain (node, neg) pair; returns the
         images of src's outputs: `run` over `src.compile(gates)`."""
-        return [Signal(*s) for s in self.run(src.compile(gates), leaves)]
+        return self.run(src.compile(gates), leaves)
 
     def compile(self, gates: Optional[Iterable[int]] = None) -> "Walk":
         """This network's gates as a straight-line strash walk: all of them
         in ascending id order, or only `gates` (ascending ids covering the
         cone of every output; a NetworkError names a fanin or output they
         miss)."""
-        nodes = self._nodes
-        slot: list = [None] * len(nodes)
+        code, (f0, f1, f2) = self._code, self._fanin
+        slot: list = [None] * len(code)
         slot[0] = 0
         for i, pi in enumerate(self.pis):
             slot[pi] = i + 1
         nxt = len(self.pis) + 1
-        steps, kinds = [], {}
-        for g in range(len(nodes)) if gates is None else gates:
-            kind, fanins = nodes[g]
-            if not fanins:  # CONST0 or a PI
+        steps = []
+        for g in self.gates() if gates is None else gates:
+            if code[g] < _AND:  # CONST0 or a PI
                 continue
-            for n, _ in fanins:
-                if slot[n] is None:
-                    raise NetworkError(
-                        f"gate {g} reads node {n}, which is neither an "
-                        f"input nor among the gates to rebuild")
-            steps.append((kind, tuple((slot[n], neg) for n, neg in fanins)))
-            kinds[kind] = None
+            # a missing third fanin reads node 0, slot 0
+            a, b, c = f0[g], f1[g], f2[g]
+            sa, sb, sc = slot[a >> 1], slot[b >> 1], slot[c >> 1]
+            if sa is None or sb is None or sc is None:
+                n = next(x >> 1 for x in (a, b, c) if slot[x >> 1] is None)
+                raise NetworkError(
+                    f"gate {g} reads node {n}, which is neither an input "
+                    f"nor among the gates to rebuild")
+            steps.append((code[g], 2 * sa + (a & 1), 2 * sb + (b & 1),
+                          2 * sc + (c & 1)))
             slot[g] = nxt
             nxt += 1
         for n, _ in self.outputs:
             if slot[n] is None:
                 raise NetworkError(f"output node {n} is neither an input nor "
                                    f"among the gates to rebuild")
+        kinds = dict.fromkeys(KINDS[step[0]] for step in steps)
         return Walk(self.tag, tuple(kinds), len(self.pis), tuple(steps),
-                    tuple((slot[n], neg) for n, neg in self.outputs))
+                    tuple(2 * slot[n] + neg for n, neg in self.outputs))
 
-    def run(self, walk: "Walk", leaves: Iterable[tuple]) -> list[tuple]:
+    def run(self, walk: "Walk", leaves: Iterable[tuple]) -> list[Signal]:
         """Run a compiled walk here through the strash core over one leaf
         per walk input, a Signal or a plain (node, neg) pair, and return
-        the (node, neg) image of each of its outputs: `images` read at
-        the walk's outputs."""
-        vals = self.images(walk, leaves)
-        return [(vals[s][0], vals[s][1] ^ neg) for s, neg in walk.outputs]
+        the Signal image of each of its outputs: `images` read at the
+        walk's outputs."""
+        vals = self.images(walk, [2 * n + bool(neg) for n, neg in leaves])
+        return [_signal(vals[s >> 1] ^ (s & 1)) for s in walk.outputs]
 
-    def images(self, walk: "Walk", leaves: Iterable[tuple]) -> list:
-        """The step loop under `run`: the (node, neg) image of every walk
-        slot, the constant, then the leaves, then one per step in step
-        order, which is topological.  The leaf count, every leaf's node
-        and the walk's gate kinds (UnsupportedConversion when this tag
-        does not allow one) are checked before the arena changes."""
-        vals = [_FALSE, *leaves]
+    def images(self, walk: "Walk", leaves: Iterable[int]) -> list[int]:
+        """The step loop under `run`: over one leaf literal per walk
+        input, the literal image of every walk slot, the constant, then
+        the leaves, then one per step in step order, which is
+        topological.  The leaf count, every leaf's node and the walk's
+        gate kinds (UnsupportedConversion when this tag does not allow
+        one) are checked before the arena changes."""
+        vals = [0, *leaves]
         if len(vals) != walk.inputs + 1:
             raise NetworkError(f"{len(vals) - 1} leaves for "
                                f"{walk.inputs} inputs")
-        size = len(self._nodes)
-        for n, _ in vals:
-            if not 0 <= n < size:
-                raise NetworkError(f"signal refers to missing node {n}")
+        top = 2 * len(self._code)
+        for v in vals:
+            if not 0 <= v < top:
+                raise NetworkError(f"signal refers to missing node {v >> 1}")
         allowed = ALLOWED_KINDS[self.tag]
         if not allowed.issuperset(walk.kinds):
             kind = next(k for k in walk.kinds if k not in allowed)
             raise UnsupportedConversion(f"cannot embed {walk.tag} {kind} "
                                         f"gates into {self.tag}")
         core = self._strash_gate
-        for kind, fanins in walk.gates:
-            vals.append(core(kind, [(vals[s][0], not vals[s][1]) if neg
-                                    else vals[s] for s, neg in fanins]))
+        for code, a, b, c in walk.gates:
+            vals.append(core(code, vals[a >> 1] ^ (a & 1),
+                             vals[b >> 1] ^ (b & 1), vals[c >> 1] ^ (c & 1)))
         return vals
 
     def one_to_one_map(self, target: str) -> "LogicNetwork":
@@ -424,19 +440,17 @@ class LogicNetwork:
         from its kind and its fanins' words; a node already in memo keeps
         its word.  A complemented fanin is XORed with `ones`, the
         all-ones word.  Returns memo."""
-        nodes = self._nodes
+        code, (f0, f1, f2) = self._code, self._fanin
         flip = (0, ones)
         for n in order:
             if n in memo:
                 continue
-            kind, fs = nodes[n]
-            if kind == MAJ3:
-                a, b, c = [memo[m] ^ flip[neg] for m, neg in fs]
-                memo[n] = (a & b) | (a & c) | (b & c)
-                continue
-            (p, x), (q, y) = fs
-            a, b = memo[p] ^ flip[x], memo[q] ^ flip[y]
-            memo[n] = a & b if kind == AND2 else a ^ b
+            a, b, c = f0[n], f1[n], f2[n]  # a missing c reads node 0
+            a, b, c = (memo[a >> 1] ^ flip[a & 1], memo[b >> 1] ^ flip[b & 1],
+                       memo[c >> 1] ^ flip[c & 1])
+            kind = code[n]
+            memo[n] = (a & b if kind == _AND else a ^ b if kind == _XOR
+                       else (a & b) | (a & c) | (b & c))
         return memo
 
     def simulate(self, pi_values: dict[int, int], width: int) -> dict:
@@ -446,7 +460,7 @@ class LogicNetwork:
         mask = (1 << width) - 1
         memo = {n: pi_values.get(n, 0) & mask for n in self.pis}
         memo[0] = 0
-        return self.evaluate(range(len(self._nodes)), memo, mask)
+        return self.evaluate(range(len(self._code)), memo, mask)
 
     def output_values(self, pi_values: dict[int, int], width: int) -> list[int]:
         mask = (1 << width) - 1
@@ -466,8 +480,9 @@ class LogicNetwork:
 class Walk(NamedTuple):
     """A network's gates as a straight-line program for the strash core:
     slot 0 is constant 0, slots 1..inputs the inputs, and each gate, a
-    (kind, fanins) step, fills the next slot; a fanin or an output is a
-    (slot, neg) pair."""
+    (code, lit, lit, lit) step, fills the next slot; a fanin or an output
+    is a slot literal, 2 * slot + neg, and a 2-input gate's third fanin
+    is slot literal 0."""
     tag: str             # the compiled network's representation
     kinds: tuple         # gate kinds among the steps, first use first
     inputs: int

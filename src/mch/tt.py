@@ -303,8 +303,8 @@ class InvalidCut(Exception):
 def cut_truth(net, root: int, leaves: list[int]) -> TruthTable:
     """Truth table of `root` as a function of `leaves` (sorted order).
 
-    Collects the cone above the leaves through `net.fanins`, then hands
-    it to the network's gate evaluator (`LogicNetwork.evaluate`) in
+    Collects the cone above the leaves from the network's columns, then
+    hands it to the network's gate evaluator (`LogicNetwork.evaluate`) in
     ascending id order, which is topological (a gate is added after its
     fanins); one TruthTable is built at the end."""
     v = len(leaves)
@@ -312,15 +312,14 @@ def cut_truth(net, root: int, leaves: list[int]) -> TruthTable:
         raise InvalidCut(f"cut has {v} leaves (max {MAX_VARS})")
     memo = dict(zip(leaves, VAR_MASKS))
     memo[0] = 0
-    fanins = net.fanins
+    _, f0, f1, f2 = net.columns()
     cone = set()  # gates between root and leaves
     stack = [root]
     while stack:
         n = stack.pop()
         if n not in memo and n not in cone:
-            fs = fanins(n)
-            if not fs:
+            if not net.is_gate(n):
                 raise InvalidCut(f"leaf set does not cut off node {n}")
             cone.add(n)
-            stack += [f.node for f in fs]
+            stack += (f0[n] >> 1, f1[n] >> 1, f2[n] >> 1)  # 0 pads, in memo
     return TruthTable(net.evaluate(sorted(cone), memo, FULL)[root], v)

@@ -131,3 +131,10 @@ def test_an_and_literal_past_the_header_bound_names_its_line(tmp_path):
     path.write_text("aag 2 1 0 1 1\n2\n6\n6 2 2\n")
     with pytest.raises(AigerError, match=r"line 4: invalid AND literal 6"):
         read_aiger(path)
+
+
+def test_an_input_literal_past_the_header_bound_names_its_line(tmp_path):
+    path = tmp_path / "i.aag"
+    path.write_text("aag 1 1 0 1 0\n4\n2\n")
+    with pytest.raises(AigerError, match=r"^line 2: invalid input literal 4$"):
+        read_aiger(path)

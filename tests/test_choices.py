@@ -196,6 +196,99 @@ def test_order_names_a_member_on_every_cycle():
     assert 30 < cycles < 270, cycles
 
 
+def _per_gate_order(cn: ChoiceNetwork) -> list:
+    """`ChoiceNetwork.order` as it was before it read the network's
+    columns: the walk over every node, through the per-gate `fanins`
+    and `is_gate` views; a cycle raises ChoiceError naming the member
+    its reverse walk meets first."""
+    net = cn.base
+    fanins, members = net.fanins, cn.classes.get
+    state = [0 if net.is_gate(n) else 2 for n in range(len(net))]
+    order = []
+    for start in range(len(net)):
+        if state[start] == 2:
+            continue
+        stack = [start]
+        while stack:
+            n = stack[-1]
+            if state[n] == 2:
+                stack.pop()
+                continue
+            pend = [f for f, _ in fanins(n) if state[f] != 2]
+            ms = members(n)
+            if ms:
+                pend += [d for d in ms if state[d] != 2]
+            if pend:
+                if state[n] == 1 and any(state[d] == 1 for d in pend):
+                    todo = [d for d in pend if state[d] == 1]
+                    came = dict.fromkeys(todo, n)
+                    for x in todo:
+                        for y in [f for f, _ in fanins(x)] + cn.members(x):
+                            if state[y] == 1 and y not in came:
+                                came[y] = x
+                                todo.append(y)
+                    m = n
+                    while m not in cn.members(came[m]):
+                        m = came[m]
+                    raise ChoiceError(f"choice {m} is on a dependency "
+                                      f"cycle", m)
+                state[n] = 1
+                stack.extend(pend)
+                continue
+            stack.pop()
+            state[n] = 2
+            order.append(n)
+    return order
+
+
+def _same_order(cn: ChoiceNetwork) -> bool:
+    """Whether `order` and the per-gate walk give the same order, or
+    both name the same member on a cycle; True for a cycle."""
+    try:
+        want = _per_gate_order(cn)
+    except ChoiceError as e:
+        with pytest.raises(ChoiceError) as got:
+            cn.order()
+        assert (got.value.member, str(got.value)) == (e.member, str(e))
+        return True
+    assert cn.order() == want
+    return False
+
+
+def test_order_equals_the_per_gate_walk_on_every_bundled_circuit(lib):
+    from mch.aiger import read_aiger
+    from mch.bench import PRESETS
+    from pathlib import Path
+
+    bundled = sorted((Path(__file__).resolve().parents[1]
+                      / "benchmarks").glob("*.aag"))
+    assert len(bundled) == 6
+    for path in bundled:
+        net = read_aiger(path)
+        for preset in ("area", "delay"):
+            mix, r, _ = PRESETS[preset]
+            cn = build_mch(net, lib, MchParams(r=r), mix_target=mix)
+            assert cn.classes, (path.stem, preset)
+            assert not _same_order(cn)
+
+
+def test_order_equals_the_per_gate_walk_on_random_classes():
+    # the classes of test_order_names_a_member_on_every_cycle
+    rng = random.Random(7)
+    cycles = 0
+    for i in range(300):
+        net = random_network(4, rng.randint(8, 25), rng.randint(0, 10**9),
+                             tag=(nw.AIG, nw.XMG)[i % 2])
+        gates = list(net.gates())
+        cn = ChoiceNetwork(net)
+        for _ in range(rng.randint(1, 4)):
+            r, m = rng.sample(gates, 2)
+            if r not in cn.repr_of:
+                cn.add_choice(r, m, False)
+        cycles += _same_order(cn)
+    assert 30 < cycles < 270, cycles
+
+
 def test_check_invariants_walks_no_tfi(monkeypatch, lib):
     cn = build_mch(parity8(), lib, MchParams(r=0.8), mix_target=nw.XMG)
     assert cn.classes

@@ -98,6 +98,16 @@ def test_missing_file_is_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_input_literal_past_the_header_bound_is_an_error_line(
+        tmp_path, capsys):
+    path = tmp_path / "i.aag"
+    path.write_text("aag 1 1 0 1 0\n4\n2\n")
+    assert cli_run(["stats", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "line 2: invalid input literal 4" in err
+
+
 @pytest.mark.parametrize("cmd, l", [("map-lut", "0"), ("map-cell", "-1")])
 def test_a_cut_limit_below_one_is_an_error_line(p8, capsys, cmd, l):
     assert cli_run([cmd, "-l", l, p8]) == 1

@@ -138,7 +138,7 @@ def test_the_one_pass_table_of_every_member_is_cut_truths(monkeypatch,
     def images(net, walk, leaves):
         arena["net"] = net
         vals = real_images(net, walk, leaves)
-        arena["steps"] = [n for n, _ in vals[walk.inputs + 1:]]
+        arena["steps"] = [v >> 1 for v in vals[walk.inputs + 1:]]
         return vals
 
     real_images = LogicNetwork.images
@@ -164,8 +164,9 @@ def test_a_member_the_arena_built_wrong_is_never_installed(monkeypatch):
         net = cn.base
         core = net._strash_gate
 
-        def xor_for_and(kind, fs):
-            return core(nw.XOR2 if kind == nw.AND2 else kind, fs)
+        def xor_for_and(code, *fs):
+            return core(nw.CODE[nw.XOR2] if code == nw.CODE[nw.AND2]
+                        else code, *fs)
 
         net._strash_gate = xor_for_and
         try:

@@ -139,7 +139,7 @@ def _reference_mffc(net, n, max_leaves=None):
                   reverse=True)
     fanout_map: dict[int, list[int]] = {}
     for g in net.gates():
-        for f in net._nodes[g].fanins:
+        for f in net.fanins(g):
             fanout_map.setdefault(f.node, []).append(g)
     for s in net.outputs:
         fanout_map.setdefault(s.node, []).append(-1)  # PO pseudo-fanout
@@ -147,7 +147,7 @@ def _reference_mffc(net, n, max_leaves=None):
     def support(members: set[int]) -> set[int]:
         leaves = set()
         for m in members:
-            for f in net._nodes[m].fanins:
+            for f in net.fanins(m):
                 if f.node not in members:
                     leaves.add(f.node)
         return leaves
@@ -248,3 +248,32 @@ def test_choice_generation_builds_one_fanout_map(monkeypatch):
                                 params)
     assert cn.stats.other_nodes > 1
     assert calls == [net]
+
+
+def test_edge_views_of_a_built_xmg_choice_network():
+    """`kind`, `fanins`, `nodes` and `outputs` read the column storage
+    back as kind names and Signals with bool negs, which the benchmark's
+    oracle and fingerprint read."""
+    from mch.choices import MchParams, build_mch
+    from mch.strategies import default_library
+
+    cn = build_mch(adder3(), default_library(), MchParams(r=0.8),
+                   mix_target=nw.XMG)
+    net = cn.base
+    assert cn.classes
+    kinds = (nw.CONST0, nw.PI, nw.AND2, nw.XOR2, nw.MAJ3)
+    pairs = list(net.nodes())
+    assert len(pairs) == len(net)
+    for n, pair in enumerate(pairs):
+        assert type(pair) is tuple and len(pair) == 2
+        kind, fanins = pair
+        assert kind in kinds and kind == net.kind(n)
+        assert type(fanins) is tuple and fanins == net.fanins(n)
+        assert len(fanins) == nw.ARITY.get(kind, 0)
+        for f in fanins:
+            assert type(f) is Signal and type(f.node) is int
+            assert type(f.neg) is bool and 0 <= f.node < n
+    assert {kind for kind, _ in pairs} == set(kinds)
+    assert net.outputs
+    for s in net.outputs:
+        assert type(s) is Signal and type(s.neg) is bool

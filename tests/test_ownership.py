@@ -1,8 +1,8 @@
 """Only `network.py` knows how a `LogicNetwork` stores its nodes: no other
-module under src/mch reads or writes `._nodes` or `._strash`, as an
-attribute or through a `getattr`-style string.  The rest of the program
-goes through `LogicNetwork` methods, so the node format can change in one
-file.  It is also the only module that spells a gate kind: the others
+module under src/mch reads or writes `._code`, `._fanin` or `._strash`,
+as an attribute or through a `getattr`-style string.  The rest of the
+program goes through `LogicNetwork` methods (the callers that walk every
+node read `columns()`), so the node format can change in one file.  It is also the only module that spells a gate kind: the others
 name `AND2`, `XOR2` and `MAJ3` (and read `ARITY`, `GATE_KINDS` and
 `ALLOWED_KINDS`), so the kinds can become int codes in one file.  Tests
 of the network's internals (test_strash.py, test_network.py) are outside
@@ -15,7 +15,7 @@ from mch import network as nw
 
 ROOT = Path(__file__).resolve().parents[1]
 OWNER = "network.py"
-PRIVATE = frozenset({"_nodes", "_strash"})
+PRIVATE = frozenset({"_code", "_fanin", "_strash"})
 
 
 def private_accesses(source: str) -> list:
@@ -31,9 +31,10 @@ def private_accesses(source: str) -> list:
 
 def test_the_check_sees_an_attribute_and_a_string():
     source = ("def f(net):\n"
-              "    kind = net._nodes[3].kind\n"
+              "    kind, lits = net._code[3], net._fanin\n"
               "    return getattr(net, '_strash'), net._strash_gate\n")
-    assert private_accesses(source) == [(2, "_nodes"), (3, "_strash")]
+    assert sorted(private_accesses(source)) == [
+        (2, "_code"), (2, "_fanin"), (3, "_strash")]
 
 
 def test_only_network_py_touches_the_node_storage():

@@ -16,11 +16,13 @@ ARITY = {nw.AND2: 2, nw.XOR2: 2, nw.MAJ3: 3}
 
 class _RefStrash:
     """Gate-by-gate strash over Signals, rule for rule as the network's
-    add path read before the core worked on (node, neg) pairs."""
+    add path read before the core worked on (node, neg) pairs and then on
+    literals; it starts from the arena's views (`nodes()` and the strash
+    table in kind names and Signals)."""
 
     def __init__(self, net: LogicNetwork):
-        self.nodes = list(net._nodes)
-        self.strash = dict(net._strash)
+        self.nodes = list(net.nodes())
+        self.strash = _strash_view(net)
 
     def add(self, kind, fs):
         if kind == nw.AND2:
@@ -118,7 +120,17 @@ def _rebuild(add, src: LogicNetwork, leaves: list, gates) -> dict:
 
 
 def _snapshot(net: LogicNetwork):
-    return list(net._nodes), dict(net._strash)
+    """The arena's storage: one (code, lit, lit, lit) row per node, and
+    the strash table."""
+    return list(zip(*net.columns())), dict(net._strash)
+
+
+def _strash_view(net: LogicNetwork) -> dict:
+    """The strash table in the reference's terms: (kind, fanin Signals)
+    -> node."""
+    return {(nw.KINDS[code], tuple(Signal(lit >> 1, bool(lit & 1))
+                                   for lit in lits)): n
+            for (code, *lits), n in net._strash.items()}
 
 
 def _assert_bool_negs(net: LogicNetwork) -> None:
@@ -153,7 +165,7 @@ def test_insert_matches_add_gate_by_gate(tag, populated):
         assert outs == want
         assert all(type(s) is Signal and type(s.neg) is bool for s in outs)
         assert _snapshot(a) == _snapshot(b)
-        assert a._nodes == ref.nodes and a._strash == ref.strash
+        assert list(a.nodes()) == ref.nodes and _strash_view(a) == ref.strash
         assert [ref_x[s.node].with_neg(s.neg) for s in src.outputs] == want
         _assert_bool_negs(a)
 

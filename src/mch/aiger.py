@@ -74,6 +74,8 @@ def read_aiger(path) -> LogicNetwork:
     sig_of[0] = net.const0
 
     def by_lit(lit: int, where: str) -> Signal:
+        if lit < 0:
+            raise AigerError(f"{where}: invalid literal {lit}")
         if lit > 2 * m + 1:
             raise AigerError(f"{where}: literal {lit} exceeds header bound")
         s = sig_of[lit // 2]
@@ -91,7 +93,7 @@ def read_aiger(path) -> LogicNetwork:
                 lit = int(lines[k + 1].split()[0])
             except (IndexError, ValueError):
                 raise AigerError(f"line {ln}: bad input literal")
-            if lit & 1 or lit == 0 or lit > 2 * m or lit // 2 in vars_seen:
+            if lit & 1 or lit <= 0 or lit > 2 * m or lit // 2 in vars_seen:
                 raise AigerError(f"line {ln}: invalid input literal {lit}")
             vars_seen.add(lit // 2)
             sig_of[lit // 2] = net.add_pi()
@@ -99,9 +101,12 @@ def read_aiger(path) -> LogicNetwork:
         for k in range(n_out):
             ln += 1
             try:
-                out_lits.append(int(lines[n_in + k + 1].split()[0]))
+                lit = int(lines[n_in + k + 1].split()[0])
             except (IndexError, ValueError):
                 raise AigerError(f"line {ln}: bad output literal")
+            if lit < 0:
+                raise AigerError(f"line {ln}: invalid output literal {lit}")
+            out_lits.append(lit)
         and_rows = []
         for k in range(n_and):
             ln += 1
@@ -110,7 +115,7 @@ def read_aiger(path) -> LogicNetwork:
                 lhs, r0, r1 = (int(x) for x in row[:3])
             except (IndexError, ValueError):
                 raise AigerError(f"line {ln}: bad AND line")
-            if lhs & 1 or lhs // 2 in vars_seen or lhs == 0 \
+            if lhs & 1 or lhs // 2 in vars_seen or lhs <= 0 \
                     or lhs > 2 * m:
                 raise AigerError(f"line {ln}: invalid AND literal {lhs}")
             vars_seen.add(lhs // 2)

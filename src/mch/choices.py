@@ -5,22 +5,33 @@ per node by level-oriented (critical path) or area-oriented (everything
 else) synthesis strategies are installed alongside the original structure
 and marked as choices of their representative node.  A candidate is a
 small network over its cut or MFFC leaves, and a query returns its cached,
-structurally distinct candidates.  Installing one runs the strash walk
-compiled when the query built it (`Candidate.walk`) over the spec's leaves
-(`LogicNetwork.images`); strash dedupes any gate the arena already has.
-External choices (`add_external_choices`) are inserted over the arena's
-PIs.
+structurally distinct candidates.
+
+The data flows in three steps, none of which makes an object per cut or
+per candidate to install.  Rows: `enumerate_cuts` gives each node's cuts
+as rows of the cut engine (`cuts.NodeCuts`: leaves, leaf count and table
+word; a Cut is made only when one is indexed or iterated), and
+`multi_strategy_choices` reads them as plain ints.  One query per table: a
+strategy builds its candidates once per distinct (table word, leaf count)
+and serves later cuts with that table from its cache.  A walk and proof
+per node: each node's candidates are installed as they are generated, in
+cut order, then its MFFC's, by running the strash walk compiled when the
+query built the candidate (`Candidate.walk`, `LogicNetwork.images`) over
+the leaves; strash dedupes any gate the arena already has.  The `deduped`
+count also holds the one-gate candidates over a gate's own fanins, which
+strash would fold into the gate itself and which are counted without a
+walk.  External choices (`add_external_choices`) are inserted over the
+arena's PIs.
 
 Every member is proven where it is installed.  A candidate's member is
-kept only when its table over the spec's leaves equals the table of the
-cut or MFFC it was built from, or that table's complement; the member's
-cone stops at those leaves, so this is exact at any PI count.  The table
-is read in the same pass that installs the member: the arena nodes its
-walk reached (`LogicNetwork.images`) are evaluated from their stored
-kinds and fanins (`LogicNetwork.evaluate`, which `cut_truth` also
-uses), so the proof checks the arena, not the walk's intended gates.
-External choices are kept only when `cec` proves the two networks
-`equivalent`.
+kept only when its table over the leaves equals the table of the cut or
+MFFC it was built from, or that table's complement; the member's cone
+stops at those leaves, so this is exact at any PI count.  The table is
+read in the same pass that installs the member: the arena nodes its walk
+reached are evaluated from their stored kinds and fanins
+(`LogicNetwork.evaluate`, which `cut_truth` also uses), so the proof
+checks the arena, not the walk's intended gates.  External choices are
+kept only when `cec` proves the two networks `equivalent`.
 
 A representative reads its members' cuts, so no class may close a
 cycle: one walk, `ChoiceNetwork.order`, orders and checks the classes.
@@ -34,9 +45,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .network import AND2, CODE, LogicNetwork, Signal
-from .cuts import Cut, enumerate_cuts
-from .strategies import (Candidate, StrategyLibrary,
-                         area_oriented_candidates,
+from .cuts import NodeCuts, enumerate_cuts
+from .strategies import (StrategyLibrary, area_oriented_candidates,
                          level_oriented_candidates)
 from .tt import FULL, MAX_VARS, VAR_MASKS, TruthTable, cut_truth
 from .verify import EQUIVALENT, cec, compare
@@ -201,69 +211,88 @@ class ChoiceNetwork:
                               f"representative {r}", m)
 
 
-# -- candidate generation (pure phase) --------------------------------
-
-
-class _Spec(NamedTuple):
-    node: int
-    leaves: tuple
-    tt: TruthTable       # the node's function over leaves
-    candidate: Candidate
+# -- candidate generation and install ---------------------------------
 
 
 def multi_strategy_choices(netp: LogicNetwork, critical: set[int],
-                           cutsets: dict[int, list[Cut]],
+                           cutsets: dict[int, NodeCuts],
                            lib: StrategyLibrary,
                            params: MchParams = MchParams()) -> ChoiceNetwork:
-    """Generate candidates per node and assemble the choice network.
+    """Generate candidates per node and install them as choices.
 
     Critical-path nodes get level-oriented candidates per cut; all other
     gates get area-oriented candidates per cut and for their MFFC.
+
+    Rows: a node's cuts are read from the cut engine's rows
+    (`NodeCuts.tables`: leaves and table word), with no Cut made.  One
+    query per table: a strategy builds its candidates once per distinct
+    (table word, leaf count) and serves every later cut with that table
+    from `StrategyLibrary.query_cache`.  A walk and proof per node: the
+    node's candidates are walked and proven as they come, its cuts in
+    stored order, each cut's candidates in query order, then its MFFC's
+    (`_install`), until it has MAX_MEMBERS members.
+
+    A one-gate candidate over a gate's own fanins is counted generated
+    and deduped without running its walk: like every candidate it
+    computes its cut's table, here the gate's function over the gate's
+    fanins, so its one gate is the gate itself, which strash folds it
+    into.
     """
     cn = ChoiceNetwork(netp)
     stats = cn.stats
     host = netp.tag
-    specs: list[_Spec] = []
-    fanouts = netp.fanouts()  # netp is not modified until _install_specs
+    # installs add gates above the original ones only, so the fanouts
+    # and MFFCs of the original gates stay as they are
+    fanouts = netp.fanouts()
+    _, f0, f1, f2 = netp.columns()
 
     for n in list(netp.gates()):
-        if n in critical:
+        crit = n in critical
+        if crit:
             stats.critical_nodes += 1
-            for cut in cutsets.get(n, []):
-                if len(cut.leaves) < 2 or cut.tt is None:
-                    continue
-                for cand in level_oriented_candidates(lib, cut.tt, host):
-                    specs.append(_Spec(n, cut.leaves, cut.tt, cand))
+            query = level_oriented_candidates
         else:
             stats.other_nodes += 1
-            cut_leaves = set()
-            for cut in cutsets.get(n, []):
-                if len(cut.leaves) < 2 or cut.tt is None:
-                    continue
-                cut_leaves.add(cut.leaves)
-                for cand in area_oriented_candidates(lib, cut.tt, host):
-                    specs.append(_Spec(n, cut.leaves, cut.tt, cand))
-            cone, leaves = netp.mffc(n, params.K, fanouts)
-            leaves = tuple(sorted(leaves))
-            # an MFFC over one of n's cuts has that cut's table, so its
-            # specs would repeat the cut's exactly; its members are gates
-            if 2 <= len(leaves) <= MAX_VARS and len(cone) >= 2 \
-                    and leaves not in cut_leaves:
-                tt = cut_truth(netp, n, leaves)
-                for cand in area_oriented_candidates(lib, tt, host):
-                    specs.append(_Spec(n, leaves, tt, cand))
+            query = area_oriented_candidates
+        cuts = cutsets.get(n)
+        rows = cuts.tables() if cuts is not None else ()
+        fanins = sorted({f0[n] >> 1, f1[n] >> 1, f2[n] >> 1} - {0})
+        have = 0              # members installed for n
+        seen = []             # leaves of n's cuts with candidates
+        for leaves, bits in rows:
+            z = len(leaves)
+            if z < 2:
+                continue
+            seen.append(leaves)
+            have = _install(cn, n, leaves, bits,
+                            query(lib, TruthTable(bits, z), host), have,
+                            leaves == fanins)
+        if crit:
+            continue
+        cone, leaves = netp.mffc(n, params.K, fanouts)
+        leaves = sorted(leaves)
+        # an MFFC over one of n's cuts has that cut's table, so its
+        # candidates would repeat the cut's exactly; its members are gates
+        if 2 <= len(leaves) <= MAX_VARS and len(cone) >= 2 \
+                and leaves not in seen:
+            tt = cut_truth(netp, n, leaves)
+            _install(cn, n, leaves, tt.bits, query(lib, tt, host), have,
+                     False)
 
-    _install_specs(cn, specs)
     stats.classes = len(cn.classes)
     stats.members = len(cn.repr_of)
     return cn
 
 
-def _install_specs(cn: ChoiceNetwork, specs: list[_Spec]) -> None:
-    """Run each candidate's precompiled walk over its spec's leaves and
-    install the new member when its table over those leaves is the spec's
-    table (phase 0) or its complement (phase 1); any other member counts
-    as failed, and a root strash already held counts as deduped.
+def _install(cn: ChoiceNetwork, node: int, leaves: list, bits: int,
+             cands: tuple, have: int, elementary: bool) -> int:
+    """Run each candidate's precompiled walk over leaves, while node has
+    fewer than MAX_MEMBERS members (`have`), and install the new member
+    when its table over leaves is bits (phase 0) or its complement
+    (phase 1); any other member counts as failed, and a root strash
+    already held counts as deduped.  With `elementary` (leaves are the
+    node's own fanins) a one-gate candidate is deduped without a walk.
+    Returns node's member count.
 
     The table is read from the arena nodes the walk reached: its step
     images, in step order, are topological, and the member's cone above
@@ -273,11 +302,13 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec]) -> None:
     again."""
     net = cn.base
     stats = cn.stats
-    count: dict[int, int] = {}  # members installed per node
-    for node, leaves, tt, cand in specs:
-        if count.get(node, 0) >= MAX_MEMBERS:
-            continue
+    for cand in cands:
+        if have >= MAX_MEMBERS:
+            break
         stats.generated += 1
+        if elementary and cand.size == 1:
+            stats.deduped += 1
+            continue
         before = len(net)
         walk = cand.walk
         vals = net.images(walk, [2 * leaves[j] for j in cand.support])
@@ -289,12 +320,13 @@ def _install_specs(cn: ChoiceNetwork, specs: list[_Spec]) -> None:
         memo[0] = 0
         got = net.evaluate([v >> 1 for v in vals[walk.inputs + 1:]], memo,
                            FULL)[member]
-        if got != tt.bits and got != tt.bits ^ FULL:
+        if got != bits and got != bits ^ FULL:
             stats.failed += 1
             continue
         stats.verified += 1
-        if cn.add_choice(node, member, got != tt.bits):
-            count[node] = count.get(node, 0) + 1
+        if cn.add_choice(node, member, got != bits):
+            have += 1
+    return have
 
 
 # -- top-level MCH construction ---------------------------------------

@@ -45,6 +45,7 @@ A level's fixed cost in numpy calls and operators is held to a budget by
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -71,6 +72,62 @@ class Cut(NamedTuple):
     leaves: tuple            # strictly ascending node indices
     sig: int = 0             # leaf signature; 0 where nothing sorts by it
     tt: Optional[TruthTable] = None     # the cut's function over leaves
+
+
+class CutRows(NamedTuple):
+    """Stored cuts as flat lists of ints: cut i has size[i] leaves,
+    leaves[i * k:i * k + size[i]] in ascending order, and table word
+    words[i].  Ints are not tracked by the cyclic collector, so rows held
+    for a whole build cost it nothing, where one object per cut would."""
+    k: int
+    leaves: list
+    size: list
+    words: list
+
+
+class NodeCuts(Sequence):
+    """One node's cut list, read-only: rows start .. stop - 1 of `rows`.
+    A Cut is made when it is indexed or iterated; the list compares equal
+    to a list or tuple of the same Cuts."""
+
+    __slots__ = ("rows", "start", "stop")
+
+    def __init__(self, rows: CutRows, start: int, stop: int):
+        self.rows, self.start, self.stop = rows, start, stop
+
+    def tables(self) -> list[tuple]:
+        """(leaves, table word) of each cut, its leaves as a list, read
+        from the rows without making a Cut."""
+        k, leaves, size, words = self.rows
+        return [(leaves[i * k:i * k + size[i]], words[i])
+                for i in range(self.start, self.stop)]
+
+    def _cut(self, i: int) -> Cut:
+        k, leaves, size, words = self.rows
+        z = size[i]
+        leaves = tuple(leaves[i * k:i * k + z])
+        return Cut(leaves, sig_of(leaves), TruthTable(words[i], z))
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, i: int) -> Cut:
+        if not -len(self) <= i < len(self):
+            raise IndexError("cut index out of range")
+        return self._cut(self.start + i % len(self))
+
+    def __iter__(self):
+        return map(self._cut, range(self.start, self.stop))
+
+    def __eq__(self, other):
+        if isinstance(other, (NodeCuts, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"NodeCuts({list(self)!r})"
 
 
 def is_cut(net, root: int, leaves) -> bool:
@@ -716,14 +773,23 @@ class CutEngine:
 
 
 def enumerate_cuts(net, k: int, l: Optional[int] = None
-                   ) -> dict[int, list[Cut]]:
-    """Per-node priority cut sets.
+                   ) -> dict[int, NodeCuts]:
+    """Per-node priority cut sets, each a read-only sequence of Cuts
+    (`NodeCuts`) over the cut engine's stored rows.
 
     PI cut set is the trivial cut only.  Gate cut sets are dominance-filtered
     merges of the fanin cut sets, truncated to the best `l` by the structural
     comparator (fewer leaves, then lower signature, then the leaves), with
     the trivial cut always appended outside the budget.  `l=None` keeps
     everything.
+
+    The engine's stored rows are copied once into flat int lists
+    (`CutRows`) that every node's sequence shares, and no Cut is made
+    here: one, with its leaf tuple and TruthTable, is made only when a
+    caller indexes or iterates a sequence.  Choice construction reads
+    the rows without Cuts (`NodeCuts.tables`), then takes each table's
+    candidates from its strategies, which build them once per distinct
+    table, then walks and proves each node's candidates.
     """
     if not 2 <= k <= 6:
         raise ValueError("cut size must be in [2, 6]")
@@ -734,25 +800,16 @@ def enumerate_cuts(net, k: int, l: Optional[int] = None
     sigs = np.append(np.uint64(1) << (np.arange(
         len(net), dtype=np.uint64) * np.uint64(_SIG_MULT) >> np.uint64(58)),
         np.uint64(0))
-
-    def sig(leaves):
-        return np.bitwise_or.reduce(sigs[leaves], axis=1)
-
-    for _ in eng.round(lambda leaves, size: (size, sig(leaves), *leaves.T),
-                       l):
+    for _ in eng.round(lambda leaves, size: (
+            size, np.bitwise_or.reduce(sigs[leaves], axis=1), *leaves.T), l):
         pass
-    # every stored list at once, leaves as the network's own node ints
     start, end, leaves, words = eng.stored()
-    ints = np.array(range(len(net)), object)
-    size = np.count_nonzero(leaves >= 0, axis=1)
-    # tuple.__new__ builds each NamedTuple without the Python frame of its
-    # generated __new__
-    new = tuple.__new__
-    cuts = [new(Cut, (tuple(row[:z]), s, new(TruthTable, (w, z))))
-            for row, z, s, w in zip(ints[leaves].tolist(), size.tolist(),
-                                    sig(leaves).tolist(), words.tolist())]
+    rows = CutRows(k, leaves.ravel().tolist(),
+                   np.count_nonzero(leaves >= 0, axis=1).tolist(),
+                   words.tolist())
     start, end = start.tolist(), end.tolist()
-    return {n: cuts[start[n]:end[n]] for n in (0, *net.pis, *net.gates())}
+    return {n: NodeCuts(rows, start[n], end[n])
+            for n in (0, *net.pis, *net.gates())}
 
 
 def all_cuts_bruteforce(net, root: int, k: int) -> list[tuple]:

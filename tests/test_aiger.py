@@ -138,3 +138,26 @@ def test_an_input_literal_past_the_header_bound_names_its_line(tmp_path):
     path.write_text("aag 1 1 0 1 0\n4\n2\n")
     with pytest.raises(AigerError, match=r"^line 2: invalid input literal 4$"):
         read_aiger(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    # an output literal of -1 once read as ~x1, the last variable
+    ("aag 1 1 0 1 0\n2\n-1\n", "line 3: invalid output literal -1"),
+    # an input literal of -2 once bound the input to variable 2
+    ("aag 2 2 0 1 0\n-2\n2\n2\n", "line 2: invalid input literal -2"),
+    ("aag 2 1 0 1 1\n2\n4\n-4 2 2\n", "line 4: invalid AND literal -4"),
+    ("aag 2 1 0 1 1\n2\n4\n4 -2 2\n", "line 4: invalid literal -2"),
+    ("aag 2 1 0 1 1\n2\n4\n4 2 -3\n", "line 4: invalid literal -3"),
+])
+def test_a_negative_literal_names_its_line(tmp_path, text, message):
+    path = tmp_path / "n.aag"
+    path.write_text(text)
+    with pytest.raises(AigerError, match=f"^{message}$"):
+        read_aiger(path)
+
+
+def test_a_negative_binary_output_literal_is_refused(tmp_path):
+    path = tmp_path / "n.aig"
+    path.write_bytes(b"aig 1 1 0 1 0\n-1\n")
+    with pytest.raises(AigerError, match="invalid literal -1"):
+        read_aiger(path)

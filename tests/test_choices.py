@@ -328,3 +328,39 @@ def test_a_candidate_off_by_one_minterm_is_never_installed(monkeypatch, lib):
     assert cn.stats.failed > 0
     assert cn.stats.verified == 0
     assert not cn.repr_of
+
+
+@pytest.mark.parametrize("mix", [nw.XMG, nw.XAG])
+def test_a_one_gate_candidate_over_a_gates_fanins_folds_into_the_gate(
+        lib, mix):
+    """What lets install count such a candidate deduped without its walk:
+    on every bundled circuit, each one-gate candidate of a gate's
+    elementary cut walks to the gate itself and adds no node."""
+    from pathlib import Path
+
+    from mch.aiger import read_aiger
+    from mch.cuts import enumerate_cuts
+
+    root = Path(__file__).resolve().parents[1]
+    folded = 0
+    for path in sorted((root / "benchmarks").glob("*.aag")):
+        net = read_aiger(path).one_to_one_map(mix)
+        size = len(net)
+        for n, cuts in enumerate_cuts(net, 4, 8).items():
+            if not net.is_gate(n):
+                continue
+            fanins = tuple(sorted(f.node for f in net.fanins(n)))
+            for cut in cuts:
+                if cut.leaves != fanins:
+                    continue
+                for query in (choices.area_oriented_candidates,
+                              choices.level_oriented_candidates):
+                    for cand in query(lib, cut.tt, mix):
+                        if cand.size != 1:
+                            continue
+                        vals = net.images(cand.walk, [
+                            2 * cut.leaves[j] for j in cand.support])
+                        assert vals[cand.walk.outputs[0] >> 1] >> 1 == n
+                        assert len(net) == size
+                        folded += 1
+    assert folded > 100

@@ -108,6 +108,15 @@ def test_an_input_literal_past_the_header_bound_is_an_error_line(
     assert "line 2: invalid input literal 4" in err
 
 
+def test_a_negative_output_literal_is_an_error_line(tmp_path, capsys):
+    path = tmp_path / "n.aag"
+    path.write_text("aag 1 1 0 1 0\n2\n-1\n")
+    assert cli_run(["stats", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "line 3: invalid output literal -1" in err
+
+
 @pytest.mark.parametrize("cmd, l", [("map-lut", "0"), ("map-cell", "-1")])
 def test_a_cut_limit_below_one_is_an_error_line(p8, capsys, cmd, l):
     assert cli_run([cmd, "-l", l, p8]) == 1

@@ -1,6 +1,12 @@
+import hashlib
 import random
+from pathlib import Path
+
+import pytest
 
 from mch import network as nw
+from mch.aiger import read_aiger
+from mch.cuts import Cut
 from mch.network import LogicNetwork
 from mch.cuts import is_cut, enumerate_cuts, all_cuts_bruteforce, sig_of
 from mch.gen import random_network
@@ -614,3 +620,58 @@ def test_a_level_lists_each_stored_cut_once_grouped_by_node():
                         lv.size[at:at + c].tolist())] == eng.cuts(n)[:-1]
                     assert lv.tt[at:at + c].tolist() == eng.words(n)[:-1]
                     at += c
+
+
+# a sha256 of every node's cut list, (node, [(leaves, sig, tt.bits,
+# tt.var_count)...]) over the dict's order, recorded while enumerate_cuts
+# still returned lists of Cut objects
+BUNDLED_CUTS = {
+    ("cavlc", 4, 8):
+        "c66e574f55deae873f38a46f4676b8369f83251a0cd81b31e70488f543395044",
+    ("cavlc", 6, None):
+        "3268ec5929181e074a413bcdcd9fdc80674cc0ab7a1eb856d3f54a4c90f7f67e",
+    ("ctrl", 4, 8):
+        "d7545d1ea70483f6b800effef75fa5e643df1819c69e5c50437b6e126e12b569",
+    ("ctrl", 6, None):
+        "de558fe99ac808c75ca6990e24fc12c08e5b8587553b333a95c1809218f0fdea",
+    ("dec", 4, 8):
+        "6e56cfce5564e41e2a3b445eb1d1ae9f26a7959db7c453386e09c36f8b8846b0",
+    ("dec", 6, None):
+        "3861078cec5fc9dfc9bde8dd4a43eb03645298020f65789348697035a17a0d77",
+    ("int2float", 4, 8):
+        "0b180633a51c03810611b91222516b11e8831b4f59cb0ec16d910825c5217b92",
+    ("int2float", 6, None):
+        "1481ce75bf2cf6d24a8b265324dae9ccf2910768135e27d8f2992bfb0479022a",
+    ("priority", 4, 8):
+        "279a0f0fe793866d2c333fd21b354a91f15c90301b632e2375f11ac9588a1dd6",
+    ("priority", 6, None):
+        "687df41a25429c3a373f29ff037845c9bd03adf35620a6247a99994cf8cb73d3",
+    ("router", 4, 8):
+        "49b8941772ab2dcdb6ef7c5040bbea1b19cf9f07c87229545cab51236dcf74dc",
+    ("router", 6, None):
+        "1102f3a8cf19475714a42b8ee654c852bb344f71e5966ac63e5809627fc01c50",
+}
+
+
+@pytest.mark.parametrize("design, k, l", sorted(BUNDLED_CUTS,
+                                                key=lambda p: p[:2]))
+def test_each_cut_list_reads_like_the_list_it_was(design, k, l):
+    """A node's value has the old list's length, indexes (also from the
+    end) and iterates to the same Cuts, and compares equal to them."""
+    root = Path(__file__).resolve().parents[1]
+    net = read_aiger(root / "benchmarks" / f"{design}.aag")
+    cutsets = enumerate_cuts(net, k, l)
+    listed = []
+    for n, cuts in cutsets.items():
+        want = list(cuts)
+        assert all(type(c) is Cut for c in want)
+        assert len(cuts) == len(want) > 0
+        assert [cuts[i] for i in range(len(cuts))] == want
+        assert cuts[-1] == want[-1] and cuts[-len(want)] == want[0]
+        assert cuts == want and want == cuts
+        with pytest.raises(IndexError):
+            cuts[len(want)]
+        listed.append((n, [(c.leaves, c.sig, c.tt.bits, c.tt.var_count)
+                           for c in want]))
+    digest = hashlib.sha256(repr(listed).encode()).hexdigest()
+    assert digest == BUNDLED_CUTS[design, k, l]

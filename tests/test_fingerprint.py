@@ -70,6 +70,16 @@ def test_fingerprint_of_the_1000_gate_ladder_is_pinned(tmp_path):
     assert _matches_pins(LADDER1000, "ladder", "ladder1000", tmp_path) == 0
 
 
+LADDER2000 = {
+    "ladder2000/build":
+        "b6fbe99224c1b1caae9e65fb55e27815ac3c8d48787826215fc23bcebd95884d",
+}
+
+
+def test_fingerprint_of_the_2000_gate_ladder_is_pinned(tmp_path):
+    assert _matches_pins(LADDER2000, "ladder", "ladder2000", tmp_path) == 0
+
+
 # router's two iterate operations: k=4 LUT mapping feeding rebuilding,
 # recorded before cut tables were composed at store time
 ROUTER_ITERATE = {

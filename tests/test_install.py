@@ -6,6 +6,7 @@ distinct per query; and the table that proves a member, read from the
 arena nodes its walk reached, must be `cut_truth`'s."""
 
 import copy
+import dataclasses
 import random
 import sys
 from pathlib import Path
@@ -87,24 +88,41 @@ def _ladder_net(tmp_path, size, seed):
     return read_aiger(path)
 
 
-# (verified, failed, classes, members), recorded before queries dropped
-# repeated structures and before an MFFC over one of its root's cuts was
-# skipped: both only ever removed inserts that strash folds
+# every ChoiceStats field, (critical_nodes, other_nodes, generated, deduped,
+# verified, failed, classes, members), of the bundled circuits and the
+# seed-1 ladder nets.  The members of cavlc and ladder1000 were recorded
+# before queries dropped repeated structures and before an MFFC over one
+# of its root's cuts was skipped (both only ever removed inserts that
+# strash folds); every field before construction read its candidates
+# straight from the cut engine's rows.
 STATS = {
-    ("cavlc", "area"): (504, 0, 76, 504),
-    ("cavlc", "delay"): (394, 0, 72, 394),
-    ("ladder1000", "area"): (3517, 0, 880, 3517),
-    ("ladder1000", "delay"): (2270, 0, 813, 2270),
+    ("cavlc", "area"): (83, 14, 909, 405, 504, 0, 76, 504),
+    ("cavlc", "delay"): (86, 11, 832, 438, 394, 0, 72, 394),
+    ("ctrl", "area"): (9, 44, 309, 184, 125, 0, 37, 125),
+    ("ctrl", "delay"): (53, 0, 218, 170, 48, 0, 22, 48),
+    ("dec", "area"): (304, 0, 2192, 1072, 1120, 0, 256, 1120),
+    ("dec", "delay"): (304, 0, 2192, 1072, 1120, 0, 256, 1120),
+    ("int2float", "area"): (38, 24, 355, 197, 158, 0, 55, 158),
+    ("int2float", "delay"): (59, 3, 265, 181, 84, 0, 55, 84),
+    ("priority", "area"): (48, 6, 351, 168, 183, 0, 51, 183),
+    ("priority", "delay"): (53, 1, 255, 154, 101, 0, 51, 101),
+    ("router", "area"): (8, 2, 41, 20, 21, 0, 5, 21),
+    ("router", "delay"): (10, 0, 35, 22, 13, 0, 3, 13),
+    ("ladder1000", "area"): (173, 827, 8587, 5070, 3517, 0, 880, 3517),
+    ("ladder1000", "delay"): (870, 130, 6359, 4089, 2270, 0, 813, 2270),
+    ("ladder2000", "area"): (340, 1660, 17306, 10405, 6901, 0, 1776, 6901),
+    ("ladder2000", "delay"): (1686, 314, 12935, 8422, 4513, 0, 1617, 4513),
 }
 
 
 @pytest.mark.parametrize("design, preset", sorted(STATS))
 def test_install_keeps_the_same_members(tmp_path, design, preset):
-    net = (read_aiger(ROOT / "benchmarks" / "cavlc.aag") if design == "cavlc"
-           else _ladder_net(tmp_path, 1000, 1))
+    if design.startswith("ladder"):
+        net = _ladder_net(tmp_path, int(design[len("ladder"):]), 1)
+    else:
+        net = read_aiger(ROOT / "benchmarks" / f"{design}.aag")
     s = _build(net, default_library(), preset).stats
-    assert (s.verified, s.failed, s.classes, s.members) == \
-        STATS[design, preset]
+    assert dataclasses.astuple(s) == STATS[design, preset]
     assert s.generated == s.deduped + s.verified + s.failed
 
 
@@ -158,10 +176,11 @@ def test_a_member_the_arena_built_wrong_is_never_installed(monkeypatch):
     member's walk still means the spec's function, but its arena nodes do
     not: every such member fails its proof, and only members whose arena
     nodes compute the spec's function are installed."""
-    real = choices._install_specs
+    real = choices.multi_strategy_choices
 
-    def wrong_arena(cn, specs):
-        net = cn.base
+    def wrong_arena(net, *args):
+        # the embedded network is built; only install's walks see the
+        # wrong core
         core = net._strash_gate
 
         def xor_for_and(code, *fs):
@@ -170,7 +189,7 @@ def test_a_member_the_arena_built_wrong_is_never_installed(monkeypatch):
 
         net._strash_gate = xor_for_and
         try:
-            real(cn, specs)
+            return real(net, *args)
         finally:
             del net._strash_gate
 
@@ -179,7 +198,7 @@ def test_a_member_the_arena_built_wrong_is_never_installed(monkeypatch):
         net = read_aiger(path)
         good = _build(net, lib, "area").stats
         with monkeypatch.context() as m:
-            m.setattr(choices, "_install_specs", wrong_arena)
+            m.setattr(choices, "multi_strategy_choices", wrong_arena)
             cn = _build(net, lib, "area")
         s = cn.stats
         assert s.failed > 0 and s.verified < good.verified, path.stem

@@ -4,11 +4,11 @@ from .network import (AIG, MIG, XAG, XMG, LogicNetwork, NetworkError, Signal,
                       UnsupportedConversion)
 from .tt import TruthTable, cut_truth, dsd_decompose, isop
 from .npn import npn_canonize
-from .cuts import Cut, enumerate_cuts, is_cut
+from .cuts import enumerate_cuts, is_cut
 
 __all__ = [
     "AIG", "XAG", "MIG", "XMG",
     "LogicNetwork", "Signal", "NetworkError", "UnsupportedConversion",
     "TruthTable", "cut_truth", "isop", "dsd_decompose", "npn_canonize",
-    "Cut", "enumerate_cuts", "is_cut",
+    "enumerate_cuts", "is_cut",
 ]

@@ -9,19 +9,18 @@ structurally distinct candidates.
 
 The data flows in three steps, none of which makes an object per cut or
 per candidate to install.  Rows: `enumerate_cuts` gives each node's cuts
-as rows of the cut engine (`cuts.NodeCuts`: leaves, leaf count and table
-word; a Cut is made only when one is indexed or iterated), and
-`multi_strategy_choices` reads them as plain ints.  One query per table: a
-strategy builds its candidates once per distinct (table word, leaf count)
-and serves later cuts with that table from its cache.  A walk and proof
-per node: each node's candidates are installed as they are generated, in
-cut order, then its MFFC's, by running the strash walk compiled when the
-query built the candidate (`Candidate.walk`, `LogicNetwork.images`) over
-the leaves; strash dedupes any gate the arena already has.  The `deduped`
-count also holds the one-gate candidates over a gate's own fanins, which
-strash would fold into the gate itself and which are counted without a
-walk.  External choices (`add_external_choices`) are inserted over the
-arena's PIs.
+in the cut engine's rows (`cuts.NodeCuts`), and `multi_strategy_choices`
+reads them as (leaves, table word) pairs of plain ints.  One query per
+table: a strategy builds its candidates once per distinct (table word,
+leaf count) and serves later cuts with that table from its cache.  A walk
+and proof per node: each node's candidates are installed as they are
+generated, in cut order, then its MFFC's (none once the node's class is
+full), by running the strash walk compiled when the query built the
+candidate (`Candidate.walk`, `LogicNetwork.images`) over the leaves;
+strash dedupes any gate the arena already has.  The `deduped` count also
+holds the one-gate candidates over a gate's own fanins, which strash would
+fold into the gate itself and which are counted without a walk.  External
+choices (`add_external_choices`) are inserted over the arena's PIs.
 
 Every member is proven where it is installed.  A candidate's member is
 kept only when its table over the leaves equals the table of the cut or
@@ -116,23 +115,28 @@ class ChoiceNetwork:
         self.phase[member] = phase
         return True
 
-    def order(self) -> list[int]:
-        """Gates, each after its fanins and members: one walk over both,
-        whose order the mapper's rounds follow; a dependency cycle raises
-        ChoiceError naming a member on it.  Gates start it in id order, and
-        a gate's fanins have lower ids, so one without members that no
-        walk has reached yet is ordered as it starts."""
+    def order(self) -> tuple[list[int], list[int]]:
+        """Gates, each after its fanins and members, and per node its ASAP
+        level over both (0 for PIs and the constant): one walk, whose
+        order the mapper's rounds follow and whose levels group its cut
+        engine's; a dependency cycle raises ChoiceError naming a member on
+        it.  Gates start it in id order, and a gate's fanins have lower
+        ids, so one without members that no walk has reached yet is
+        ordered as it starts."""
         code, *lits = self.base.columns()
         gate = np.array(code) >= CODE[AND2]
         # per node its fanin node ids; node 0, which is ordered, pads
         fan = (np.array(lits).T >> 1).tolist()
         # 1 while a gate's dependencies are pending, 2 once it is ordered
         state = np.where(gate, 0, 2).tolist()
+        level = [0] * len(state)
         order: list[int] = []
         for start in np.flatnonzero(gate).tolist():
             if state[start] == 2:
                 continue
             if start not in self.classes:
+                a, b, c = fan[start]
+                level[start] = 1 + max(level[a], level[b], level[c])
                 state[start] = 2
                 order.append(start)
                 continue
@@ -153,9 +157,12 @@ class ChoiceNetwork:
                     stack.extend(pend)
                     continue
                 stack.pop()
+                a, b, c = fan[n]
+                level[n] = 1 + max(level[a], level[b], level[c],
+                                   *[level[m] for m in ms or ()])
                 state[n] = 2
                 order.append(n)
-        return order
+        return order, level
 
     def _cycle(self, state: list, fan: list, n: int, pend: list):
         """Raise for a cycle through n, naming a member on it: pending
@@ -223,14 +230,15 @@ def multi_strategy_choices(netp: LogicNetwork, critical: set[int],
     Critical-path nodes get level-oriented candidates per cut; all other
     gates get area-oriented candidates per cut and for their MFFC.
 
-    Rows: a node's cuts are read from the cut engine's rows
-    (`NodeCuts.tables`: leaves and table word), with no Cut made.  One
-    query per table: a strategy builds its candidates once per distinct
-    (table word, leaf count) and serves every later cut with that table
-    from `StrategyLibrary.query_cache`.  A walk and proof per node: the
-    node's candidates are walked and proven as they come, its cuts in
-    stored order, each cut's candidates in query order, then its MFFC's
-    (`_install`), until it has MAX_MEMBERS members.
+    Rows: a node's cuts are read from the cut engine's rows as (leaves,
+    table word) pairs (`NodeCuts.tables`).  One query per table: a
+    strategy builds its candidates once per distinct (table word, leaf
+    count) and serves every later cut with that table from
+    `StrategyLibrary.query_cache`.  A walk and proof per node: the node's
+    candidates are walked and proven as they come, its cuts in stored
+    order, each cut's candidates in query order, then its MFFC's
+    (`_install`), until it has MAX_MEMBERS members; a node whose class is
+    full by then computes no MFFC.
 
     A one-gate candidate over a gate's own fanins is counted generated
     and deduped without running its walk: like every candidate it
@@ -267,7 +275,7 @@ def multi_strategy_choices(netp: LogicNetwork, critical: set[int],
             have = _install(cn, n, leaves, bits,
                             query(lib, TruthTable(bits, z), host), have,
                             leaves == fanins)
-        if crit:
+        if crit or have >= MAX_MEMBERS:
             continue
         cone, leaves = netp.mffc(n, params.K, fanouts)
         leaves = sorted(leaves)

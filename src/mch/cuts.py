@@ -1,9 +1,11 @@
 """K-feasible priority cuts: the one choice-aware cut engine.
 
 `CutEngine` builds the cut pools of a whole dependency level at once.  The
-levels are ASAP levels over fanins plus class members, so no node of a
-level reads the cuts of another, and one round (`CutEngine.round`) walks
-them bottom-up, a large level in parts that bound its working arrays.
+caller gives each node's ASAP level over its fanins plus class members
+(`ChoiceNetwork.order` computes them in its walk, and
+`LogicNetwork.compute_levels` without classes), so no node of a level
+reads the cuts of another, and one round (`CutEngine.round`) walks them
+bottom-up, a large level in parts that bound its working arrays.
 Per level part, on numpy arrays, each stage handed what the one before
 it computed:
 
@@ -39,18 +41,21 @@ then repeated), complemented by the fanin's phase and combined by AND,
 XOR or MAJ3; a member cut reads its member's word as every fanin,
 complemented by its phase.  A round reads nothing an earlier round stored
 but the lists it overwrites, so every round is the same as a first one.
+A round's caller reads each level part's stored cuts on arrays
+(`Level`); any other reader reads a node's list one way, as (leaves,
+table word) pairs from one int-list copy of the stored rows (`CutRows`),
+made on the first read after they change.
 A level's fixed cost in numpy calls and operators is held to a budget by
 `tests/test_call_budget.py`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .network import CODE, MAJ3, XOR2
+from .network import AND2, CODE, MAJ3, XOR2
 from .tt import FULL, TruthTable
 
 _SIG_MULT = 0x9E3779B97F4A7C15
@@ -68,66 +73,41 @@ def sig_of(leaves) -> int:
     return s
 
 
-class Cut(NamedTuple):
-    leaves: tuple            # strictly ascending node indices
-    sig: int = 0             # leaf signature; 0 where nothing sorts by it
-    tt: Optional[TruthTable] = None     # the cut's function over leaves
-
-
 class CutRows(NamedTuple):
-    """Stored cuts as flat lists of ints: cut i has size[i] leaves,
+    """Stored cuts as flat lists of ints: node n's list is
+    cuts start[n] .. stop[n] - 1, and cut i has size[i] leaves,
     leaves[i * k:i * k + size[i]] in ascending order, and table word
     words[i].  Ints are not tracked by the cyclic collector, so rows held
     for a whole build cost it nothing, where one object per cut would."""
     k: int
+    start: list
+    stop: list
     leaves: list
     size: list
     words: list
 
+    def tables(self, n: int) -> list[tuple]:
+        """(leaves, table word) of each cut of n's list, its leaves as a
+        list; the trivial cut is last for a gate."""
+        k, leaves, size, words = self.k, self.leaves, self.size, self.words
+        return [(leaves[i * k:i * k + size[i]], words[i])
+                for i in range(self.start[n], self.stop[n])]
 
-class NodeCuts(Sequence):
-    """One node's cut list, read-only: rows start .. stop - 1 of `rows`.
-    A Cut is made when it is indexed or iterated; the list compares equal
-    to a list or tuple of the same Cuts."""
 
-    __slots__ = ("rows", "start", "stop")
+class NodeCuts:
+    """One node's cut list in rows that all nodes share: its length, and
+    its (leaves, table word) pairs (`tables`), made only when read."""
 
-    def __init__(self, rows: CutRows, start: int, stop: int):
-        self.rows, self.start, self.stop = rows, start, stop
+    __slots__ = ("rows", "node")
+
+    def __init__(self, rows: CutRows, node: int):
+        self.rows, self.node = rows, node
 
     def tables(self) -> list[tuple]:
-        """(leaves, table word) of each cut, its leaves as a list, read
-        from the rows without making a Cut."""
-        k, leaves, size, words = self.rows
-        return [(leaves[i * k:i * k + size[i]], words[i])
-                for i in range(self.start, self.stop)]
-
-    def _cut(self, i: int) -> Cut:
-        k, leaves, size, words = self.rows
-        z = size[i]
-        leaves = tuple(leaves[i * k:i * k + z])
-        return Cut(leaves, sig_of(leaves), TruthTable(words[i], z))
+        return self.rows.tables(self.node)
 
     def __len__(self) -> int:
-        return self.stop - self.start
-
-    def __getitem__(self, i: int) -> Cut:
-        if not -len(self) <= i < len(self):
-            raise IndexError("cut index out of range")
-        return self._cut(self.start + i % len(self))
-
-    def __iter__(self):
-        return map(self._cut, range(self.start, self.stop))
-
-    def __eq__(self, other):
-        if isinstance(other, (NodeCuts, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"NodeCuts({list(self)!r})"
+        return self.rows.stop[self.node] - self.rows.start[self.node]
 
 
 def is_cut(net, root: int, leaves) -> bool:
@@ -471,19 +451,9 @@ class Level:
         return self._sizes[self._pick]
 
     @property
-    def key(self) -> list:
-        """Every key column."""
-        return [c[self._pick] for c in self._cols]
-
-    @property
-    def count(self) -> np.ndarray:
-        """The number of cuts of each node."""
-        return np.diff(self.bound)
-
-    @property
     def empty(self) -> list:
         """The nodes whose pool is empty."""
-        return [n for n, c in zip(self.node_list, self.count.tolist())
+        return [n for n, c in zip(self.node_list, np.diff(self.bound).tolist())
                 if not c]
 
 
@@ -493,20 +463,19 @@ class CutEngine:
 
     `classes` maps a representative to its (member, phase) pairs; a member
     cut enters the representative's pool with its table complemented when
-    the phase is set.  `order` lists the gates so that every fanin and
-    class member of a node comes before it (default: ascending ids, which
-    holds without classes).  PIs and the constant hold their trivial cut;
-    every gate's stored list ends with its trivial cut.  Between rounds
-    the engine holds only the current round's stored lists (`cuts`,
-    `words`, or all at once `stored`), which the next round overwrites.
+    the phase is set.  `levels[n]` is node n's ASAP level over its fanins
+    plus its class members (0 for PIs and the constant), which groups the
+    gates into dependency levels.  PIs and the constant hold their trivial
+    cut; every gate's stored list ends with its trivial cut.  Between
+    rounds the engine holds only the current round's stored lists, which
+    the next round overwrites; `rows` reads them per node.
     """
 
-    def __init__(self, net, k: int, classes: Optional[dict] = None,
-                 order=None):
+    def __init__(self, net, k: int, classes: dict, levels):
         self.net = net
         self.k = k
         self._bit = _BIT[:k]
-        self.classes = classes or {}
+        self.classes = classes
         size = len(net)
         # one leaf row and table word per stored cut of the current round:
         # node n's list is rows start[n] .. end[n] - 1; row 0 is the
@@ -522,33 +491,27 @@ class CutEngine:
             self._start[n], self._end[n] = i, i + 1
         self._base = self._nrows = 1 + len(net.pis)
         self._tts[1:self._base] = _VAR0.bits
-        self._plans = self._plan(net.gates() if order is None else order)
+        self._copy: Optional[CutRows] = None
+        self._plans = self._plan(levels)
 
-    def _plan(self, order) -> list[_Plan]:
-        """ASAP levels over fanins plus class members, and each level's
-        fixed arrays, sliced from arrays over all gates."""
+    def _plan(self, levels) -> list[_Plan]:
+        """Each dependency level's fixed arrays, sliced from arrays over
+        all gates in (level, id) order."""
         net, get = self.net, self.classes.get
         code, *lits = net.columns()
-        gates = list(order)
-        if not gates:
+        code = np.array(code)
+        garr = np.flatnonzero(code >= CODE[AND2])
+        if not garr.size:
             return []
-        garr = np.array(gates, np.int64)
-        # per gate: its three fanin literals; node 0 pads a 2-input gate
-        lit = np.array(lits, np.int64)[:, garr]
-        mem = list(map(get, gates))
-        level = [0] * len(net)
-        for n, a, b, c, ms in zip(gates, *(lit >> 1).tolist(), mem):
-            lv = max(level[a], level[b], level[c])
-            if ms:
-                lv = max(lv, *[level[m] for m, _ in ms])
-            level[n] = lv + 1
-        nmem = np.array([len(ms) if ms else 0 for ms in mem], np.int64)
-        lvs = np.array(level)[garr]
-        at = np.lexsort((garr, lvs))
-        garr, lit, lvs, nmem = garr[at], lit[:, at].T, lvs[at], nmem[at]
+        lvs = np.array(levels)[garr]
+        at = lvs.argsort(kind="stable")        # ids ascend within a level
+        garr, lvs = garr[at], lvs[at]
         gates = garr.tolist()
+        # per gate: its three fanin literals; node 0 pads a 2-input gate
+        lit = np.array(lits, np.int64)[:, garr].T
+        nmem = np.array([len(get(n, ())) for n in gates], np.int64)
         fneg = np.where(lit & 1, np.uint64(FULL), np.uint64(0))  # as masks
-        kinds = np.array(code)[garr]
+        kinds = code[garr]
         xor, maj = kinds == CODE[XOR2], kinds == CODE[MAJ3]
         trivial = np.full((len(gates), self.k), -1, np.int64)
         trivial[:, 0] = garr
@@ -708,6 +671,7 @@ class CutEngine:
         self._start[plan.nodes] = at[:-1]
         self._end[plan.nodes] = stop
         self._nrows = need
+        self._copy = None
 
     def _compose(self, plan, own, code, local, smask, rowat, ls
                  ) -> np.ndarray:
@@ -754,28 +718,24 @@ class CutEngine:
             out = np.where(xor, a ^ b, out)
         return out
 
-    def stored(self) -> tuple:
-        """The current round's stored lists at once: per node the start and
-        end of its list, and every stored cut's leaf row (-1 padded) and
-        table word; node n's list is rows start[n] .. end[n] - 1."""
-        return self._start, self._end, self._rows[:self._nrows], \
-            self._tts[:self._nrows]
-
-    def cuts(self, n: int) -> list[tuple]:
-        """Leaf tuples of n's stored list in the current round, the trivial
-        cut last for a gate."""
-        return [tuple(r[:r.index(-1)]) if r[-1] < 0 else tuple(r)
-                for r in self._rows[self._start[n]:self._end[n]].tolist()]
-
-    def words(self, n: int) -> list[int]:
-        """Table words of n's stored list, as `cuts(n)` lists them."""
-        return self._tts[self._start[n]:self._end[n]].tolist()
+    def rows(self) -> CutRows:
+        """The stored lists as ints, copied on the first read after a
+        level part stores its cuts, so a round's caller reads the rows as
+        they stand."""
+        if self._copy is None:
+            leaves = self._rows[:self._nrows]
+            self._copy = CutRows(
+                self.k, self._start.tolist(), self._end.tolist(),
+                leaves.ravel().tolist(),
+                np.count_nonzero(leaves >= 0, axis=1).tolist(),
+                self._tts[:self._nrows].tolist())
+        return self._copy
 
 
 def enumerate_cuts(net, k: int, l: Optional[int] = None
                    ) -> dict[int, NodeCuts]:
-    """Per-node priority cut sets, each a read-only sequence of Cuts
-    (`NodeCuts`) over the cut engine's stored rows.
+    """Per-node priority cut sets, each a `NodeCuts` over the cut
+    engine's stored rows.
 
     PI cut set is the trivial cut only.  Gate cut sets are dominance-filtered
     merges of the fanin cut sets, truncated to the best `l` by the structural
@@ -784,18 +744,16 @@ def enumerate_cuts(net, k: int, l: Optional[int] = None
     everything.
 
     The engine's stored rows are copied once into flat int lists
-    (`CutRows`) that every node's sequence shares, and no Cut is made
-    here: one, with its leaf tuple and TruthTable, is made only when a
-    caller indexes or iterates a sequence.  Choice construction reads
-    the rows without Cuts (`NodeCuts.tables`), then takes each table's
-    candidates from its strategies, which build them once per distinct
-    table, then walks and proves each node's candidates.
+    (`CutRows`) that every node's value shares, and no per-cut object is
+    made here: a caller reads a node's (leaves, table word) pairs with
+    `NodeCuts.tables`.  The engine's levels are the network's ASAP levels
+    (`LogicNetwork.compute_levels`).
     """
     if not 2 <= k <= 6:
         raise ValueError("cut size must be in [2, 6]")
     if l is not None and l < 1:
         raise ValueError("cut limit must be >= 1")
-    eng = CutEngine(net, k)
+    eng = CutEngine(net, k, {}, net.compute_levels().level)
     # leaf_sig of every node; the signature of padding is 0
     sigs = np.append(np.uint64(1) << (np.arange(
         len(net), dtype=np.uint64) * np.uint64(_SIG_MULT) >> np.uint64(58)),
@@ -803,13 +761,8 @@ def enumerate_cuts(net, k: int, l: Optional[int] = None
     for _ in eng.round(lambda leaves, size: (
             size, np.bitwise_or.reduce(sigs[leaves], axis=1), *leaves.T), l):
         pass
-    start, end, leaves, words = eng.stored()
-    rows = CutRows(k, leaves.ravel().tolist(),
-                   np.count_nonzero(leaves >= 0, axis=1).tolist(),
-                   words.tolist())
-    start, end = start.tolist(), end.tolist()
-    return {n: NodeCuts(rows, start[n], end[n])
-            for n in (0, *net.pis, *net.gates())}
+    rows = eng.rows()
+    return {n: NodeCuts(rows, n) for n in (0, *net.pis, *net.gates())}
 
 
 def all_cuts_bruteforce(net, root: int, k: int) -> list[tuple]:

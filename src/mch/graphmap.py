@@ -29,12 +29,13 @@ def _check_target(target: str) -> None:
 
 def _template(lib: StrategyLibrary, target: str, tt, mode: str):
     """The template candidate for tt in target under the given mode; the
-    query keeps the templates whose kinds the target allows."""
+    query keeps the templates whose kinds the target allows, sorted by
+    (depth, size), so the first is the DELAY pick."""
     cands = level_oriented_candidates(lib, tt, host_tag=target)
     if not cands:
         raise MapError(f"no {target} template for function 0x{tt.bits:x}")
     if mode == DELAY:
-        return min(cands, key=lambda c: (c.depth, c.size))
+        return cands[0]
     return min(cands, key=lambda c: (c.size, c.depth))
 
 

@@ -3,34 +3,36 @@
 The mapper covers a choice network with K-input LUTs or library cells.
 Cut pools, member-cut pooling with the phase folded into the table, and
 truth-table composition all belong to `cuts.CutEngine`, which builds the
-pools of a whole dependency level at once on numpy arrays (the gate
-order, members' leaves first, is `ChoiceNetwork.order`) and stores
-each cut with the table its round derived, as a 64-bit word, so a
-representative sees its own cuts plus every class member's cuts and the
-dynamic program picks whichever structure maps cheapest.  This module
-holds one round driver (`_Rounds`): a delay round establishes optimal
-arrivals, then area-flow and exact-area rounds recover area under
-required times, each kept only if the cover does not get worse.  LUT and
-cell mapping are two cost models over it (`_LutCover`, `_CellCover`).
-Each hands the engine a vectorized sort key over per-node values kept
-current level by level (LUTs: arrival and area flow per fanout estimate;
-cells: the better phase's arrival and area flow), and the engine stores
-each node's best `l` cuts.  Both then pick a whole level at once.  The
-cover's area, its required times and both netlist extractions walk the
+pools of a whole dependency level at once on numpy arrays (one walk,
+`ChoiceNetwork.order`, gives the rounds' key order and the engine's levels
+over fanins plus members) and stores each cut with the table its round
+derived, as a 64-bit word, so a representative sees its own cuts plus every
+class member's cuts and the dynamic program picks whichever structure maps
+cheapest.  This module holds one round driver (`_Rounds`): a delay round
+establishes optimal arrivals, then area-flow and exact-area rounds recover
+area under required times, each kept only if the cover does not get worse.
+LUT and cell mapping are two cost models over it (`_LutCover`,
+`_CellCover`).  Each hands the engine a vectorized sort key over per-node
+values kept current level by level (LUTs: arrival and area flow per fanout
+estimate; cells: the better phase's arrival and area flow), and the engine
+stores each node's best `l` cuts.  Both then pick a whole level at once
+from the level's stored cuts; the exact-area round reads a key's
+alternatives as its node's (leaves, table word) pairs (`CutEngine.rows`).
+The cover's area, its required times and both netlist extractions walk the
 chosen cover one way (`_Rounds.walk`); the exact-area round compares a
 key's old choice with its alternatives by value.  A LUT pick is a stored
 cut with its table word, so a cover carries its own tables, also one
-restored from an earlier round.  The cell mapper looks up each stored
-cut's word in the library's match templates (`CellLibrary.templates`:
-one per function, its matches stored once, as rows of `match_rows`),
-scores every (cut, match) row of the level on arrays, and picks per node
-phase the first best match meeting the required time, with an inverter
-where the other phase is cheaper; it keeps a host gate's elementary
-fanin cut stored so that the gate is always matchable.  Match objects
-are made from `match_rows` only for the picks and for the alternatives
-the exact-area round reads.  A round stops at the first level part that
-holds a node it cannot cover and names the first such node there: one
-whose pool is empty, else (cells) one whose stored cuts match no cell.
+restored from an earlier round.  The cell mapper looks up each stored cut's
+word in the library's match templates (`CellLibrary.templates`: one per
+function, its matches stored once, as rows of `match_rows`), scores every
+(cut, match) row of the level on arrays, and picks per node phase the first
+best match meeting the required time, with an inverter where the other
+phase is cheaper; it keeps a host gate's elementary fanin cut stored so
+that the gate is always matchable.  Match objects are made from
+`match_rows` only for the picks and for the alternatives the exact-area
+round reads.  A round stops at the first level part that holds a node it
+cannot cover and names the first such node there: one whose pool is empty,
+else (cells) one whose stored cuts match no cell.
 """
 
 from __future__ import annotations
@@ -172,12 +174,12 @@ class _Rounds:
         net = cn.base
         self.net, self.p = net, p
         try:
-            self.order = cn.order()
+            self.order, levels = cn.order()
         except ChoiceError as e:
             raise MapError(str(e)) from None
         self.engine = CutEngine(net, p.k, {
             r: [(m, cn.phase[m]) for m in ms]
-            for r, ms in cn.classes.items()}, self.order)
+            for r, ms in cn.classes.items()}, levels)
         self.req = [INF] * (width * len(net))
         # fanout estimates from the structural cone only, so member gates
         # do not inflate the sharing estimate of original nodes
@@ -394,8 +396,7 @@ class _LutCover(_Rounds):
 
     def cands(self, n: int) -> list:
         """n's stored cuts but the trivial one, with their words."""
-        eng = self.engine
-        return list(zip(eng.cuts(n), eng.words(n)))[:-1]
+        return self.engine.rows().tables(n)[:-1]
 
     def enum_round(self, delay_pri: bool, constrained: bool) -> None:
         """Re-enumerate priority cuts with this round's cost key and pick
@@ -415,8 +416,7 @@ class _LutCover(_Rounds):
             return (a, fl, size) if delay_pri else (fl, a, size)
 
         ia, ib = (0, 1) if delay_pri else (1, 0)
-        # per node, the rank of its pick among its stored cuts
-        rank = np.zeros(len(self.net), np.int64) if constrained else 0
+        picked = []
         for lv in self.levels(key):
             a, fl = lv.column(ia), lv.column(ib)
             nodes, pick = lv.nodes, lv.bound[:-1]
@@ -425,20 +425,16 @@ class _LutCover(_Rounds):
                 n = a.size
                 at = np.where(a <= slack[nodes[lv.owner]], np.arange(n), n)
                 met = np.minimum.reduceat(at, pick)
-                met = np.where(met < n, met, pick)
-                rank[nodes] = met - pick
-                pick = met
+                pick = np.where(met < n, met, pick)
             arr[nodes] = a[pick]
             flow[nodes] = fl = fl[pick]
             share[nodes] = fl / est[nodes]
-        # the choices of the whole round, read from its stored lists
-        nodes = self.order
-        start, _, leaves, words = self.engine.stored()
-        at = start[nodes] + (rank[nodes] if constrained else 0)
-        leaves = leaves[at]
-        for n, row, z, w in zip(nodes, leaves.tolist(), np.count_nonzero(
-                leaves >= 0, axis=1).tolist(), words[at].tolist()):
-            chosen[n] = (tuple(row[:z]), w)
+            picked.append((nodes, lv.leaves[pick], lv.size[pick],
+                           lv.tt[pick]))
+        # the choices of the whole round, made once its levels are picked
+        for n, row, z, w in zip(*(np.concatenate(c).tolist()
+                                  for c in zip(*picked))):
+            chosen[n] = (row[:z], w)
         self.arr[:] = arr[:-1].tolist()
         self.flow[:] = flow.tolist()
 
@@ -740,12 +736,13 @@ class _CellCover(_Rounds):
         last round read them, then an inverter from the other phase; never
         an inverter when the other phase already is one."""
         n, phase = key >> 1, key & 1
-        cl, eng = self.cl, self.engine
-        cuts = eng.cuts(n)[:-1]
-        tid = cl.templates(eng.words(n)[:-1], [len(c) for c in cuts])
+        cl = self.cl
+        cuts = self.engine.rows().tables(n)[:-1]
+        tid = cl.templates([w for _, w in cuts],
+                           [len(leaves) for leaves, _ in cuts])
         out = []
-        for leaves, lo, cnt in zip(cuts, cl.tpl_first[tid].tolist(),
-                                   cl.tpl_count[tid].tolist()):
+        for (leaves, _), lo, cnt in zip(cuts, cl.tpl_first[tid].tolist(),
+                                        cl.tpl_count[tid].tolist()):
             out += [_CMatch(kind, cell, tuple(
                 2 * (leaves[x] if x >= 0 else 0) + c for x, c in pins))
                 for ph, kind, cell, pins in cl.match_rows[lo:lo + cnt]

@@ -2,7 +2,7 @@
 
 Exact (lexicographic-minimum) canonization for up to 4 variables by
 enumerating the full transform group; 5- and 6-variable tables fall back
-to a semi-canonical heuristic and are flagged non-exact.
+to a semi-canonical heuristic.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ def compose(a: NpnTransform, b: NpnTransform) -> NpnTransform:
 class CanonResult(NamedTuple):
     tt: TruthTable
     transform: NpnTransform
-    exact: bool
 
 
 import functools
@@ -113,7 +112,7 @@ def npn_canonize(tt: TruthTable) -> CanonResult:
         perm, neg = metas[ineg]
         t = NpnTransform(perm, neg, True)
         canon = TruthTable.create(int(vals_neg[ineg]), v)
-    return CanonResult(canon, t, True)
+    return CanonResult(canon, t)
 
 
 def npn_classify_all4() -> np.ndarray:
@@ -160,4 +159,4 @@ def _heuristic_canonize(tt: TruthTable) -> CanonResult:
     t = NpnTransform(tuple(perm), 0, False)
     work = apply_npn(work, t)
     total = NpnTransform(tuple(perm), neg, out_neg)
-    return CanonResult(work, total, False)
+    return CanonResult(work, total)

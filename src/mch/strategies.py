@@ -466,7 +466,7 @@ class _NpnBinding(NamedTuple):
 
 
 def _npn_binding(table: TruthTable, n_inputs: int) -> _NpnBinding:
-    canon, tr, _ = npn_canonize(TruthTable.create(table.bits, 4))
+    canon, tr = npn_canonize(TruthTable.create(table.bits, 4))
     inv = tr.inverse()
     ins = tuple((inv.perm[j] if inv.perm[j] < n_inputs else None,
                  bool((inv.neg >> j) & 1)) for j in range(4))
@@ -593,7 +593,7 @@ def _emit_maj(net: LogicNetwork, a: Signal, b: Signal, c: Signal) -> Signal:
 
 
 def _build_dsd(net: LogicNetwork, node: DsdNode, pis: list[Signal],
-               lib: Optional[StrategyLibrary]) -> Signal:
+               lib: StrategyLibrary) -> Signal:
     if node.op == "LIT":
         s = pis[node.var]
         return ~s if node.neg else s
@@ -612,11 +612,10 @@ def _build_dsd(net: LogicNetwork, node: DsdNode, pis: list[Signal],
 
 
 def _resynthesize_prime(net: LogicNetwork, table: TruthTable,
-                        inputs: list[Signal],
-                        lib: Optional[StrategyLibrary]) -> Signal:
+                        inputs: list[Signal], lib: StrategyLibrary) -> Signal:
     """The first template of the first enabled representation the host
     allows, else ISOP factoring."""
-    if lib is not None and table.var_count <= 4:
+    if table.var_count <= 4:
         b = _npn_binding(table, len(inputs))
         for tag in lib.enabled:
             if not nw.ALLOWED_KINDS[tag] <= nw.ALLOWED_KINDS[net.tag]:

@@ -86,7 +86,7 @@ def test_criterion_2_cut_enumeration_oracle():
         k = rng.randint(2, 4)
         cutsets = enumerate_cuts(net, k, None)
         for g in net.gates():
-            got = sorted(c.leaves for c in cutsets[g])
+            got = sorted(tuple(lv) for lv, _ in cutsets[g].tables())
             want = sorted(all_cuts_bruteforce(net, g, k))
             assert got == want
     assert time.perf_counter() - t0 < 30.0

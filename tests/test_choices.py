@@ -182,7 +182,7 @@ def test_order_names_a_member_on_every_cycle():
                 cn.add_choice(r, m, False)
         cyclic = any(on_a_cycle(cn, m) for m in cn.repr_of)
         try:
-            order = cn.order()
+            order = cn.order()[0]
         except ChoiceError as e:
             assert cyclic and on_a_cycle(cn, e.member), (i, str(e))
             assert str(e) == f"choice {e.member} is on a dependency cycle"
@@ -251,7 +251,7 @@ def _same_order(cn: ChoiceNetwork) -> bool:
             cn.order()
         assert (got.value.member, str(got.value)) == (e.member, str(e))
         return True
-    assert cn.order() == want
+    assert cn.order()[0] == want
     return False
 
 
@@ -287,6 +287,54 @@ def test_order_equals_the_per_gate_walk_on_random_classes():
                 cn.add_choice(r, m, False)
         cycles += _same_order(cn)
     assert 30 < cycles < 270, cycles
+
+
+def _ref_levels(cn: ChoiceNetwork) -> list:
+    """ASAP levels over fanins plus members by relaxation: every gate
+    one above its highest fanin or member, PIs and the constant at 0,
+    repeated until nothing changes (at most one pass per node on a
+    network without dependency cycles)."""
+    net = cn.base
+    deps = {n: [f.node for f in net.fanins(n)] + cn.members(n)
+            for n in net.gates()}
+    level = [0] * len(net)
+    for _ in range(len(net) + 1):
+        new = [1 + max(level[d] for d in deps[n]) if n in deps else 0
+               for n in range(len(net))]
+        if new == level:
+            return level
+        level = new
+    raise AssertionError("the levels did not settle")
+
+
+def test_order_levels_equal_the_asap_recurrence_over_members():
+    # random classes (members above and below their representative's id)
+    # and built choice networks; without classes, compute_levels
+    rng = random.Random(23)
+    above = below = 0
+    for i in range(300):
+        net = random_network(4, rng.randint(8, 25), rng.randint(0, 10**9),
+                             tag=(nw.AIG, nw.XMG)[i % 2])
+        assert ChoiceNetwork(net).order()[1] == net.compute_levels().level
+        gates = list(net.gates())
+        cn = ChoiceNetwork(net)
+        for _ in range(rng.randint(1, 4)):
+            r, m = rng.sample(gates, 2)
+            if r not in cn.repr_of:
+                cn.add_choice(r, m, False)
+        if any(on_a_cycle(cn, m) for m in cn.repr_of):
+            continue
+        assert cn.order()[1] == _ref_levels(cn), i
+        above += sum(m > r for m, r in cn.repr_of.items())
+        below += sum(m < r for m, r in cn.repr_of.items())
+    assert above > 20 and below > 20, (above, below)
+    lib = default_library()
+    for i in range(4):
+        net = random_network(6, 60, rng.randint(0, 10**9), n_pos=2)
+        cn = build_mch(net, lib, MchParams(r=0.8),
+                       mix_target=(nw.XMG, nw.XAG)[i % 2])
+        assert cn.classes
+        assert cn.order()[1] == _ref_levels(cn)
 
 
 def test_check_invariants_walks_no_tfi(monkeypatch, lib):
@@ -349,17 +397,18 @@ def test_a_one_gate_candidate_over_a_gates_fanins_folds_into_the_gate(
         for n, cuts in enumerate_cuts(net, 4, 8).items():
             if not net.is_gate(n):
                 continue
-            fanins = tuple(sorted(f.node for f in net.fanins(n)))
-            for cut in cuts:
-                if cut.leaves != fanins:
+            fanins = sorted(f.node for f in net.fanins(n))
+            for leaves, word in cuts.tables():
+                if leaves != fanins:
                     continue
                 for query in (choices.area_oriented_candidates,
                               choices.level_oriented_candidates):
-                    for cand in query(lib, cut.tt, mix):
+                    for cand in query(lib, TruthTable(word, len(leaves)),
+                                      mix):
                         if cand.size != 1:
                             continue
                         vals = net.images(cand.walk, [
-                            2 * cut.leaves[j] for j in cand.support])
+                            2 * leaves[j] for j in cand.support])
                         assert vals[cand.walk.outputs[0] >> 1] >> 1 == n
                         assert len(net) == size
                         folded += 1

@@ -171,6 +171,42 @@ def test_the_one_pass_table_of_every_member_is_cut_truths(monkeypatch,
             assert cn.repr_of and proven >= set(cn.repr_of), (name, preset)
 
 
+def test_a_node_with_a_full_class_computes_no_mffc(monkeypatch, tmp_path):
+    """Once its cuts' candidates fill a node's class to MAX_MEMBERS,
+    install takes nothing from the node's MFFC, so construction computes
+    none: no `mffc` call is made for a node whose class is full, while
+    such nodes that would have had one occur."""
+    real_install, real_mffc = choices._install, LogicNetwork.mffc
+    build, full_calls, skipped = {}, 0, 0
+
+    def install(cn, *args):
+        build["cn"] = cn
+        return real_install(cn, *args)
+
+    def mffc(net, n, *args):
+        nonlocal full_calls
+        build["asked"].add(n)
+        cn = build.get("cn")
+        full_calls += cn is not None and \
+            len(cn.members(n)) >= choices.MAX_MEMBERS
+        return real_mffc(net, n, *args)
+
+    monkeypatch.setattr(choices, "_install", install)
+    monkeypatch.setattr(LogicNetwork, "mffc", mffc)
+    lib = default_library()
+    for name, net in sorted(_designs(tmp_path).items()):
+        for preset in ("area", "delay"):
+            build.clear()
+            build["asked"] = set()
+            mix, r, _ = PRESETS[preset]
+            critical = net.one_to_one_map(mix).critical_path_nodes(r)
+            cn = _build(net, lib, preset)
+            skipped += sum(len(ms) == choices.MAX_MEMBERS
+                           and n not in critical and n not in build["asked"]
+                           for n, ms in cn.classes.items())
+    assert full_calls == 0 and skipped > 0, (full_calls, skipped)
+
+
 def test_a_member_the_arena_built_wrong_is_never_installed(monkeypatch):
     """With the strash core building XOR2 where install asks for AND2, a
     member's walk still means the spec's function, but its arena nodes do
